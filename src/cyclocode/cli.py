@@ -2,7 +2,8 @@
 
 Subcommands: dim, size-t, coset, bound, audit, table, verify, gen-poly.
 Exit status: 0 success, 2 parameter error, 3 resource or budget error,
-4 oracle verification mismatch (details on stderr).
+4 oracle verification mismatch (details on stderr), 5 internal consistency
+error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 from . import bounds, counting, defsets, galois, oracle
 from .cosets import coset_of, union_cosets
 from .counting import CodeParams
-from .errors import ParameterError, ResourceLimitError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .galois import SUPPORTED_Q, field_make, has_builtin_modulus
 
 SCHEMA_VERSION = "1"
@@ -39,6 +40,13 @@ q and m.  A 'x<=y' clause filters combinations.  Values of q that are not
 prime powers, and out-of-regime points (m < 2 or the zero-code point
 a = b = q-1 with t = 0 for bound commands), are skipped.
 Example: 'q=2..5;m=2..8;t=*;a=*;b<=a'
+
+Exit status:
+  0  success
+  2  parameter error: bad parameters, grid or arguments
+  3  resource limit: a materialization cap or enumeration budget
+  4  oracle verification mismatch (details on stderr)
+  5  internal consistency error: an identity that must hold failed
 """
 
 
@@ -121,6 +129,13 @@ def emit(args, meta: dict, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"bad grid value {text!r}: not an integer") from None
+
+
 def _parse_values(text: str) -> list[int] | None:
     if text == "*":
         return None
@@ -128,9 +143,9 @@ def _parse_values(text: str) -> list[int] | None:
     for item in text.split(","):
         if ".." in item:
             lo, hi = item.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_parse_int(lo), _parse_int(hi) + 1))
         else:
-            out.append(int(item))
+            out.append(_parse_int(item))
     return out
 
 
@@ -530,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"consistency error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ __all__ = [
 DEFAULT_INDEX_CAP = 1 << 28
 
 _BITREV = bytes(int(format(i, "08b")[::-1], 2) for i in range(256))
+# Positions of the set bits of each byte value, lowest first.
+_BIT_POSITIONS = tuple(tuple(j for j in range(8) if i >> j & 1) for i in range(256))
 
 
 def _check_range(s: int, q: int, m: int) -> None:
@@ -127,13 +129,13 @@ class DefiningSet:
         return 0 <= s <= self.n and (self._bits >> s) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self._bits
-        s = 0
-        while bits:
-            if bits & 1:
-                yield s
-            bits >>= 1
-            s += 1
+        """Members in ascending order, from one pass over the mask's bytes,
+        so a full iteration is linear in q^m."""
+        raw = self._bits.to_bytes((self._bits.bit_length() + 7) // 8, "little")
+        for base, byte in zip(range(0, 8 * len(raw), 8), raw):
+            if byte:
+                for j in _BIT_POSITIONS[byte]:
+                    yield base + j
 
     def members(self) -> list[int]:
         return list(self)

@@ -1,10 +1,18 @@
 """Materialized defining sets and the exact dimension formulas.
 
-build_T constructs T through the digit-pattern characterization; the oracle
-module rebuilds it straight from the definition (descendants of rotations)
-so the two routes can be compared.  dual_set reflects and complements an
-arbitrary set, while dual_set_pattern builds the dual defining set directly
-from its own pattern characterization, again giving two independent routes.
+T and its dual are built by two deliberately independent routes:
+
+- the bit-sliced kernel here.  "Digit i of s lies in [lo, hi]" is a periodic
+  bit pattern over all s in [0, q^m), so build_T and dual_set_pattern
+  evaluate their digit-pattern characterizations over the whole index range
+  at once, as ANDs and ORs of q^m-bit masks held in Python ints;
+- the per-value oracles.  The oracle module rebuilds T straight from the
+  definition (descendants of rotations), and qadic's pattern_profile and
+  matches_dual_exclusion test the same patterns one word at a time.
+
+dual_set reflects and complements an arbitrary set, while dual_set_pattern
+builds the dual defining set directly from its own pattern characterization,
+again giving two independent routes.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 from .cosets import DefiningSet, _check_cap, coset_of
 from .counting import CodeParams, closed_size_T
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
-from .qadic import _matches_exclusion, _profile_counts, expand, pattern_profile
+from .qadic import expand, pattern_profile
 
 __all__ = [
     "DimensionReport",
@@ -28,37 +36,60 @@ __all__ = [
 ]
 
 
-def _digit_odometer(q: int, m: int):
-    """Yield (s, digits) for s = 0 .. q^m - 1; digits is reused in place."""
-    digits = [0] * m
-    yield 0, digits
-    for s in range(1, q**m):
-        i = 0
-        while True:
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
-            i += 1
-        yield s, digits
+def _digit_mask(q: int, m: int, i: int, lo: int, hi: int) -> int:
+    """The q^m-bit mask of the values s in [0, q^m) whose digit i lies in
+    [lo, hi].
+
+    Digit i cycles with period q^(i+1) and holds each value for q^i
+    consecutive s, so one period is a single run of ones; the period is
+    repeated q^(m-i-1) times by shift-doubling.
+    """
+    run = q**i
+    width = run * q
+    block = ((1 << (hi - lo + 1) * run) - 1) << (lo * run)
+    mask = shift = 0
+    copies = q ** (m - i - 1)
+    while copies:
+        if copies & 1:
+            mask |= block << shift
+            shift += width
+        copies >>= 1
+        if copies:
+            block |= block << width
+            width *= 2
+    return mask
 
 
 def build_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     """T as {0} plus every value whose word has an occurrence (k, ell) != (0, 0)
-    and all digits <= a."""
+    and all digits <= a.
+
+    An occurrence is a head digit in [1, b] followed cyclically by t zeros,
+    or one in [b+1, a] followed by t+1 zeros.  Digit masks are built as they
+    are needed, so only a few q^m-bit masks are alive at any time.
+    """
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
-    size = _check_cap(q, m, cap)
-    buf = bytearray((size + 7) // 8)
-    buf[0] |= 1
-    for s, digits in _digit_odometer(q, m):
-        if s == 0:
-            continue
-        k, ell, ok = _profile_counts(digits, m, a, b, t)
-        if ok and (k or ell):
-            buf[s >> 3] |= 1 << (s & 7)
-    return DefiningSet(q, m, int.from_bytes(buf, "little"), cap)
+    _check_cap(q, m, cap)
+
+    def occurrences(i: int, lo: int, hi: int, zeros: int) -> int:
+        hit = _digit_mask(q, m, i, lo, hi)
+        for j in range(i + 1, i + 1 + zeros):
+            if not hit:
+                break
+            hit &= _digit_mask(q, m, j % m, 0, 0)
+        return hit
+
+    bits = 0
+    for i in range(m):
+        bits |= occurrences(i, 1, b, t)
+        if b < a:
+            bits |= occurrences(i, b + 1, a, t + 1)
+    if a < q - 1:
+        for i in range(m):
+            bits &= _digit_mask(q, m, i, 0, a)
+    return DefiningSet(q, m, bits | 1, cap)
 
 
 def descendant_closure(D: DefiningSet, cap: int | None = None) -> DefiningSet:
@@ -95,15 +126,25 @@ def dual_set_pattern(params: CodeParams, cap: int | None = None) -> DefiningSet:
     """The dual defining set built directly from its pattern characterization:
     values whose word avoids the full-length forbidden pattern.
 
+    The pattern starting at digit r reads x_1 ... x_{m-t-1} y (q-1)^t
+    cyclically, so it fixes a lowest allowed digit at every position; the
+    excluded values are the OR over r of the AND of those digit masks.
     a and b are independent here (no b <= a requirement).
     """
     q, m, t, a, b = params.astuple()
     size = _check_cap(q, m, cap)
-    buf = bytearray((size + 7) // 8)
-    for s, digits in _digit_odometer(q, m):
-        if not _matches_exclusion(digits, q, m, a, b, t):
-            buf[s >> 3] |= 1 << (s & 7)
-    return DefiningSet(q, m, int.from_bytes(buf, "little"), cap)
+    full = (1 << size) - 1
+    floors = [q - 1 - a] * (m - t - 1) + [q - 1 - b] + [q - 1] * t
+    excluded = 0
+    for r in range(m):
+        hit = full
+        for offset, lo in enumerate(floors):
+            if not hit:
+                break
+            if lo:
+                hit &= _digit_mask(q, m, (r + offset) % m, lo, q - 1)
+        excluded |= hit
+    return DefiningSet(q, m, full & ~excluded, cap)
 
 
 def bch_set(q: int, m: int, delta: int, cap: int | None = None) -> DefiningSet:

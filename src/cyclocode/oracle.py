@@ -17,10 +17,10 @@ from typing import Sequence
 
 from .cosets import DefiningSet, _check_cap
 from .counting import CodeParams
-from .defsets import _digit_odometer, build_T
+from .defsets import build_T
 from .errors import ParameterError
 from .galois import FieldContext, generator_polynomial, poly_divmod
-from .qadic import QAdicWord, _profile_counts, rotate, word_value
+from .qadic import _profile_counts
 
 __all__ = [
     "DistanceResult",
@@ -35,9 +35,29 @@ __all__ = [
 DEFAULT_DISTANCE_BUDGET = 1 << 21
 
 
+def _digit_odometer(q: int, m: int):
+    """Yield (s, digits) for s = 0 .. q^m - 1; digits is reused in place."""
+    digits = [0] * m
+    yield 0, digits
+    for s in range(1, q**m):
+        i = 0
+        while True:
+            digits[i] += 1
+            if digits[i] < q:
+                break
+            digits[i] = 0
+            i += 1
+        yield s, digits
+
+
 def brute_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     """T straight from the definition: enumerate the digitwise descendants
-    of the word u = a...a b 0...0 and union their rotation orbits."""
+    of the word u = a...a b 0...0 and union their rotation orbits.
+
+    Words are raw digit tuples, lowest power first; the rotation by j is
+    the circular right shift digits[m-j:] + digits[:m-j], read back by
+    Horner's rule.
+    """
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
@@ -45,9 +65,12 @@ def brute_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     u_digits = [a] * (m - t - 1) + [b] + [0] * t
     members: set[int] = set()
     for digs in product(*[range(d + 1) for d in u_digits]):
-        w = QAdicWord(tuple(digs), q)
+        twice = digs + digs
         for j in range(m):
-            members.add(word_value(rotate(w, j)))
+            value = 0
+            for d in reversed(twice[m - j:2 * m - j]):
+                value = value * q + d
+            members.add(value)
     return DefiningSet.from_members(q, m, members, cap)
 
 

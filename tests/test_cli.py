@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclocode
+from cyclocode import cli
 from cyclocode.cli import main, parse_grid
 from cyclocode.counting import CodeParams
-from cyclocode.errors import ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError
 
 
 def run(capsys, *argv):
@@ -150,6 +156,8 @@ def test_parse_grid():
         parse_grid("q=*;m=2")
     with pytest.raises(ParameterError):
         parse_grid("q=2;m=2;z=1")
+    with pytest.raises(ParameterError):
+        parse_grid("q=2..y;m=2")
     # a single point
     assert parse_grid("q=3;m=4;t=1;a=2;b=1") == [CodeParams(3, 4, 1, 2, 1)]
     # non-prime-power q values are skipped
@@ -162,3 +170,33 @@ def test_json_round_trip(capsys):
                        "--no-timestamp")
     doc = json.loads(out)
     assert doc["size_T"] == sum(r["class_size"] for r in doc["rows"]) + 1
+
+
+def test_bad_grid_value_exits_2_without_traceback():
+    src = str(Path(cyclocode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocode.cli", "audit", "--grid", "q=x;m=2"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parameter error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_consistency_error_exit_code(monkeypatch, capsys):
+    def broken(args):
+        raise ConsistencyError("dimension must equal q^m - |T|")
+
+    monkeypatch.setattr(cli, "cmd_dim", broken)
+    code, _, err = run(capsys, "dim", "--q", "2", "--m", "4", "--t", "1",
+                       "--a", "1", "--b", "1")
+    assert code == 5
+    assert err.startswith("consistency error:")
+
+
+def test_exit_codes_are_documented():
+    epilog = cli.build_parser().epilog
+    for code in "2345":
+        assert f"  {code}  " in epilog

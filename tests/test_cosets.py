@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cyclocode.cosets import DefiningSet, coset_of, leader, union_cosets
 from cyclocode.errors import ParameterError, ResourceLimitError
@@ -91,3 +92,34 @@ def test_rotation_closure_flag():
     assert not DefiningSet.from_members(2, 4, [1, 3]).is_rotation_closed()
     # 0 and n never break closure
     assert DefiningSet.from_members(2, 4, [0, 15]).is_rotation_closed()
+
+
+# Index-range sizes q^m: 25, 27 and 49 are not multiples of 8.
+ITER_QM = [(2, 3), (2, 6), (5, 2), (3, 3), (7, 2), (2, 10), (3, 5)]
+
+
+@st.composite
+def member_sets(draw):
+    q, m = draw(st.sampled_from(ITER_QM))
+    top = q**m - 1
+    members = draw(
+        st.one_of(
+            st.just(set()),
+            st.just(set(range(top + 1))),
+            st.just({top}),
+            st.sets(st.integers(0, top)),
+            st.sets(st.integers(0, top)).map(lambda s: s | {top}),
+        )
+    )
+    return q, m, members
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(member_sets())
+@example((5, 2, set()))
+@example((5, 2, set(range(25))))
+@example((3, 3, {26}))
+@example((2, 3, {0, 7}))
+def test_iteration_is_sorted_members(case):
+    q, m, members = case
+    assert list(DefiningSet.from_members(q, m, members)) == sorted(members)

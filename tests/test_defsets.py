@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocode.cosets import DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, closed_size_T
@@ -11,6 +12,8 @@ from cyclocode.defsets import (
     dual_set_pattern,
 )
 from cyclocode.errors import ParameterError, ResourceLimitError, ZeroCodeError
+from cyclocode.oracle import brute_T
+from cyclocode.qadic import expand, matches_dual_exclusion
 
 T_LISTING_3_4_1_2_1 = [
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
@@ -143,3 +146,52 @@ def test_union_cosets_subsumes_T():
     T = build_T(p)
     assert union_cosets(T.members(), 3, 4) == T
     assert closed_size_T(p) == len(T)
+
+
+# (q, m) with q^m <= 1024, so the per-value oracles stay fast.
+SMALL_QM = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9) for m in range(1, 11) if q**m <= 1024]
+
+
+@st.composite
+def code_params(draw, b_le_a: bool) -> CodeParams:
+    q, m = draw(st.sampled_from(SMALL_QM))
+    t = draw(st.integers(0, m - 1))
+    a = draw(st.integers(1, q - 1))
+    b = draw(st.integers(1, a if b_le_a else q - 1))
+    return CodeParams(q, m, t, a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code_params(b_le_a=True))
+def test_build_T_equals_definition(p):
+    assert build_T(p) == brute_T(p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code_params(b_le_a=False))
+def test_dual_set_pattern_equals_per_value_exclusion(p):
+    q, m, t, a, b = p.astuple()
+    expected = [
+        s for s in range(q**m)
+        if not matches_dual_exclusion(expand(s, q, m), a, b, t)
+    ]
+    assert dual_set_pattern(p).members() == expected
+
+
+def test_build_T_at_2_20_is_all_but_the_top():
+    p = CodeParams(2, 20, 1, 1, 1)
+    T = build_T(p)
+    assert list(T) == list(range(2**20 - 1))
+    assert len(T) == closed_size_T(p)
+
+
+@pytest.mark.parametrize(
+    "params,size_T",
+    [(CodeParams(5, 10, 8, 4, 1), 81), (CodeParams(3, 13, 4, 2, 1), 112_633)],
+)
+def test_dual_pattern_matches_reflection_at_scale(params, size_T):
+    T = build_T(params)
+    dual = dual_set_pattern(params)
+    assert len(T) == closed_size_T(params) == size_T
+    assert dual == dual_set(T)
+    assert len(dual) == params.index_size - closed_size_T(params)
