@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .counting import CodeParams
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .qadic import expand, matches_dual_exclusion
 
 __all__ = [
@@ -401,15 +401,3 @@ def audit(
         mismatch=st - cert.claimed_bound,
     )
 
-
-def enumerate_s(cert: BoundCertificate, params: CodeParams) -> tuple[int, ...]:
-    """Explicit S for a parametric certificate (may be huge; guarded)."""
-    if cert.s_set is not None:
-        return cert.s_set
-    if cert.s_size > 10 * DEFAULT_S_CAP:
-        raise ResourceLimitError(f"S has {cert.s_size} elements")
-    _, axes = _case_axes(params, cert.case_id)
-    values = sorted(
-        sum(x) for x in product(*[range(0, stride * count, stride) for stride, count in axes])
-    )
-    return tuple(values[1:])

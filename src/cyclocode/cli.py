@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import bounds, counting, defsets, galois, oracle
@@ -195,22 +193,6 @@ def parse_grid(spec: str) -> list[CodeParams]:
     return points
 
 
-def worker_count() -> int:
-    raw = os.environ.get("CYCLOCODE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_params(fn, points):
-    workers = worker_count()
-    if workers == 1 or len(points) < 4:
-        return [fn(p) for p in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points, chunksize=8))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -308,7 +290,7 @@ def cmd_audit(args) -> int:
             continue
         points.append(p)
     points.sort(key=lambda p: p.astuple())
-    rows = _map_params(_audit_row, points)
+    rows = [_audit_row(p) for p in points]
     findings = [r for r in rows if r["mismatch"] != 0 or not r["verified_ok"]]
     meta = {"command": "audit", "grid": args.grid, "points": len(rows),
             "findings": len(findings)}
@@ -412,11 +394,6 @@ def _verify_point(params: CodeParams, seed: int) -> list[tuple[str, str]]:
     return out
 
 
-def _verify_point_star(item):
-    params, seed = item
-    return _verify_point(params, seed)
-
-
 def cmd_verify(args) -> int:
     points: list[CodeParams] = []
     for q in SUPPORTED_Q:
@@ -429,9 +406,7 @@ def cmd_verify(args) -> int:
                             points.append(CodeParams(q, m, t, a, b))
             m += 1
     points.sort(key=lambda p: p.astuple())
-    results = _map_params(
-        _verify_point_star, [(p, args.seed) for p in points]
-    )
+    results = [_verify_point(p, args.seed) for p in points]
     passes: dict[str, int] = {}
     failures: list[str] = []
     for point_result in results:

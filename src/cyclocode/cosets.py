@@ -1,9 +1,11 @@
 """Cyclotomic cosets modulo q^m - 1 and exact index sets over [0, q^m - 1].
 
-Cosets are built by rotating digit words rather than by modular
+Cosets are built by rotating the base-q digits of s rather than by modular
 multiplication so that the two fixed points 0 and q^m - 1 come out as
 singleton orbits with no special-casing: both are legitimate, distinct
-positions of an extended code's defining set.
+positions of an extended code's defining set.  coset_of is the one orbit
+routine of the package; minimal and generator polynomials take their
+orbits from it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ParameterError, ResourceLimitError
-from .qadic import expand, rotate, word_value
 
 __all__ = [
     "CyclotomicCoset",
@@ -62,8 +63,13 @@ class CyclotomicCoset:
 def coset_of(s: int, q: int, m: int) -> CyclotomicCoset:
     """The cyclotomic coset containing s, as a sorted orbit with its leader."""
     _check_range(s, q, m)
-    w = expand(s, q, m)
-    orbit = {word_value(rotate(w, j)) for j in range(m)}
+    top = q ** (m - 1)
+    orbit = {s}
+    r = s
+    for _ in range(m - 1):
+        # the top digit wraps to the bottom: r * q mod q^m - 1, with n fixed
+        r = r % top * q + r // top
+        orbit.add(r)
     elems = tuple(sorted(orbit))
     return CyclotomicCoset(elems[0], elems)
 
@@ -183,10 +189,8 @@ class DefiningSet:
         """True iff membership is preserved by multiplication by q mod n
         on [1, n-1] (0 and n are always fixed points)."""
         n = self.n
-        for s in self:
-            if 0 < s < n and ((s * self.q) % n) not in self:
-                return False
-        return True
+        members = set(self)
+        return all((s * self.q) % n in members for s in members if 0 < s < n)
 
 
 def union_cosets(

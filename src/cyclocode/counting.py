@@ -236,5 +236,14 @@ def count_class(k: int, ell: int, params: CodeParams) -> int:
 
 
 def closed_size_T(params: CodeParams) -> int:
-    """|T| = 1 + sum of all class sizes (the +1 is the zero word)."""
-    return sum(class_sizes(params).values()) + 1
+    """|T| = 1 + sum over admissible (r, s) of (-1)^(r+s+1) A_{r,s}.
+
+    The alternating sum is the sum of all class sizes by inclusion-exclusion,
+    so no class size is inverted; the +1 is the zero word.
+    """
+    params.require_counting_regime()
+    p = params.normalized()
+    return 1 + sum(
+        (-1) ** (r + s + 1) * count_matrix_entries(r, s, p)
+        for r, s in admissible_pairs(p.m, p.t)
+    )

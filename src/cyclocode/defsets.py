@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cosets import DefiningSet, _check_cap, coset_of
+from .cosets import DefiningSet, _check_cap, union_cosets
 from .counting import CodeParams, closed_size_T
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
 from .qadic import expand, pattern_profile
@@ -153,12 +153,7 @@ def bch_set(q: int, m: int, delta: int, cap: int | None = None) -> DefiningSet:
     n = q**m - 1
     if not 2 <= delta <= n:
         raise ParameterError(f"need 2 <= delta <= {n}, got {delta}")
-    _check_cap(q, m, cap)
-    members: set[int] = set()
-    for s in range(1, delta):
-        if s not in members:
-            members.update(coset_of(s, q, m).elements)
-    return DefiningSet.from_members(q, m, members, cap)
+    return union_cosets(range(1, delta), q, m, cap)
 
 
 @dataclass(frozen=True)

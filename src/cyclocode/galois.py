@@ -1,11 +1,15 @@
 """Finite fields GF(q) and GF(q^m), minimal and generator polynomials, and
 the evaluation map underlying all code-level verification.
 
-Field elements are integers: an element of GF(p^e) encodes its coefficient
-vector over GF(p) in base p (lowest degree first), and an element of
-GF(q^m) encodes its coefficient vector over GF(q) in base q.  With this
+Field elements are integers: an element of GF(q^m) encodes its coefficient
+vector over GF(q) in base q (lowest degree first), and with q = p^e each
+GF(q) coefficient encodes its own vector over GF(p) in base p, so an element
+is the base-p integer of its m*e coefficients over GF(p).  With this
 encoding the subfield GF(q) inside GF(q^m) is exactly the encodings below
-q, and codeword symbols embed without translation.
+q, and codeword symbols embed without translation.  Addition is
+coefficientwise over GF(p) in every field, so one rule serves them all: the
+carry-less base-p digit sum, which is XOR when p = 2.  GF(q) itself is the
+same field class built at (p, e), and the prime field ends the recursion.
 
 Moduli come from a fixed built-in table: for each supported (q, m) the
 lexicographically smallest monic degree-m polynomial over GF(q) (ordered by
@@ -17,14 +21,14 @@ fields are identical across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .cosets import DefiningSet
+from .cosets import DefiningSet, coset_of
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 
 __all__ = [
     "SUPPORTED_Q",
-    "BaseField",
     "FieldContext",
     "Polynomial",
     "field_make",
@@ -152,86 +156,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-class BaseField:
-    """GF(q) with full multiplication and inverse tables (q <= 27 here)."""
-
-    def __init__(self, q: int):
-        if q not in SUPPORTED_Q:
-            raise ParameterError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
-        if q in _BASE_MODULI:
-            self.p, self.modulus = _BASE_MODULI[q]
-        else:
-            self.p, self.modulus = q, None
-        self.q = q
-        self.e = 1 if self.modulus is None else len(self.modulus) - 1
-        self._mul = [[self._mul_raw(x, y) for y in range(q)] for x in range(q)]
-        self._inv = [0] * q
-        for x in range(1, q):
-            for y in range(1, q):
-                if self._mul[x][y] == 1:
-                    self._inv[x] = y
-                    break
-            else:
-                raise ConsistencyError(f"element {x} of GF({q}) has no inverse")
-
-    def _digits(self, x: int) -> list[int]:
-        out = []
-        for _ in range(self.e):
-            x, r = divmod(x, self.p)
-            out.append(r)
-        return out
-
-    def _value(self, digits: Sequence[int]) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-    def add(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x + y) % self.p
-        return self._value(
-            [(u + v) % self.p for u, v in zip(self._digits(x), self._digits(y))]
-        )
-
-    def neg(self, x: int) -> int:
-        if self.e == 1:
-            return -x % self.p
-        return self._value([-d % self.p for d in self._digits(x)])
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
-
-    def _mul_raw(self, x: int, y: int) -> int:
-        if self.e == 1:
-            return (x * y) % self.p
-        a, b = self._digits(x), self._digits(y)
-        prod = [0] * (2 * self.e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] = (prod[i + j] + ai * bj) % self.p
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.e - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = 0
-                for j in range(self.e):
-                    prod[i - self.e + j] = (prod[i - self.e + j] - c * mod[j]) % self.p
-        return self._value(prod[: self.e])
-
-    def mul(self, x: int, y: int) -> int:
-        return self._mul[x][y]
-
-    def inv(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self._inv[x]
-
-    def __repr__(self) -> str:
-        return f"BaseField(q={self.q})"
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Polynomial over a base field, coefficients lowest degree first.
@@ -273,21 +197,20 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def poly_mul(base: BaseField, f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+def poly_mul(base: "FieldContext", f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            row = base._mul[a]
             for j, b in enumerate(g):
                 if b:
-                    out[i + j] = base.add(out[i + j], row[b])
+                    out[i + j] = base.add(out[i + j], base.mul(a, b))
     return _trim(out)
 
 
 def poly_divmod(
-    base: BaseField, f: Sequence[int], g: Sequence[int]
+    base: "FieldContext", f: Sequence[int], g: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
@@ -306,23 +229,39 @@ def poly_divmod(
 
 
 class FieldContext:
-    """GF(q^m) over GF(q) with a fixed primitive element.
+    """GF(q^m) as a degree-m extension of base = GF(q), with a fixed
+    primitive element alpha.
 
     Elements are integers in [0, q^m): base-q encodings of coefficient
-    vectors over GF(q).  When the field order fits under the table cap,
-    exp/log tables back multiplication; otherwise multiplication falls back
-    to polynomial arithmetic modulo the defining polynomial.
+    vectors over GF(q), that is base-p encodings over GF(p) when q = p^e.
+    GF(q) is itself a FieldContext, of degree e over GF(p); the prime field
+    GF(p) has base None and multiplies modulo p.
+
+    Addition and multiplication each take one of two routes, chosen by one
+    test: when the field order is at most the table cap, exp/log tables back
+    multiplication and a Zech-logarithm table backs addition; otherwise
+    multiplication is polynomial arithmetic modulo the defining polynomial
+    and addition is the carry-less base-p digit sum.
     """
 
-    def __init__(self, base: BaseField, m: int, modulus: tuple[int, ...], table_cap: int):
+    def __init__(
+        self,
+        p: int,
+        base: "FieldContext | None",
+        m: int,
+        modulus: tuple[int, ...],
+        table_cap: int,
+    ):
+        self.p = p
         self.base = base
-        self.q = base.q
+        self.q = p if base is None else base.order
         self.m = m
         self.order = self.q**m
         self.n = self.order - 1
         self.modulus = modulus
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._zech: list[int] | None = None
         self.alpha = self._find_alpha()
         if self.order <= table_cap:
             self._build_tables()
@@ -345,34 +284,44 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return self.base.add(x, y)
-        B = self.base
-        return self.from_coeffs(
-            [B.add(u, v) for u, v in zip(self.coeffs(x), self.coeffs(y))]
-        )
+        if self._zech is not None:
+            # x + y = x (1 + y/x) = alpha^(log x + zech(log y - log x))
+            if x == 0:
+                return y
+            if y == 0:
+                return x
+            lx = self._log[x]
+            z = self._zech[(self._log[y] - lx) % self.n]
+            return 0 if z < 0 else self._exp[(lx + z) % self.n]
+        p = self.p
+        if p == 2:
+            return x ^ y
+        out, place = 0, 1
+        while x or y:
+            x, u = divmod(x, p)
+            y, v = divmod(y, p)
+            out += (u + v) % p * place
+            place *= p
+        return out
 
     def neg(self, x: int) -> int:
-        if self.m == 1:
-            return self.base.neg(x)
-        B = self.base
-        return self.from_coeffs([B.neg(d) for d in self.coeffs(x)])
+        # -1 has the single base-p digit p - 1 in every field; -x = x when p = 2
+        return x if self.p == 2 else self.mul(x, self.p - 1)
 
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
     def _mul_poly(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return self.base.mul(x, y)
         B = self.base
+        if B is None:
+            return x * y % self.p
         a, b = self.coeffs(x), self.coeffs(y)
         prod = [0] * (2 * self.m - 1)
         for i, ai in enumerate(a):
             if ai:
-                row = B._mul[ai]
                 for j, bj in enumerate(b):
                     if bj:
-                        prod[i + j] = B.add(prod[i + j], row[bj])
+                        prod[i + j] = B.add(prod[i + j], B.mul(ai, bj))
         mod = self.modulus
         for i in range(len(prod) - 1, self.m - 1, -1):
             c = prod[i]
@@ -466,8 +415,17 @@ class FieldContext:
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
+        # zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0.  Adding 1
+        # changes only the lowest base-p digit.
+        p = self.p
+        zech = [-1] * self.n
+        for k, v in enumerate(exp):
+            w = v + 1 if v % p != p - 1 else v + 1 - p
+            if w:
+                zech[k] = log[w]
         self._exp = exp
         self._log = log
+        self._zech = zech
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.q}, m={self.m}, order={self.order})"
@@ -476,6 +434,24 @@ class FieldContext:
 def has_builtin_modulus(q: int, m: int) -> bool:
     """True when field_make(q, m) can be satisfied from the built-in table."""
     return q in SUPPORTED_Q and (m == 1 or (q, m) in _EXT_MODULI)
+
+
+def _subfield(q: int, table_cap: int) -> FieldContext:
+    """GF(q) as a field of its own: the prime field when q is prime, else
+    degree e over GF(p) with the defining polynomial from _BASE_MODULI."""
+    if q not in _BASE_MODULI:
+        return FieldContext(q, None, 1, (q - 1, 1), table_cap)
+    p, modulus = _BASE_MODULI[q]
+    return FieldContext(p, _subfield(p, table_cap), len(modulus) - 1, modulus, table_cap)
+
+
+@lru_cache(maxsize=None)
+def _build(q: int, m: int, table_cap: int) -> FieldContext:
+    """GF(q^m) over GF(q); fields are immutable, so each one is built once
+    per process.  For m = 1 the modulus x - 1 is a placeholder."""
+    base = _subfield(q, table_cap)
+    modulus = (base.p - 1, 1) if m == 1 else _EXT_MODULI[(q, m)]
+    return FieldContext(base.p, base, m, modulus, table_cap)
 
 
 def field_make(q: int, m: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldContext:
@@ -487,35 +463,19 @@ def field_make(q: int, m: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldConte
         raise ParameterError(f"extension degree must be >= 1, got {m}")
     if q**m > MAX_FIELD_ORDER:
         raise ResourceLimitError(f"field order {q**m} exceeds {MAX_FIELD_ORDER}")
-    base = BaseField(q)
-    if m == 1:
-        # GF(q) itself; modulus x - 1 is a placeholder, never used by m=1 paths.
-        return FieldContext(base, 1, (base.neg(1), 1), table_cap)
-    try:
-        modulus = _EXT_MODULI[(q, m)]
-    except KeyError:
-        raise ParameterError(
-            f"no built-in defining polynomial for GF({q}^{m})"
-        ) from None
-    return FieldContext(base, m, modulus, table_cap)
+    if m > 1 and (q, m) not in _EXT_MODULI:
+        raise ParameterError(f"no built-in defining polynomial for GF({q}^{m})")
+    return _build(q, m, table_cap)
 
 
 def minimal_polynomial(field: FieldContext, s: int) -> Polynomial:
-    """Minimal polynomial of alpha^s over GF(q); degree = coset size of s."""
+    """Minimal polynomial of alpha^s over GF(q): the product of x - alpha^j
+    over the cyclotomic coset of s, so its degree is the coset size."""
     if not 0 <= s <= field.n - 1:
         raise ParameterError(f"exponent {s} out of range [0, {field.n - 1}]")
-    if s == 0:
-        return Polynomial((field.base.neg(1), 1))  # x - 1
-    orbit = []
-    c = s
-    while True:
-        orbit.append(c)
-        c = (c * field.q) % field.n
-        if c == s:
-            break
     # product of (x - alpha^j) over the orbit, in GF(q^m)[x]
     poly = [1]
-    for j in orbit:
+    for j in coset_of(s, field.q, field.m).elements:
         root = field.exp(j)
         nxt = [0] * (len(poly) + 1)
         for i, ci in enumerate(poly):
@@ -542,27 +502,21 @@ def generator_polynomial(field: FieldContext, D: "DefiningSet | Iterable[int]") 
     then equals |D|.
     """
     exps = _as_exponents(D)
-    n, q = field.n, field.q
+    n = field.n
     for s in exps:
         if not 1 <= s <= n - 1:
             raise ParameterError(f"exponent {s} outside [1, {n - 1}]")
     expset = set(exps)
-    for s in exps:
-        if (s * q) % n not in expset:
-            raise ParameterError(f"defining set is not rotation-closed at {s}")
-    leaders = set()
-    for s in exps:
-        orbit = []
-        c = s
-        while True:
-            orbit.append(c)
-            c = (c * q) % n
-            if c == s:
-                break
-        leaders.add(min(orbit))
+    covered: set[int] = set()
     g: tuple[int, ...] = (1,)
-    for s in sorted(leaders):
-        g = poly_mul(field.base, g, minimal_polynomial(field, s).coeffs)
+    for s in exps:
+        if s in covered:
+            continue
+        coset = coset_of(s, field.q, field.m)
+        if not expset.issuperset(coset.elements):
+            raise ParameterError(f"defining set is not rotation-closed at {s}")
+        covered.update(coset.elements)
+        g = poly_mul(field.base, g, minimal_polynomial(field, coset.leader).coeffs)
     poly = Polynomial(g)
     if poly.degree != len(exps):
         raise ConsistencyError("generator degree must equal the defining-set size")

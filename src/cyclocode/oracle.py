@@ -217,7 +217,7 @@ def _min_weight_odometer(field, rows: list[list[int]], budget: int, stop_at: int
     """Odometer walk over all q^k combinations, adding one row per step and
     maintaining the nonzero count incrementally."""
     base = field.base
-    q = base.q
+    q = field.q
     k = len(rows)
     n = len(rows[0])
     total = q**k - 1
@@ -318,7 +318,7 @@ def affine_invariance_probe(
     for _ in range(trials):
         cw = [0] * (field.n + 1)
         for row in rows:
-            coef = rng.randrange(base.q)
+            coef = rng.randrange(field.q)
             if coef:
                 for j, c in enumerate(row):
                     if c:
@@ -342,8 +342,11 @@ def affine_invariance_probe(
 
 def brute_max_prefix(Tperp: DefiningSet) -> int | None:
     """Smallest s outside Tperp with [0, s) inside it; None when Tperp is
-    the whole index range."""
-    for s in range(Tperp.q**Tperp.m):
-        if s not in Tperp:
+    the whole index range.  One ascending pass over the members: the first
+    member that differs from its position marks the gap."""
+    s = 0
+    for member in Tperp:
+        if member != s:
             return s
-    return None
+        s += 1
+    return None if s == Tperp.q**Tperp.m else s

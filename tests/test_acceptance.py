@@ -104,6 +104,7 @@ class SweepRow:
     params: CodeParams
     built_equals_brute: bool
     closed_size: int
+    class_size_total: int
     enumerated_size: int
     census_ok: bool
     dual_ok: bool
@@ -143,6 +144,7 @@ def counting_sweep() -> list[SweepRow]:
                 params=p,
                 built_equals_brute=T == bT,
                 closed_size=closed_size_T(p),
+                class_size_total=1 + sum(sizes.values()),
                 enumerated_size=len(bT),
                 census_ok=census_ok,
                 dual_ok=dual_ok,
@@ -213,6 +215,7 @@ def test_criterion_03_counting_oracle_equivalence(counting_sweep):
         if not (
             r.built_equals_brute
             and r.closed_size == r.enumerated_size
+            and r.closed_size == r.class_size_total
             and r.census_ok
         )
     ]

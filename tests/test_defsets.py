@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclocode.bounds import max_zero_prefix
 from cyclocode.cosets import DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, closed_size_T
 from cyclocode.defsets import (
@@ -12,7 +13,7 @@ from cyclocode.defsets import (
     dual_set_pattern,
 )
 from cyclocode.errors import ParameterError, ResourceLimitError, ZeroCodeError
-from cyclocode.oracle import brute_T
+from cyclocode.oracle import brute_T, brute_max_prefix
 from cyclocode.qadic import expand, matches_dual_exclusion
 
 T_LISTING_3_4_1_2_1 = [
@@ -183,6 +184,8 @@ def test_build_T_at_2_20_is_all_but_the_top():
     T = build_T(p)
     assert list(T) == list(range(2**20 - 1))
     assert len(T) == closed_size_T(p)
+    assert T.is_rotation_closed()
+    assert brute_max_prefix(dual_set_pattern(p)) == max_zero_prefix(p)
 
 
 @pytest.mark.parametrize(

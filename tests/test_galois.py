@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -7,6 +8,7 @@ from cyclocode.errors import ParameterError, ResourceLimitError
 from cyclocode.galois import (
     _EXT_MODULI,
     SUPPORTED_Q,
+    FieldContext,
     Polynomial,
     factorize,
     field_make,
@@ -43,7 +45,7 @@ def test_field_make_gf81_order():
 
 def test_field_make_gf16_over_gf4():
     F = field_make(4, 2)
-    assert F.base.q == 4 and F.order == 16
+    assert F.base.order == 4 and F.order == 16
     # Frobenius x -> x^4 must have order exactly 2
     for x in range(16):
         assert F.pow(F.pow(x, 4), 4) == x
@@ -67,6 +69,40 @@ def test_every_builtin_modulus_is_primitive():
         assert F.pow(F.alpha, n) == 1, (q, m)
         for r in factorize(n):
             assert F.pow(F.alpha, n // r) != 1, (q, m, r)
+
+
+# GF(q) itself for every q, and every built-in field of at most 2^12 elements.
+ROUTE_FIELDS = sorted(
+    {(q, 1) for q in SUPPORTED_Q} | {(q, m) for q, m in _EXT_MODULI if q**m <= 1 << 12}
+)
+
+
+@pytest.mark.parametrize("q,m", ROUTE_FIELDS)
+def test_table_route_equals_digit_route(q, m):
+    table, digit = field_make(q, m), field_make(q, m, table_cap=1)
+    assert table._zech is not None and digit._zech is None
+    if table.order <= 1 << 8:
+        pairs = [(x, y) for x in range(table.order) for y in range(table.order)]
+    else:
+        rng = random.Random(1000 * q + m)
+        pairs = [(rng.randrange(table.order), rng.randrange(table.order)) for _ in range(3000)]
+    for op in ("add", "sub", "mul"):
+        got = [getattr(table, op)(x, y) for x, y in pairs]
+        assert got == [getattr(digit, op)(x, y) for x, y in pairs], (q, m, op)
+    elements = range(table.order)
+    assert [table.neg(x) for x in elements] == [digit.neg(x) for x in elements]
+    assert all(table.add(x, table.neg(x)) == 0 for x in elements)
+
+
+@pytest.mark.parametrize("q,m", ROUTE_FIELDS)
+def test_alpha_is_smallest_generator_and_base_is_a_field(q, m):
+    F = field_make(q, m)
+    # g generates the multiplicative group iff its log is a unit mod n
+    smallest = next(g for g in range(1, F.order) if gcd(F.log(g), F.n) == 1)
+    assert F.alpha == smallest
+    assert type(F.base) is FieldContext is type(F)
+    assert F.base.order == F.q == q
+    assert field_make(q, m) is F
 
 
 def test_exp_log_round_trip():
