@@ -1,17 +1,23 @@
 """Lower bounds on the dual minimum distance, with machine-checkable
 certificates.
 
-A certificate is a triple (v, z, S): v is the length of the zero-prefix
-interval [0, v) inside the dual defining set, z is a multiplier coprime to
-q^m - 1, and S is an explicit set of shift indices such that every
-translated interval [s z, s z + v) mod (q^m - 1) also lies inside the dual
-defining set.  When additionally max S - min S - |S| + 1 < v, the dual
-minimum distance is at least v + |S| + 1.
+A certificate is a triple (v, z, S) for a Roos bound (Roos, IEEE TIT
+1983): v is the length of the zero-prefix interval [0, v) inside the dual
+defining set, z is a multiplier coprime to q^m - 1, and S is an explicit
+set of shift indices such that every translated interval [s z, s z + v)
+mod (q^m - 1) also lies inside the dual defining set.  When additionally
+max S - min S - |S| + 1 < v, the dual minimum distance is at least
+v + |S| + 1.
 
 Eleven mutually exclusive parameter cases each come with a concrete (z, S)
-construction and a closed-form value of v + |S| + 1; verify_certificate
-re-checks all three conditions from scratch through the digit-pattern
-membership test, so a claimed bound never has to be taken on faith.
+construction and a closed-form value of v + |S| + 1.  verify_certificate
+re-checks all three conditions from scratch, so a claimed bound never has
+to be taken on faith.  It checks [0, v) and each translate as whole
+intervals, in aligned blocks of at most BLOCK_SIZE values, on the same
+digit-mask kernel that builds the dual defining set; a translate that wraps
+at q^m - 1 is split in two.  Every membership is tested ("full" mode) unless
+(|S| + 1) * v exceeds the work cap or S is only known in parametric form;
+then nothing is tested, the mode is "unchecked" and no bound is certified.
 
 The closed-form prefix value: the published case split for a != q-1 is
 only valid for m >= t+2.  For m = t+1 the word u = b 0...0 has no a-digits
@@ -25,13 +31,12 @@ for example, q=5, m=2, t=1, a=2, b=1).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import product
 
 from .counting import CodeParams
+from .defsets import _dual_excluded_block
 from .errors import ParameterError
-from .qadic import expand, matches_dual_exclusion
 
 __all__ = [
     "CASE_LABELS",
@@ -51,9 +56,12 @@ __all__ = [
 # S sets are enumerated explicitly up to this many elements.
 DEFAULT_S_CAP = 10**6
 
-# Full verification runs when (|S| + 1) * v membership checks fit under this;
-# otherwise verification samples deterministically and says so.
-DEFAULT_WORK_CAP = 2 * 10**6
+# Certificates are checked in full when (|S| + 1) * v memberships fit under
+# this; beyond it nothing is checked and the result is "unchecked".
+DEFAULT_WORK_CAP = 10**8
+
+# Intervals are checked in aligned blocks of q^k <= BLOCK_SIZE values.
+BLOCK_SIZE = 1 << 14
 
 CASE_LABELS: dict[str, str] = {
     "case1": "a=q-1, b!=q-1, m>=2t+5, t>=1",
@@ -209,9 +217,10 @@ class VerificationResult:
     """Outcome of re-checking the three certificate conditions.
 
     mode is "full" when every membership in [0, v) and in all translated
-    intervals was tested, "sampled" when the work cap forced a deterministic
-    sample (extremes plus seeded draws).  certified_bound is the claimed
-    bound when every checked condition passed, else None.
+    intervals was tested, and "unchecked" when S is only known in parametric
+    form or (|S| + 1) * v exceeds the work cap; an unchecked certificate
+    never passes.  certified_bound is the claimed bound when every condition
+    passed, else None.  checked counts the memberships tested.
     """
 
     passed: bool
@@ -221,26 +230,79 @@ class VerificationResult:
     checked: int
 
 
-def _member_of_dual(q: int, m: int, value: int, a: int, b: int, t: int) -> bool:
-    return not matches_dual_exclusion(expand(value, q, m), a, b, t)
+class _IntervalCheck:
+    """Finds excluded values of the dual defining set in whole intervals.
+
+    The index range is cut into aligned blocks of q^k <= BLOCK_SIZE values;
+    an interval is checked by shifting each block's excluded mask to the
+    interval and comparing it with zero.  The low-digit masks and the last
+    block's mask are kept, so memory stays O(BLOCK_SIZE) bits.
+    """
+
+    def __init__(self, params: CodeParams) -> None:
+        q, m = params.q, params.m
+        k = 1
+        while k < m and q ** (k + 1) <= BLOCK_SIZE:
+            k += 1
+        self.params, self.k, self.size = params, k, q**k
+        self.masks: dict = {}
+        self.high, self.block = -1, 0
+
+    def _excluded(self, high: int) -> int:
+        if high != self.high:
+            self.high = high
+            self.block = _dual_excluded_block(self.params, self.k, high, self.masks)
+        return self.block
+
+    def first_excluded(self, lo: int, hi: int) -> int | None:
+        """The least value of [lo, hi) outside the dual defining set, or None."""
+        size = self.size
+        high = lo // size
+        while high * size < hi:
+            start = max(lo, high * size)
+            stop = min(hi, (high + 1) * size)
+            bad = self._excluded(high) >> (start - high * size) & ((1 << (stop - start)) - 1)
+            if bad:
+                return start + (bad & -bad).bit_length() - 1
+            high += 1
+        return None
+
+    def excluded_offset(self, base: int, v: int) -> int | None:
+        """The least w in [0, v) with (base + w) mod n outside the dual
+        defining set, or None.
+
+        An interval that wraps at n splits into [base, n) and
+        [0, base + v - n); past one full turn the residues repeat.
+        """
+        n = self.params.n
+        tail = min(v, n - base)
+        bad = self.first_excluded(base, base + tail)
+        if bad is not None:
+            return bad - base
+        bad = self.first_excluded(0, min(v - tail, base))
+        return None if bad is None else tail + bad
 
 
 def verify_certificate(
     cert: BoundCertificate,
     params: CodeParams,
     work_cap: int = DEFAULT_WORK_CAP,
-    sample_size: int = 20_000,
     seed: int = 0,
 ) -> VerificationResult:
-    """Re-check the certificate against the pattern membership test.
+    """Re-check the Roos-bound certificate against the dual pattern kernel.
 
     Conditions: (i) [0, v) lies in the dual defining set; (ii) for every s
     in S each residue of [s z, s z + v) mod (q^m - 1) lies there too, the
     residue 0 being tested as the value 0; (iii) gcd(z, q^m - 1) = 1,
     0 not in S, and max S - min S - |S| + 1 < v when S is nonempty.
+
+    Intervals are checked whole, block by block, so every membership is
+    tested and the detail names the first excluded value.  Beyond the work
+    cap, or with S in parametric form, nothing is checked and the result is
+    "unchecked".  seed is accepted for callers that pass one and is unused:
+    the check is deterministic.
     """
     params.require_bound_regime()
-    q, m, t, a, b = params.astuple()
     n = params.n
     v = cert.v
     conditions: list[tuple[str, bool, str]] = []
@@ -258,76 +320,46 @@ def verify_certificate(
         )
     conditions.append(("structure", ok_structure, detail))
 
-    full = cert.s_set is not None and (cert.s_size + 1) * v <= work_cap
-    rng = random.Random(seed)
+    if cert.s_set is None or (cert.s_size + 1) * v > work_cap:
+        why = (
+            f"unchecked: S is parametric (|S| = {cert.s_size})"
+            if cert.s_set is None
+            else f"unchecked: (|S| + 1) * v = {(cert.s_size + 1) * v} exceeds the work cap {work_cap}"
+        )
+        conditions.append(("prefix", False, why))
+        conditions.append(("translates", False, why))
+        return VerificationResult(False, "unchecked", tuple(conditions), None, 0)
+
+    check = _IntervalCheck(params)
     checked = 0
-
-    def offsets() -> list[int]:
-        if full:
-            return list(range(v))
-        sample = {0, v - 1} if v > 0 else set()
-        for _ in range(min(sample_size, v)):
-            sample.add(rng.randrange(v))
-        return sorted(sample)
-
     ok_prefix = True
     prefix_detail = "[0, v) lies in the dual defining set"
-    for w in offsets():
-        checked += 1
-        if not _member_of_dual(q, m, w, a, b, t):
-            ok_prefix, prefix_detail = False, f"prefix value {w} is excluded"
-            break
+    w = check.excluded_offset(0, v)
+    checked += v if w is None else w + 1
+    if w is not None:
+        ok_prefix, prefix_detail = False, f"prefix value {w} is excluded"
     conditions.append(("prefix", ok_prefix, prefix_detail))
 
     ok_trans = True
     trans_detail = "all translated intervals lie in the dual defining set"
     if cert.s_size > 0 and ok_structure:
-        if cert.s_set is not None:
-            s_values = cert.s_set if full else _sample_values(cert, rng, sample_size)
-        else:
-            s_values = _sample_parametric(params, cert, rng, sample_size)
-        for s in s_values:
-            base = (s * cert.z) % n
-            for w in offsets():
-                checked += 1
-                if not _member_of_dual(q, m, (base + w) % n, a, b, t):
-                    ok_trans = False
-                    trans_detail = f"residue of s={s}, w={w} is excluded"
-                    break
-            if not ok_trans:
+        for s in cert.s_set:
+            w = check.excluded_offset((s * cert.z) % n, v)
+            checked += v if w is None else w + 1
+            if w is not None:
+                ok_trans = False
+                trans_detail = f"residue of s={s}, w={w} is excluded"
                 break
     conditions.append(("translates", ok_trans, trans_detail))
 
     passed = ok_structure and ok_prefix and ok_trans
     return VerificationResult(
         passed=passed,
-        mode="full" if full else "sampled",
+        mode="full",
         conditions=tuple(conditions),
         certified_bound=cert.claimed_bound if passed else None,
         checked=checked,
     )
-
-
-def _sample_values(
-    cert: BoundCertificate, rng: random.Random, sample_size: int
-) -> list[int]:
-    values = {cert.s_min, cert.s_max}
-    pool = cert.s_set
-    for _ in range(min(sample_size, len(pool))):
-        values.add(pool[rng.randrange(len(pool))])
-    return sorted(values)
-
-
-def _sample_parametric(
-    params: CodeParams, cert: BoundCertificate, rng: random.Random, sample_size: int
-) -> list[int]:
-    _, axes = _case_axes(params, cert.case_id)
-    values = {cert.s_min, cert.s_max}
-    for _ in range(sample_size):
-        s = sum(stride * rng.randrange(count) for stride, count in axes)
-        if s:
-            values.add(s)
-    return sorted(values)
 
 
 def stated_bound(params: CodeParams) -> int:
@@ -387,7 +419,10 @@ def audit(
     work_cap: int = DEFAULT_WORK_CAP,
     seed: int = 0,
 ) -> AuditRow:
-    """Build and verify the certificate, then compare with the closed form."""
+    """Build and verify the certificate, then compare with the closed form.
+
+    seed is unused, as in verify_certificate: the check is deterministic.
+    """
     cert = build_certificate(params, s_cap=s_cap)
     result = verify_certificate(cert, params, work_cap=work_cap, seed=seed)
     st = stated_bound(params)

@@ -23,7 +23,11 @@ from .galois import SUPPORTED_Q, field_make, has_builtin_modulus
 
 SCHEMA_VERSION = "1"
 
-GRID_HELP = """\
+# A grid may expand to at most this many points, and one value list to at
+# most this many values.
+GRID_POINT_CAP = 100_000
+
+GRID_HELP = f"""\
 Grid mini-language (clauses joined by ';'):
 
   grid   := clause (';' clause)*
@@ -36,13 +40,14 @@ Grid mini-language (clauses joined by ';'):
 (also the default when the clause is omitted) means every valid value given
 q and m.  A 'x<=y' clause filters combinations.  Values of q that are not
 prime powers, and out-of-regime points (m < 2 or the zero-code point
-a = b = q-1 with t = 0 for bound commands), are skipped.
+a = b = q-1 with t = 0 for bound commands), are skipped.  A grid holds at
+most {GRID_POINT_CAP} points and a value list at most {GRID_POINT_CAP} values.
 Example: 'q=2..5;m=2..8;t=*;a=*;b<=a'
 
 Exit status:
   0  success
   2  parameter error: bad parameters, grid or arguments
-  3  resource limit: a materialization cap or enumeration budget
+  3  resource limit: a materialization cap, enumeration budget or grid cap
   4  oracle verification mismatch (details on stderr)
   5  internal consistency error: an identity that must hold failed
 """
@@ -134,6 +139,13 @@ def _parse_int(text: str) -> int:
         raise ParameterError(f"bad grid value {text!r}: not an integer") from None
 
 
+def _check_grid_size(count: int, what: str) -> None:
+    if count > GRID_POINT_CAP:
+        raise ResourceLimitError(
+            f"grid has more than {GRID_POINT_CAP} {what} (the grid point cap)"
+        )
+
+
 def _parse_values(text: str) -> list[int] | None:
     if text == "*":
         return None
@@ -141,7 +153,9 @@ def _parse_values(text: str) -> list[int] | None:
     for item in text.split(","):
         if ".." in item:
             lo, hi = item.split("..", 1)
-            out.extend(range(_parse_int(lo), _parse_int(hi) + 1))
+            values = range(_parse_int(lo), _parse_int(hi) + 1)
+            _check_grid_size(len(out) + len(values), "values in one list")
+            out.extend(values)
         else:
             out.append(_parse_int(item))
     return out
@@ -190,6 +204,7 @@ def parse_grid(spec: str) -> list[CodeParams]:
                         point = {"q": q, "m": m, "t": t, "a": a, "b": b}
                         if all(point[l] <= point[r] for l, r in constraints):
                             points.append(CodeParams(q, m, t, a, b))
+                            _check_grid_size(len(points), "points")
     return points
 
 

@@ -3,6 +3,7 @@ from collections import defaultdict
 
 import pytest
 
+from cyclocode import bounds
 from cyclocode.bounds import (
     CASE_LABELS,
     BoundCertificate,
@@ -17,6 +18,7 @@ from cyclocode.counting import CodeParams
 from cyclocode.defsets import dual_set_pattern
 from cyclocode.errors import ParameterError, ZeroCodeError
 from cyclocode.oracle import brute_max_prefix
+from cyclocode.qadic import expand, matches_dual_exclusion
 
 
 def _bound_grid(qs, max_index):
@@ -126,8 +128,10 @@ def test_certificate_large_bch_point():
     assert cert.z == 5**9
     assert cert.s_set == (1, 2)
     assert cert.claimed_bound == 1953126
-    result = verify_certificate(cert, p)  # work cap forces sampling here
-    assert result.passed and result.mode == "sampled"
+    result = verify_certificate(cert, p)
+    assert result.passed and result.mode == "full"
+    assert result.certified_bound == 1953126
+    assert result.checked == (cert.s_size + 1) * cert.v == 5_859_369
 
 
 def test_certificate_empty_S_cases():
@@ -228,3 +232,144 @@ def test_every_case_has_small_fully_verified_instances():
             if verified == 3:
                 break
         assert verified == 3, f"{case}: only {verified} instances verified"
+
+
+def _reference_verify(cert, p):
+    """(passed, certified_bound, conditions) of a certificate, testing one
+    value at a time through the per-value exclusion pattern."""
+    q, m, t, a, b = p.astuple()
+    n, v = p.n, cert.v
+
+    def member(value):
+        return not matches_dual_exclusion(expand(value, q, m), a, b, t)
+
+    ok_structure, detail = True, "gcd, zero-exclusion and gap conditions hold"
+    if math.gcd(cert.z, n) != 1:
+        ok_structure, detail = False, f"gcd(z={cert.z}, {n}) != 1"
+    elif 0 in cert.s_set:
+        ok_structure, detail = False, "zero in S"
+    elif cert.s_size > 0 and cert.s_max - cert.s_min - cert.s_size + 1 >= v:
+        ok_structure, detail = (
+            False,
+            f"gap condition fails: {cert.s_max} - {cert.s_min} - {cert.s_size} + 1 >= {v}",
+        )
+    conditions = [("structure", ok_structure, detail)]
+    bad = next((w for w in range(v) if not member(w)), None)
+    conditions.append(("prefix", bad is None, "[0, v) lies in the dual defining set"
+                       if bad is None else f"prefix value {bad} is excluded"))
+    trans = "all translated intervals lie in the dual defining set"
+    ok_trans = True
+    if cert.s_size > 0 and ok_structure:
+        for s in cert.s_set:
+            base = s * cert.z % n
+            bad = next((w for w in range(v) if not member((base + w) % n)), None)
+            if bad is not None:
+                ok_trans, trans = False, f"residue of s={s}, w={bad} is excluded"
+                break
+    conditions.append(("translates", ok_trans, trans))
+    passed = all(ok for _, ok, _ in conditions)
+    return passed, cert.claimed_bound if passed else None, tuple(conditions)
+
+
+def _with_v(cert, v):
+    return BoundCertificate(cert.case_id, v, cert.z, cert.s_set, cert.s_size,
+                            cert.s_min, cert.s_max, v + cert.s_size + 1)
+
+
+@pytest.mark.parametrize("block_size", [bounds.BLOCK_SIZE, 9])
+def test_interval_check_matches_per_value_reference(monkeypatch, block_size):
+    # A block size of 9 splits every interval over many blocks.
+    monkeypatch.setattr(bounds, "BLOCK_SIZE", block_size)
+    points = failing = 0
+    for p in _bound_grid((2, 3, 4, 5), 3000):
+        good = build_certificate(p)
+        for cert in (good, _with_v(good, good.v + 1), _with_v(good, good.v + 7)):
+            result = verify_certificate(cert, p)
+            assert result.mode == "full", p
+            got = (result.passed, result.certified_bound, result.conditions)
+            assert got == _reference_verify(cert, p), (p, cert)
+            failing += not result.passed
+        points += 1
+    assert points == 420
+    assert failing >= 2 * points
+
+
+def test_value_before_the_top_is_always_excluded():
+    # q^m - 2 has the word (q-2, q-1, ..., q-1), which every (a, b, t)
+    # excludes, so no translate that wraps at n can pass on real parameters.
+    for p in _bound_grid((2, 3, 4, 5), 3000):
+        q, m, t, a, b = p.astuple()
+        assert matches_dual_exclusion(expand(p.n - 1, q, m), a, b, t), p
+
+
+def test_wrapping_translate_fails_like_the_per_value_route():
+    p = CodeParams(3, 4, 1, 2, 1)  # n = 80, v = 7; nothing above 60 is a member
+    cert = BoundCertificate("case4", 7, 1, (77,), 1, 77, 77, 9)  # [77, 84) wraps
+    result = verify_certificate(cert, p)
+    assert not result.passed and result.mode == "full"
+    assert result.conditions == _reference_verify(cert, p)[2]
+    assert result.conditions[2] == ("translates", False, "residue of s=77, w=0 is excluded")
+
+
+def _explicit_exclusions(excluded_values):
+    """A stand-in block kernel whose excluded set is the given values."""
+    def block(params, k, high=0, masks=None):
+        size = params.q**k
+        bits = 0
+        for value in excluded_values:
+            if high * size <= value < (high + 1) * size:
+                bits |= 1 << (value - high * size)
+        return bits
+    return block
+
+
+@pytest.mark.parametrize("block_size", [bounds.BLOCK_SIZE, 9])
+def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch, block_size):
+    # n = 80.  The translate of s=1 under z=77 is [77, 84), that is the
+    # residues 77, 78, 79, 0, 1, 2, 3; w counts on across the wrap.  76 lies
+    # just before the translate and 80 = n is never a residue.
+    monkeypatch.setattr(bounds, "BLOCK_SIZE", block_size)
+    p = CodeParams(3, 4, 1, 2, 1)
+    cert = BoundCertificate("case4", 7, 77, (1,), 1, 1, 1, 9)
+    monkeypatch.setattr(bounds, "_dual_excluded_block", _explicit_exclusions({76, 80}))
+    result = verify_certificate(cert, p)
+    assert result.passed and result.certified_bound == 9
+    assert result.checked == 14
+    monkeypatch.setattr(bounds, "_dual_excluded_block", _explicit_exclusions({2, 80}))
+    result = verify_certificate(cert, p)
+    assert not result.passed and result.certified_bound is None
+    assert result.conditions[1] == ("prefix", False, "prefix value 2 is excluded")
+    assert result.conditions[2] == ("translates", False, "residue of s=1, w=5 is excluded")
+    assert result.checked == 3 + 6
+
+
+TABLE2_ROWS = [(t, b) for t in range(8, 1, -1) for b in range(1, 5)]
+
+
+def test_all_table2_rows_verify_in_full():
+    for t, b in TABLE2_ROWS:
+        p = CodeParams(5, 10, t, 4, b)
+        row = audit(p)
+        assert row.mode == "full" and row.verified_ok, p
+        if row.case_id == "case8":
+            assert row.certified == row.stated - 1, p  # the known off-by-one
+        else:
+            assert row.certified == row.stated, p
+    assert sum(classify_case(CodeParams(5, 10, t, 4, b)) == "case8"
+               for t, b in TABLE2_ROWS) == 3
+
+
+def test_work_cap_leaves_certificate_unchecked():
+    p = CodeParams(3, 4, 1, 2, 1)
+    cert = build_certificate(p)
+    result = verify_certificate(cert, p, work_cap=1)
+    assert result.mode == "unchecked"
+    assert result.passed is False and result.certified_bound is None
+    assert result.checked == 0
+    failed = [(name, detail) for name, ok, detail in result.conditions if not ok]
+    assert [name for name, _ in failed] == ["prefix", "translates"]
+    assert all("work cap 1" in detail for _, detail in failed)
+
+    row = audit(p, work_cap=1)
+    assert row.mode == "unchecked" and not row.verified_ok
+    assert not row.stated_sound

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import cyclocode
 from cyclocode import cli
 from cyclocode.cli import main, parse_grid
 from cyclocode.counting import CodeParams
-from cyclocode.errors import ConsistencyError, ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -183,6 +184,39 @@ def test_bad_grid_value_exits_2_without_traceback():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parameter error:")
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_grid_over_the_point_cap_exits_3_without_traceback():
+    # q = 2 with m = 2..1000 has 2 + 3 + ... + 1000 = 500,499 points
+    src = str(Path(cyclocode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocode.cli", "audit", "--grid", "q=2;m=2..1000"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("resource limit:")
+    assert str(cli.GRID_POINT_CAP) in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_grid_value_list_over_the_cap_is_a_resource_error():
+    with pytest.raises(ResourceLimitError, match=str(cli.GRID_POINT_CAP)):
+        parse_grid(f"q=2;m=2;t=0..{cli.GRID_POINT_CAP}")
+    assert len(parse_grid(f"q=2;m=2;t=0..{cli.GRID_POINT_CAP - 1}")) == 2
+
+
+def test_audit_reports_an_unchecked_certificate_as_a_finding(monkeypatch, capsys):
+    monkeypatch.setattr(cli.bounds, "audit", partial(cli.bounds.audit, work_cap=1))
+    code, out, _ = run(capsys, "audit", "--grid", "q=3;m=4;t=1;a=2;b=1",
+                       "--format", "json", "--no-timestamp")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["findings"] == 1
+    row = doc["rows"][0]
+    assert row["mode"] == "unchecked" and row["verified_ok"] is False
+    assert row["stated_sound"] is False
 
 
 def test_consistency_error_exit_code(monkeypatch, capsys):
