@@ -3,9 +3,6 @@ for a family of affine-invariant extended cyclic codes and the narrow-sense
 primitive BCH codes they contain."""
 
 from .bounds import (
-    AuditRow,
-    BoundCertificate,
-    VerificationResult,
     audit,
     build_certificate,
     classify_case,
@@ -13,25 +10,9 @@ from .bounds import (
     stated_bound,
     verify_certificate,
 )
-from .cosets import CyclotomicCoset, DefiningSet, coset_of, leader, union_cosets
-from .counting import (
-    CodeParams,
-    admissible_pairs,
-    class_sizes,
-    closed_size_T,
-    count_class,
-    count_matrix_entries,
-    count_pattern_words,
-)
-from .defsets import (
-    DimensionReport,
-    bch_set,
-    build_T,
-    descendant_closure,
-    dimension,
-    dual_set,
-    dual_set_pattern,
-)
+from .cosets import DefiningSet
+from .counting import CodeParams, class_sizes, closed_size_T
+from .defsets import build_T, dimension, dual_set, dual_set_pattern
 from .errors import (
     ConsistencyError,
     CyclocodeError,
@@ -39,89 +20,31 @@ from .errors import (
     ResourceLimitError,
     ZeroCodeError,
 )
-from .galois import (
-    FieldContext,
-    Polynomial,
-    field_make,
-    generator_polynomial,
-    minimal_polynomial,
-    syndrome,
-)
-from .oracle import (
-    DistanceResult,
-    affine_invariance_probe,
-    brute_T,
-    brute_class_census,
-    brute_dimension,
-    brute_max_prefix,
-    dual_min_distance,
-)
-from .qadic import (
-    PatternProfile,
-    QAdicWord,
-    dominates,
-    expand,
-    matches_dual_exclusion,
-    pattern_profile,
-    rotate,
-    word_value,
-)
+from .galois import field_make
+from .oracle import dual_min_distance
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditRow",
-    "BoundCertificate",
     "CodeParams",
     "ConsistencyError",
     "CyclocodeError",
-    "CyclotomicCoset",
     "DefiningSet",
-    "DimensionReport",
-    "DistanceResult",
-    "FieldContext",
     "ParameterError",
-    "PatternProfile",
-    "Polynomial",
-    "QAdicWord",
     "ResourceLimitError",
-    "VerificationResult",
     "ZeroCodeError",
-    "admissible_pairs",
-    "affine_invariance_probe",
     "audit",
-    "bch_set",
-    "brute_T",
-    "brute_class_census",
-    "brute_dimension",
-    "brute_max_prefix",
     "build_T",
     "build_certificate",
     "class_sizes",
     "classify_case",
     "closed_size_T",
-    "coset_of",
-    "count_class",
-    "count_matrix_entries",
-    "count_pattern_words",
-    "descendant_closure",
     "dimension",
-    "dominates",
     "dual_min_distance",
     "dual_set",
     "dual_set_pattern",
-    "expand",
     "field_make",
-    "generator_polynomial",
-    "leader",
-    "matches_dual_exclusion",
     "max_zero_prefix",
-    "minimal_polynomial",
-    "pattern_profile",
-    "rotate",
     "stated_bound",
-    "syndrome",
-    "union_cosets",
     "verify_certificate",
-    "word_value",
 ]

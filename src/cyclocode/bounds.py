@@ -16,8 +16,10 @@ to be taken on faith.  It checks [0, v) and each translate as whole
 intervals, in aligned blocks of at most BLOCK_SIZE values, on the same
 digit-mask kernel that builds the dual defining set; a translate that wraps
 at q^m - 1 is split in two.  Every membership is tested ("full" mode) unless
-(|S| + 1) * v exceeds the work cap or S is only known in parametric form;
-then nothing is tested, the mode is "unchecked" and no bound is certified.
+(|S| + 1) * v exceeds DEFAULT_WORK_CAP or S has more than DEFAULT_S_CAP
+elements and is only known in parametric form; then nothing is tested, the
+mode is "unchecked" and no bound is certified.  Both caps are module
+constants.
 
 The closed-form prefix value: the published case split for a != q-1 is
 only valid for m >= t+2.  For m = t+1 the word u = b 0...0 has no a-digits
@@ -185,7 +187,7 @@ class BoundCertificate:
     claimed_bound: int
 
 
-def build_certificate(params: CodeParams, s_cap: int = DEFAULT_S_CAP) -> BoundCertificate:
+def build_certificate(params: CodeParams) -> BoundCertificate:
     """The (v, z, S) witness the classified case prescribes."""
     case_id = classify_case(params)
     v = max_zero_prefix(params)
@@ -198,7 +200,7 @@ def build_certificate(params: CodeParams, s_cap: int = DEFAULT_S_CAP) -> BoundCe
         return BoundCertificate(case_id, v, z, (), 0, None, None, v + 1)
     s_max = sum(stride * (count - 1) for stride, count in axes)
     s_min = min(stride for stride, count in axes if count > 1)
-    if size > s_cap:
+    if size > DEFAULT_S_CAP:
         return BoundCertificate(
             case_id, v, z, None, size, s_min, s_max, v + size + 1
         )
@@ -218,7 +220,7 @@ class VerificationResult:
 
     mode is "full" when every membership in [0, v) and in all translated
     intervals was tested, and "unchecked" when S is only known in parametric
-    form or (|S| + 1) * v exceeds the work cap; an unchecked certificate
+    form or (|S| + 1) * v exceeds DEFAULT_WORK_CAP; an unchecked certificate
     never passes.  certified_bound is the claimed bound when every condition
     passed, else None.  checked counts the memberships tested.
     """
@@ -284,10 +286,7 @@ class _IntervalCheck:
 
 
 def verify_certificate(
-    cert: BoundCertificate,
-    params: CodeParams,
-    work_cap: int = DEFAULT_WORK_CAP,
-    seed: int = 0,
+    cert: BoundCertificate, params: CodeParams, seed: int = 0
 ) -> VerificationResult:
     """Re-check the Roos-bound certificate against the dual pattern kernel.
 
@@ -297,10 +296,11 @@ def verify_certificate(
     0 not in S, and max S - min S - |S| + 1 < v when S is nonempty.
 
     Intervals are checked whole, block by block, so every membership is
-    tested and the detail names the first excluded value.  Beyond the work
-    cap, or with S in parametric form, nothing is checked and the result is
-    "unchecked".  seed is accepted for callers that pass one and is unused:
-    the check is deterministic.
+    tested and the detail names the first excluded value.  When (|S| + 1) * v
+    exceeds DEFAULT_WORK_CAP, or S is in parametric form, nothing is checked
+    and the result is "unchecked"; the caps are module constants.  seed is
+    accepted for callers that pass one and is unused: the check is
+    deterministic.
     """
     params.require_bound_regime()
     n = params.n
@@ -320,11 +320,12 @@ def verify_certificate(
         )
     conditions.append(("structure", ok_structure, detail))
 
-    if cert.s_set is None or (cert.s_size + 1) * v > work_cap:
+    if cert.s_set is None or (cert.s_size + 1) * v > DEFAULT_WORK_CAP:
         why = (
             f"unchecked: S is parametric (|S| = {cert.s_size})"
             if cert.s_set is None
-            else f"unchecked: (|S| + 1) * v = {(cert.s_size + 1) * v} exceeds the work cap {work_cap}"
+            else f"unchecked: (|S| + 1) * v = {(cert.s_size + 1) * v} "
+            f"exceeds the work cap {DEFAULT_WORK_CAP}"
         )
         conditions.append(("prefix", False, why))
         conditions.append(("translates", False, why))
@@ -395,44 +396,43 @@ def stated_bound(params: CodeParams) -> int:
 class AuditRow:
     """Side-by-side of the closed-form bound and the verified certificate.
 
-    mismatch = stated - certified.  The stated value is only sound on this
-    run's evidence when verified_ok holds and mismatch is 0; a nonzero
-    mismatch is a finding, not a failure.
+    certified is the certificate's bound and mismatch = stated - certified
+    when the certificate verified; both are None when it failed or was
+    unchecked, since nothing was certified then.  The stated value is only
+    sound on this run's evidence when verified_ok holds and mismatch is 0; a
+    nonzero mismatch is a finding, not a failure.
     """
 
     params: CodeParams
     case_id: str
     stated: int
-    certified: int
+    certified: int | None
     verified_ok: bool
     mode: str
-    mismatch: int
+    mismatch: int | None
 
     @property
     def stated_sound(self) -> bool:
         return self.verified_ok and self.mismatch == 0
 
 
-def audit(
-    params: CodeParams,
-    s_cap: int = DEFAULT_S_CAP,
-    work_cap: int = DEFAULT_WORK_CAP,
-    seed: int = 0,
-) -> AuditRow:
+def audit(params: CodeParams, seed: int = 0) -> AuditRow:
     """Build and verify the certificate, then compare with the closed form.
 
-    seed is unused, as in verify_certificate: the check is deterministic.
+    The caps are those of verify_certificate, module constants.  seed is
+    unused, as there: the check is deterministic.
     """
-    cert = build_certificate(params, s_cap=s_cap)
-    result = verify_certificate(cert, params, work_cap=work_cap, seed=seed)
+    cert = build_certificate(params)
+    result = verify_certificate(cert, params)
     st = stated_bound(params)
+    certified = result.certified_bound
     return AuditRow(
         params=params,
         case_id=cert.case_id,
         stated=st,
-        certified=cert.claimed_bound,
+        certified=certified,
         verified_ok=result.passed,
         mode=result.mode,
-        mismatch=st - cert.claimed_bound,
+        mismatch=None if certified is None else st - certified,
     )
 

@@ -13,7 +13,9 @@ import csv
 import io
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
+from itertools import product
 
 from . import bounds, counting, defsets, galois, oracle
 from .cosets import coset_of, union_cosets
@@ -23,9 +25,11 @@ from .galois import SUPPORTED_Q, field_make, has_builtin_modulus
 
 SCHEMA_VERSION = "1"
 
-# A grid may expand to at most this many points, and one value list to at
-# most this many values.
+# A grid may examine at most this many (q, m, t, a, b) combinations, and one
+# value list may hold at most this many values.
 GRID_POINT_CAP = 100_000
+
+GRID_VARS = ("q", "m", "t", "a", "b")
 
 GRID_HELP = f"""\
 Grid mini-language (clauses joined by ';'):
@@ -40,8 +44,13 @@ Grid mini-language (clauses joined by ';'):
 (also the default when the clause is omitted) means every valid value given
 q and m.  A 'x<=y' clause filters combinations.  Values of q that are not
 prime powers, and out-of-regime points (m < 2 or the zero-code point
-a = b = q-1 with t = 0 for bound commands), are skipped.  A grid holds at
-most {GRID_POINT_CAP} points and a value list at most {GRID_POINT_CAP} values.
+a = b = q-1 with t = 0 for bound commands), are skipped.  Points come out in
+ascending (q, m, t, a, b) order.
+
+Values of t outside [0, m-1] and of a, b outside [1, q-1] are dropped first.
+Every remaining (q, m, t, a, b) combination counts against the grid cap of
+{GRID_POINT_CAP}, whether or not a 'x<=y' clause keeps it; past the cap the
+command exits 3.  A value list holds at most {GRID_POINT_CAP} values.
 Example: 'q=2..5;m=2..8;t=*;a=*;b<=a'
 
 Exit status:
@@ -161,50 +170,61 @@ def _parse_values(text: str) -> list[int] | None:
     return out
 
 
+def _in_range(values: list[int] | None, lo: int, hi: int):
+    """The values in [lo, hi] of a sorted list; every one of them for '*'."""
+    if values is None:
+        return range(lo, hi + 1)
+    return values[bisect_left(values, lo):bisect_right(values, hi)]
+
+
 def parse_grid(spec: str) -> list[CodeParams]:
-    values: dict[str, list[int] | None] = {v: None for v in "qmtab"}
-    constraints: list[tuple[str, str]] = []
+    values: dict[str, list[int] | None] = dict.fromkeys(GRID_VARS)
+    constraints: list[tuple[int, int]] = []
     for clause in spec.split(";"):
         clause = clause.strip()
         if not clause:
             continue
         if "<=" in clause:
             left, right = (x.strip() for x in clause.split("<=", 1))
-            if left not in "qmtab" or right not in "qmtab":
+            if left not in GRID_VARS or right not in GRID_VARS:
                 raise ParameterError(f"bad constraint clause {clause!r}")
-            constraints.append((left, right))
+            constraints.append((GRID_VARS.index(left), GRID_VARS.index(right)))
         elif "=" in clause:
             var, rhs = (x.strip() for x in clause.split("=", 1))
-            if var not in ("q", "m", "t", "a", "b"):
+            if var not in GRID_VARS:
                 raise ParameterError(f"unknown grid variable {var!r}")
-            values[var] = _parse_values(rhs)
+            parsed = _parse_values(rhs)
+            values[var] = None if parsed is None else sorted(parsed)
         else:
             raise ParameterError(f"bad grid clause {clause!r}")
     if values["q"] is None or values["m"] is None:
         raise ParameterError("grid needs explicit values for q and m")
-    points: list[CodeParams] = []
+    # m must exceed the smallest valid t, so each (q, m) pair below adds at
+    # least one combination and the count bounds the work.
+    valid_t = _in_range(values["t"], 0, values["m"][-1] - 1)
+    if not valid_t:
+        return []
+    ms = values["m"][bisect_right(values["m"], valid_t[0]):]
+    blocks = []
+    examined = 0
     for q in values["q"]:
         if not counting._is_prime_power(q):
             continue
-        for m in values["m"]:
-            if m < 1:
-                continue
-            ts = values["t"] if values["t"] is not None else range(m)
-            as_ = values["a"] if values["a"] is not None else range(1, q)
-            bs = values["b"] if values["b"] is not None else range(1, q)
-            for t in ts:
-                if not 0 <= t <= m - 1:
-                    continue
-                for a in as_:
-                    if not 1 <= a <= q - 1:
-                        continue
-                    for b in bs:
-                        if not 1 <= b <= q - 1:
-                            continue
-                        point = {"q": q, "m": m, "t": t, "a": a, "b": b}
-                        if all(point[l] <= point[r] for l, r in constraints):
-                            points.append(CodeParams(q, m, t, a, b))
-                            _check_grid_size(len(points), "points")
+        as_ = _in_range(values["a"], 1, q - 1)
+        bs = _in_range(values["b"], 1, q - 1)
+        if not as_ or not bs:
+            continue
+        for m in ms:
+            ts = _in_range(values["t"], 0, m - 1)
+            examined += len(ts) * len(as_) * len(bs)
+            _check_grid_size(examined, "combinations")
+            blocks.append((q, m, ts, as_, bs))
+    points: list[CodeParams] = []
+    for q, m, ts, as_, bs in blocks:
+        for t, a, b in product(ts, as_, bs):
+            point = (q, m, t, a, b)
+            if all(point[l] <= point[r] for l, r in constraints):
+                points.append(CodeParams(*point))
     return points
 
 
@@ -273,7 +293,7 @@ def cmd_bound(args) -> int:
     meta = {"command": "bound"}
     if args.certificate:
         cert = bounds.build_certificate(params)
-        result = bounds.verify_certificate(cert, params, seed=args.seed)
+        result = bounds.verify_certificate(cert, params)
         row.update(
             v=cert.v, z=cert.z, s_size=cert.s_size,
             s_min=cert.s_min, s_max=cert.s_max,
@@ -388,7 +408,7 @@ def _verify_point(params: CodeParams, seed: int) -> list[tuple[str, str]]:
         record("zero prefix: formula vs scan", vf == vb,
                f"{params.astuple()}: formula {vf} != scan {vb}")
         cert = bounds.build_certificate(params)
-        res = bounds.verify_certificate(cert, params, seed=seed)
+        res = bounds.verify_certificate(cert, params)
         record("certificate conditions", res.passed,
                f"{params.astuple()}: {[c for c in res.conditions if not c[1]]}")
     if (
@@ -492,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     p.add_argument("--certificate", action="store_true",
                    help="build and verify the (v, z, S) certificate")
-    p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(fn=cmd_bound)
 

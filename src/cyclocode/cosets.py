@@ -37,12 +37,11 @@ def _check_range(s: int, q: int, m: int) -> None:
         raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
 
 
-def _check_cap(q: int, m: int, cap: int | None) -> int:
+def _check_cap(q: int, m: int) -> int:
     size = q**m
-    limit = DEFAULT_INDEX_CAP if cap is None else cap
-    if size > limit:
+    if size > DEFAULT_INDEX_CAP:
         raise ResourceLimitError(
-            f"q^m = {size} exceeds the materialization cap {limit}"
+            f"q^m = {size} exceeds the materialization cap {DEFAULT_INDEX_CAP}"
         )
     return size
 
@@ -89,8 +88,8 @@ class DefiningSet:
 
     __slots__ = ("q", "m", "_bits", "_card")
 
-    def __init__(self, q: int, m: int, bits: int, cap: int | None = None):
-        size = _check_cap(q, m, cap)
+    def __init__(self, q: int, m: int, bits: int):
+        size = _check_cap(q, m)
         if bits < 0 or bits >> size:
             raise ParameterError("bit mask outside the index range")
         self.q = q
@@ -99,25 +98,23 @@ class DefiningSet:
         self._card = bits.bit_count()
 
     @classmethod
-    def from_members(
-        cls, q: int, m: int, members: Iterable[int], cap: int | None = None
-    ) -> "DefiningSet":
-        _check_cap(q, m, cap)
+    def from_members(cls, q: int, m: int, members: Iterable[int]) -> "DefiningSet":
+        _check_cap(q, m)
         buf = bytearray((q**m + 7) // 8)
         top = q**m - 1
         for s in members:
             if not 0 <= s <= top:
                 raise ParameterError(f"member {s} out of range [0, {top}]")
             buf[s >> 3] |= 1 << (s & 7)
-        return cls(q, m, int.from_bytes(buf, "little"), cap)
+        return cls(q, m, int.from_bytes(buf, "little"))
 
     @classmethod
-    def empty(cls, q: int, m: int, cap: int | None = None) -> "DefiningSet":
-        return cls(q, m, 0, cap)
+    def empty(cls, q: int, m: int) -> "DefiningSet":
+        return cls(q, m, 0)
 
     @classmethod
-    def full(cls, q: int, m: int, cap: int | None = None) -> "DefiningSet":
-        return cls(q, m, (1 << q**m) - 1, cap)
+    def full(cls, q: int, m: int) -> "DefiningSet":
+        return cls(q, m, (1 << _check_cap(q, m)) - 1)
 
     @property
     def n(self) -> int:
@@ -193,14 +190,12 @@ class DefiningSet:
         return all((s * self.q) % n in members for s in members if 0 < s < n)
 
 
-def union_cosets(
-    seeds: Iterable[int], q: int, m: int, cap: int | None = None
-) -> DefiningSet:
+def union_cosets(seeds: Iterable[int], q: int, m: int) -> DefiningSet:
     """Union of the cyclotomic cosets of all seeds."""
-    _check_cap(q, m, cap)
+    _check_cap(q, m)
     members: set[int] = set()
     for s in seeds:
         _check_range(s, q, m)
         if s not in members:
             members.update(coset_of(s, q, m).elements)
-    return DefiningSet.from_members(q, m, members, cap)
+    return DefiningSet.from_members(q, m, members)

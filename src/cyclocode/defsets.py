@@ -9,8 +9,8 @@ T and its dual are built by two deliberately independent routes:
   pattern is evaluated on one aligned block of q^k values (k = m for the
   whole set); bounds checks certificate intervals block by block on it;
 - the per-value oracles.  The oracle module rebuilds T straight from the
-  definition (descendants of rotations), and qadic's pattern_profile and
-  matches_dual_exclusion test the same patterns one word at a time.
+  definition (descendants of rotations), and qadic's profile_counts and
+  matches_dual_exclusion test the same patterns one value at a time.
 
 dual_set reflects and complements an arbitrary set, while dual_set_pattern
 builds the dual defining set directly from its own pattern characterization,
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .cosets import DefiningSet, _check_cap, union_cosets
 from .counting import CodeParams, closed_size_T
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
-from .qadic import expand, pattern_profile
+from .qadic import profile_counts
 
 __all__ = [
     "DimensionReport",
@@ -62,7 +62,7 @@ def _digit_mask(q: int, m: int, i: int, lo: int, hi: int) -> int:
     return mask
 
 
-def build_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
+def build_T(params: CodeParams) -> DefiningSet:
     """T as {0} plus every value whose word has an occurrence (k, ell) != (0, 0)
     and all digits <= a.
 
@@ -73,7 +73,7 @@ def build_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
-    _check_cap(q, m, cap)
+    _check_cap(q, m)
 
     def occurrences(i: int, lo: int, hi: int, zeros: int) -> int:
         hit = _digit_mask(q, m, i, lo, hi)
@@ -91,10 +91,10 @@ def build_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     if a < q - 1:
         for i in range(m):
             bits &= _digit_mask(q, m, i, 0, a)
-    return DefiningSet(q, m, bits | 1, cap)
+    return DefiningSet(q, m, bits | 1)
 
 
-def descendant_closure(D: DefiningSet, cap: int | None = None) -> DefiningSet:
+def descendant_closure(D: DefiningSet) -> DefiningSet:
     """All values whose word is digitwise <= the word of some member of D.
 
     Computed by breadth-first digit decrements: the covering relation of the
@@ -102,7 +102,6 @@ def descendant_closure(D: DefiningSet, cap: int | None = None) -> DefiningSet:
     single-digit decrements reach exactly the descendants.
     """
     q, m = D.q, D.m
-    _check_cap(q, m, cap)
     powers = [q**i for i in range(m)]
     seen = set(D)
     queue = deque(seen)
@@ -116,7 +115,7 @@ def descendant_closure(D: DefiningSet, cap: int | None = None) -> DefiningSet:
                 if child not in seen:
                     seen.add(child)
                     queue.append(child)
-    return DefiningSet.from_members(q, m, seen, cap)
+    return DefiningSet.from_members(q, m, seen)
 
 
 def dual_set(D: DefiningSet) -> DefiningSet:
@@ -164,7 +163,7 @@ def _dual_excluded_block(
     return excluded
 
 
-def dual_set_pattern(params: CodeParams, cap: int | None = None) -> DefiningSet:
+def dual_set_pattern(params: CodeParams) -> DefiningSet:
     """The dual defining set built directly from its pattern characterization:
     values whose word avoids the full-length forbidden pattern.
 
@@ -172,18 +171,18 @@ def dual_set_pattern(params: CodeParams, cap: int | None = None) -> DefiningSet:
     digit masks built as they are needed.
     """
     q, m = params.q, params.m
-    size = _check_cap(q, m, cap)
+    size = _check_cap(q, m)
     full = (1 << size) - 1
-    return DefiningSet(q, m, full & ~_dual_excluded_block(params, m), cap)
+    return DefiningSet(q, m, full & ~_dual_excluded_block(params, m))
 
 
-def bch_set(q: int, m: int, delta: int, cap: int | None = None) -> DefiningSet:
+def bch_set(q: int, m: int, delta: int) -> DefiningSet:
     """Defining set of the narrow-sense primitive BCH code of designed
     distance delta: the union of the cosets of 1, ..., delta - 1."""
     n = q**m - 1
     if not 2 <= delta <= n:
         raise ParameterError(f"need 2 <= delta <= {n}, got {delta}")
-    return union_cosets(range(1, delta), q, m, cap)
+    return union_cosets(range(1, delta), q, m)
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,8 @@ def dimension(params: CodeParams) -> DimensionReport:
             "a = b = q-1 with t = 0 makes T the whole index range (zero code)"
         )
     # n has the all-(q-1) word; it must sit outside T here.
-    top = expand(p.n, p.q, p.m)
-    prof = pattern_profile(top, p.a, p.b, p.t)
-    if prof.digits_ok and (prof.k, prof.ell) != (0, 0):
+    k, ell, digits_ok = profile_counts([p.q - 1] * p.m, p.m, p.a, p.b, p.t)
+    if digits_ok and (k, ell) != (0, 0):
         raise ConsistencyError(f"n = {p.n} unexpectedly belongs to T at {p.astuple()}")
     size = closed_size_T(p)
     return DimensionReport(

@@ -17,10 +17,9 @@ from typing import Sequence
 
 from .cosets import DefiningSet, _check_cap
 from .counting import CodeParams
-from .defsets import build_T
 from .errors import ParameterError
 from .galois import FieldContext, generator_polynomial, poly_divmod
-from .qadic import _profile_counts
+from .qadic import profile_counts
 
 __all__ = [
     "DistanceResult",
@@ -50,7 +49,7 @@ def _digit_odometer(q: int, m: int):
         yield s, digits
 
 
-def brute_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
+def brute_T(params: CodeParams) -> DefiningSet:
     """T straight from the definition: enumerate the digitwise descendants
     of the word u = a...a b 0...0 and union their rotation orbits.
 
@@ -61,7 +60,7 @@ def brute_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
-    _check_cap(q, m, cap)
+    _check_cap(q, m)
     u_digits = [a] * (m - t - 1) + [b] + [0] * t
     members: set[int] = set()
     for digs in product(*[range(d + 1) for d in u_digits]):
@@ -71,19 +70,19 @@ def brute_T(params: CodeParams, cap: int | None = None) -> DefiningSet:
             for d in reversed(twice[m - j:2 * m - j]):
                 value = value * q + d
             members.add(value)
-    return DefiningSet.from_members(q, m, members, cap)
+    return DefiningSet.from_members(q, m, members)
 
 
-def brute_class_census(params: CodeParams, cap: int | None = None) -> dict[tuple[int, int], int]:
+def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
     """Count every value of [0, n] by its exact occurrence profile (k, ell),
     keeping only profiles with all digits <= a and (k, ell) != (0, 0)."""
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
-    _check_cap(q, m, cap)
+    _check_cap(q, m)
     census: dict[tuple[int, int], int] = {}
     for _, digits in _digit_odometer(q, m):
-        k, ell, ok = _profile_counts(digits, m, a, b, t)
+        k, ell, ok = profile_counts(digits, m, a, b, t)
         if ok and (k or ell):
             key = (k, ell)
             census[key] = census.get(key, 0) + 1
@@ -105,10 +104,7 @@ class DistanceResult:
 
     kind is "exact" only when every nonzero codeword was enumerated;
     "budget-exhausted" reports the best (smallest) weight seen, which is
-    only an upper bound on the true minimum; "lower-bound-only" means the
-    search stopped early because the running minimum reached a
-    caller-supplied floor, so the value is exact iff that floor really is a
-    lower bound.
+    only an upper bound on the true minimum.
     """
 
     kind: str
@@ -192,7 +188,7 @@ def _nullspace(field: FieldContext, rows: list[list[int]], ncols: int) -> list[l
     return basis
 
 
-def _min_weight_gray_gf2(basis_masks: list[int], budget: int, stop_at: int | None):
+def _min_weight_gray_gf2(basis_masks: list[int], budget: int):
     """Gray-code walk over all nonzero GF(2) combinations of the basis."""
     k = len(basis_masks)
     total = (1 << k) - 1
@@ -208,12 +204,10 @@ def _min_weight_gray_gf2(basis_masks: list[int], budget: int, stop_at: int | Non
         w = cw.bit_count()
         if w and (best is None or w < best):
             best = w
-            if stop_at is not None and best <= stop_at:
-                return best, idx, "lower-bound-only"
     return best, steps, ("exact" if steps == total else "budget-exhausted")
 
 
-def _min_weight_odometer(field, rows: list[list[int]], budget: int, stop_at: int | None):
+def _min_weight_odometer(field, rows: list[list[int]], budget: int):
     """Odometer walk over all q^k combinations, adding one row per step and
     maintaining the nonzero count incrementally."""
     base = field.base
@@ -227,7 +221,7 @@ def _min_weight_odometer(field, rows: list[list[int]], budget: int, stop_at: int
     best = None
     steps = min(total, budget)
     supports = [[j for j, c in enumerate(row) if c] for row in rows]
-    for idx in range(1, steps + 1):
+    for _ in range(steps):
         i = 0
         while True:
             msg[i] += 1
@@ -246,8 +240,6 @@ def _min_weight_odometer(field, rows: list[list[int]], budget: int, stop_at: int
             i += 1
         if weight and (best is None or weight < best):
             best = weight
-            if stop_at is not None and best <= stop_at:
-                return best, idx, "lower-bound-only"
     return best, steps, ("exact" if steps == total else "budget-exhausted")
 
 
@@ -256,7 +248,6 @@ def dual_min_distance(
     D: DefiningSet,
     budget: int = DEFAULT_DISTANCE_BUDGET,
     extended: bool = False,
-    stop_at: int | None = None,
 ) -> DistanceResult:
     """Exact minimum nonzero weight of the dual code, by full enumeration.
 
@@ -280,9 +271,9 @@ def dual_min_distance(
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
     if field.q == 2:
         masks = [sum(1 << j for j, c in enumerate(row) if c) for row in rows]
-        best, steps, kind = _min_weight_gray_gf2(masks, budget, stop_at)
+        best, steps, kind = _min_weight_gray_gf2(masks, budget)
     else:
-        best, steps, kind = _min_weight_odometer(field, rows, budget, stop_at)
+        best, steps, kind = _min_weight_odometer(field, rows, budget)
     return DistanceResult(kind=kind, value=best, enumerated=steps)
 
 
@@ -297,12 +288,13 @@ def affine_invariance_probe(
     g -> u g + v (u nonzero), and test membership via the defining-set
     evaluations.  Returns True iff every trial stays inside the code.
 
-    defining_set overrides the constructed T, which is how a deliberately
-    broken (non-descendant-closed) set is probed as a negative control.
+    The default T is brute_T's, built from the definition.  defining_set
+    overrides it, which is how a deliberately broken (non-descendant-closed)
+    set is probed as a negative control.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
-    T = build_T(params) if defining_set is None else defining_set
+    T = brute_T(params) if defining_set is None else defining_set
     if (field.q, field.m) != (T.q, T.m):
         raise ParameterError("field and defining set disagree on (q, m)")
     base = field.base

@@ -1,112 +1,18 @@
-"""Digit-sequence arithmetic for integers written in a fixed radix q.
+"""Per-value references for the digit patterns that define T and its dual.
 
-An integer s in [0, q^m - 1] is identified with its length-m digit word
+An integer s in [0, q^m - 1] is read as its length-m digit word
 (s_0, s_1, ..., s_{m-1}), lowest power first, so that s = sum s_i q^i.
-Under this convention multiplying by q modulo q^m - 1 is a circular right
-shift of the word, which is what makes the word view useful: orbits under
-multiplication by q are exactly rotation orbits.
+Multiplying by q modulo q^m - 1 is a circular right shift of the word, so
+both patterns below are read cyclically.  These functions test one word at a
+time and share nothing with the mask kernel in defsets, which is what lets
+the oracles and the tests use them as an independent route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ParameterError
 
-__all__ = [
-    "QAdicWord",
-    "PatternProfile",
-    "expand",
-    "word_value",
-    "rotate",
-    "dominates",
-    "pattern_profile",
-    "matches_dual_exclusion",
-]
-
-
-@dataclass(frozen=True)
-class QAdicWord:
-    """Immutable digit word of length m over {0, ..., q-1}, lowest power first."""
-
-    digits: tuple[int, ...]
-    q: int
-
-    def __post_init__(self) -> None:
-        if self.q < 2:
-            raise ParameterError(f"radix must be >= 2, got {self.q}")
-        if len(self.digits) < 1:
-            raise ParameterError("word length must be >= 1")
-        for d in self.digits:
-            if not 0 <= d <= self.q - 1:
-                raise ParameterError(f"digit {d} out of range [0, {self.q - 1}]")
-
-    @property
-    def m(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return " ".join(str(d) for d in self.digits)
-
-
-@dataclass(frozen=True)
-class PatternProfile:
-    """Exact occurrence counts of the two head-plus-zero-run patterns.
-
-    k counts positions whose digit lies in [1, b] followed cyclically by t
-    zeros; ell counts positions whose digit lies in [b+1, a] followed
-    cyclically by t+1 zeros.  digits_ok is true iff every digit is <= a.
-    Counting is per starting position of the head digit.
-    """
-
-    k: int
-    ell: int
-    digits_ok: bool
-
-
-def expand(s: int, q: int, m: int) -> QAdicWord:
-    """Digit word of s in radix q, length m, lowest power first."""
-    if q < 2:
-        raise ParameterError(f"radix must be >= 2, got {q}")
-    if m < 1:
-        raise ParameterError(f"length must be >= 1, got {m}")
-    if not 0 <= s <= q**m - 1:
-        raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
-    digits = []
-    for _ in range(m):
-        s, r = divmod(s, q)
-        digits.append(r)
-    return QAdicWord(tuple(digits), q)
-
-
-def word_value(w: QAdicWord) -> int:
-    """Inverse of expand."""
-    v = 0
-    for d in reversed(w.digits):
-        v = v * w.q + d
-    return v
-
-
-def rotate(w: QAdicWord, j: int) -> QAdicWord:
-    """Circular right shift by j positions (j reduced mod m).
-
-    For a word of value s in [1, q^m - 2] the result has value
-    s * q^j mod (q^m - 1); the words of value 0 and q^m - 1 are fixed.
-    """
-    m = w.m
-    j %= m
-    if j == 0:
-        return w
-    return QAdicWord(w.digits[m - j:] + w.digits[: m - j], w.q)
-
-
-def dominates(v: QAdicWord, u: QAdicWord) -> bool:
-    """True iff every digit of u is <= the corresponding digit of v."""
-    if v.q != u.q or v.m != u.m:
-        raise ParameterError(
-            f"mismatched words: ({v.q}, {v.m}) vs ({u.q}, {u.m})"
-        )
-    return all(vd >= ud for vd, ud in zip(v.digits, u.digits))
+__all__ = ["profile_counts", "matches_dual_exclusion"]
 
 
 def _cyclic_run_lengths(flags: list[bool], m: int) -> list[int]:
@@ -119,15 +25,15 @@ def _cyclic_run_lengths(flags: list[bool], m: int) -> list[int]:
     return [min(x, m) for x in run[:m]]
 
 
-def _check_profile_params(q: int, m: int, a: int, b: int, t: int) -> None:
-    if not 1 <= b <= a <= q - 1:
-        raise ParameterError(f"need 1 <= b <= a <= q-1, got a={a}, b={b}, q={q}")
-    if not 0 <= t <= m - 1:
-        raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
+def profile_counts(digits, m: int, a: int, b: int, t: int) -> tuple[int, int, bool]:
+    """(k, ell, digits_ok) of a length-m digit sequence, lowest power first.
 
-
-def _profile_counts(digits, m: int, a: int, b: int, t: int) -> tuple[int, int, bool]:
-    """(k, ell, digits_ok) for a raw digit sequence; no validation."""
+    k counts positions whose digit lies in [1, b] followed cyclically by t
+    zeros; ell counts positions whose digit lies in [b+1, a] followed
+    cyclically by t+1 zeros; digits_ok is true iff every digit is <= a.
+    Counting is per starting position of the head digit.  The arguments are
+    not validated: callers pass parameters of the counting regime.
+    """
     zrun = _cyclic_run_lengths([d == 0 for d in digits], m)
     k = ell = 0
     ok = True
@@ -146,16 +52,24 @@ def _profile_counts(digits, m: int, a: int, b: int, t: int) -> tuple[int, int, b
     return k, ell, ok
 
 
-def pattern_profile(w: QAdicWord, a: int, b: int, t: int) -> PatternProfile:
-    """Count the cyclic occurrences of the patterns x 0^t (x in [1,b]) and
-    y 0^{t+1} (y in [b+1,a]) in w, and flag whether all digits are <= a."""
-    _check_profile_params(w.q, w.m, a, b, t)
-    k, ell, ok = _profile_counts(w.digits, w.m, a, b, t)
-    return PatternProfile(k, ell, ok)
+def matches_dual_exclusion(s: int, q: int, m: int, a: int, b: int, t: int) -> bool:
+    """True iff some rotation of the word of s reads x_1 ... x_{m-t-1} y (q-1)^t
+    with every x_i in [q-1-a, q-1] and y in [q-1-b, q-1].
 
-
-def _matches_exclusion(digits, q: int, m: int, a: int, b: int, t: int) -> bool:
-    """Raw-kernel version of matches_dual_exclusion; no validation."""
+    This full-length cyclic pattern characterizes the values excluded from
+    the dual defining set; membership there is the negation.  Unlike the
+    counting regime, a and b are independent here (either may be larger).
+    """
+    if not (1 <= a <= q - 1 and 1 <= b <= q - 1):
+        raise ParameterError(f"need 1 <= a, b <= q-1, got a={a}, b={b}, q={q}")
+    if not 0 <= t <= m - 1:
+        raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
+    if not 0 <= s <= q**m - 1:
+        raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
+    digits = []
+    for _ in range(m):
+        s, r = divmod(s, q)
+        digits.append(r)
     xlo, ylo, top = q - 1 - a, q - 1 - b, q - 1
     xrun = _cyclic_run_lengths([d >= xlo for d in digits], m)
     frun = _cyclic_run_lengths([d == top for d in digits], m)
@@ -168,19 +82,3 @@ def _matches_exclusion(digits, q: int, m: int, a: int, b: int, t: int) -> bool:
         ):
             return True
     return False
-
-
-def matches_dual_exclusion(w: QAdicWord, a: int, b: int, t: int) -> bool:
-    """True iff some rotation of w reads x_1 ... x_{m-t-1} y (q-1)^t with
-    every x_i in [q-1-a, q-1] and y in [q-1-b, q-1].
-
-    This full-length cyclic pattern characterizes the values excluded from
-    the dual defining set; membership there is the negation.  Unlike
-    pattern_profile, a and b are independent here (either may be larger).
-    """
-    q, m = w.q, w.m
-    if not (1 <= a <= q - 1 and 1 <= b <= q - 1):
-        raise ParameterError(f"need 1 <= a, b <= q-1, got a={a}, b={b}, q={q}")
-    if not 0 <= t <= m - 1:
-        raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
-    return _matches_exclusion(w.digits, q, m, a, b, t)

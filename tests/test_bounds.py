@@ -18,7 +18,7 @@ from cyclocode.counting import CodeParams
 from cyclocode.defsets import dual_set_pattern
 from cyclocode.errors import ParameterError, ZeroCodeError
 from cyclocode.oracle import brute_max_prefix
-from cyclocode.qadic import expand, matches_dual_exclusion
+from cyclocode.qadic import matches_dual_exclusion
 
 
 def _bound_grid(qs, max_index):
@@ -241,7 +241,7 @@ def _reference_verify(cert, p):
     n, v = p.n, cert.v
 
     def member(value):
-        return not matches_dual_exclusion(expand(value, q, m), a, b, t)
+        return not matches_dual_exclusion(value, q, m, a, b, t)
 
     ok_structure, detail = True, "gcd, zero-exclusion and gap conditions hold"
     if math.gcd(cert.z, n) != 1:
@@ -299,7 +299,7 @@ def test_value_before_the_top_is_always_excluded():
     # excludes, so no translate that wraps at n can pass on real parameters.
     for p in _bound_grid((2, 3, 4, 5), 3000):
         q, m, t, a, b = p.astuple()
-        assert matches_dual_exclusion(expand(p.n - 1, q, m), a, b, t), p
+        assert matches_dual_exclusion(p.n - 1, q, m, a, b, t), p
 
 
 def test_wrapping_translate_fails_like_the_per_value_route():
@@ -359,17 +359,37 @@ def test_all_table2_rows_verify_in_full():
                for t, b in TABLE2_ROWS) == 3
 
 
+# Case 11 with S empty and v = 193,710,244: one interval of v memberships,
+# over the 10^8 work cap.
+OVER_WORK_CAP = CodeParams(3, 18, 0, 1, 1)
+
+
 def test_work_cap_leaves_certificate_unchecked():
-    p = CodeParams(3, 4, 1, 2, 1)
+    p = OVER_WORK_CAP
     cert = build_certificate(p)
-    result = verify_certificate(cert, p, work_cap=1)
+    assert (cert.case_id, cert.s_size, cert.v) == ("case11", 0, 193_710_244)
+    assert (cert.s_size + 1) * cert.v > bounds.DEFAULT_WORK_CAP == 10**8
+    result = verify_certificate(cert, p)
     assert result.mode == "unchecked"
     assert result.passed is False and result.certified_bound is None
     assert result.checked == 0
     failed = [(name, detail) for name, ok, detail in result.conditions if not ok]
     assert [name for name, _ in failed] == ["prefix", "translates"]
-    assert all("work cap 1" in detail for _, detail in failed)
+    assert all("193710244 exceeds the work cap 100000000" in detail
+               for _, detail in failed)
 
-    row = audit(p, work_cap=1)
+    row = audit(p)
     assert row.mode == "unchecked" and not row.verified_ok
+    assert row.stated == 193_710_245
+    assert row.certified is None and row.mismatch is None
+    assert not row.stated_sound
+
+
+def test_audit_certifies_nothing_for_a_failing_certificate(monkeypatch):
+    p = CodeParams(3, 4, 1, 2, 1)
+    good = build_certificate(p)
+    monkeypatch.setattr(bounds, "build_certificate", lambda params: _with_v(good, good.v + 1))
+    row = audit(p)
+    assert row.mode == "full" and not row.verified_ok
+    assert row.certified is None and row.mismatch is None
     assert not row.stated_sound

@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from functools import partial
+import time
 from pathlib import Path
 
 import pytest
@@ -159,10 +159,16 @@ def test_parse_grid():
         parse_grid("q=2;m=2;z=1")
     with pytest.raises(ParameterError):
         parse_grid("q=2..y;m=2")
+    with pytest.raises(ParameterError):
+        parse_grid("q=2;m=2;qm<=a")  # a constraint names one variable a side
     # a single point
     assert parse_grid("q=3;m=4;t=1;a=2;b=1") == [CodeParams(3, 4, 1, 2, 1)]
     # non-prime-power q values are skipped
     assert {p.q for p in parse_grid("q=2..10;m=2")} == {2, 3, 4, 5, 7, 8, 9}
+    # points come out in ascending order, whatever the order of the values
+    points = parse_grid("q=3,2;m=3,2;t=1,0;a=*;b=1")
+    assert [p.astuple() for p in points] == sorted(p.astuple() for p in points)
+    assert len(points) == 2 * 2 * 1 + 2 * 2 * 2  # (m, t, a) per q = 2, 3
 
 
 def test_json_round_trip(capsys):
@@ -207,16 +213,58 @@ def test_grid_value_list_over_the_cap_is_a_resource_error():
     assert len(parse_grid(f"q=2;m=2;t=0..{cli.GRID_POINT_CAP - 1}")) == 2
 
 
-def test_audit_reports_an_unchecked_certificate_as_a_finding(monkeypatch, capsys):
-    monkeypatch.setattr(cli.bounds, "audit", partial(cli.bounds.audit, work_cap=1))
-    code, out, _ = run(capsys, "audit", "--grid", "q=3;m=4;t=1;a=2;b=1",
+def test_audit_reports_an_unchecked_certificate_as_a_finding(capsys):
+    # (3, 18, 0, 1, 1) needs (|S| + 1) * v = 193,710,244 memberships, over
+    # the 10^8 work cap, so its certificate is left unchecked.
+    code, out, _ = run(capsys, "audit", "--grid", "q=3;m=18;t=0;a=1;b=1",
                        "--format", "json", "--no-timestamp")
     assert code == 0
     doc = json.loads(out)
     assert doc["findings"] == 1
     row = doc["rows"][0]
     assert row["mode"] == "unchecked" and row["verified_ok"] is False
+    assert row["stated"] == 193_710_245
+    assert row["certified"] is None and row["mismatch"] is None
     assert row["stated_sound"] is False
+
+
+def test_bound_has_no_seed_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--seed", "0", "--q", "3", "--m", "4", "--t", "1",
+              "--a", "2", "--b", "1", "--certificate"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_grid_cap_counts_combinations_not_points():
+    # 333 prime powers q <= 2000 and 2,000 values of m give 666,000
+    # combinations, of which m <= b keeps only the 333 with m = 1.
+    spec = "q=2..2000;m=1..2000;t=0;a=1;b=1;m<=b"
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="combinations"):
+        parse_grid(spec)
+    assert time.perf_counter() - start < 1.0
+    src = str(Path(cyclocode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocode.cli", "audit", "--grid", spec],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("resource limit:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+    # under the cap the same grid keeps one point per prime power q <= 50:
+    # 15 primes and 4, 8, 9, 16, 25, 27, 32, 49
+    assert len(parse_grid("q=2..50;m=1..100;t=0;a=1;b=1;m<=b")) == 23
+
+
+def test_grid_drops_out_of_range_values_before_counting():
+    big = cli.GRID_POINT_CAP - 1
+    # t, a and b outside their ranges cost nothing against the cap
+    assert len(parse_grid(f"q=2;m=2..3;t=-{big}..-1,0")) == 2
+    assert len(parse_grid(f"q=3;m=2;t=0;a=1..{big};b=1")) == 2
+    assert parse_grid(f"q=2;m=1..{big};t={big}") == []
+    assert parse_grid(f"q=2..{big};m=1;a={big}") == []
 
 
 def test_consistency_error_exit_code(monkeypatch, capsys):

@@ -1,7 +1,15 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cyclocode.cosets import DefiningSet, coset_of, leader, union_cosets
+from cyclocode.cosets import (
+    DEFAULT_INDEX_CAP,
+    DefiningSet,
+    coset_of,
+    leader,
+    union_cosets,
+)
 from cyclocode.errors import ParameterError, ResourceLimitError
 
 
@@ -24,6 +32,15 @@ def test_leader_examples():
 def test_top_value_is_a_fixed_point():
     assert coset_of(80, 3, 4).elements == (80,)
     assert coset_of(15, 2, 4).elements == (15,)
+
+
+@pytest.mark.parametrize("q,m", [(2, 6), (3, 4), (5, 3)])
+def test_coset_is_the_orbit_of_multiplication_by_q(q, m):
+    # coset_of rotates digits; on [1, n-1] that is multiplication by q mod n
+    n = q**m - 1
+    for s in range(1, n):
+        orbit = sorted({s * q**j % n for j in range(m)})
+        assert coset_of(s, q, m).elements == tuple(orbit)
 
 
 @pytest.mark.parametrize("q,m", [(2, 10), (3, 6), (5, 4), (7, 3)])
@@ -56,8 +73,17 @@ def test_union_cosets_range_error():
 
 
 def test_materialization_cap():
-    with pytest.raises(ResourceLimitError):
-        DefiningSet.empty(2, 8, cap=100)
+    # q^m = 2^29 is over the 2^28 index cap, checked before the 64-MiB mask
+    # of DefiningSet.full would be built
+    tracemalloc.start()
+    try:
+        for make in (DefiningSet.empty, DefiningSet.full):
+            with pytest.raises(ResourceLimitError, match=str(DEFAULT_INDEX_CAP)):
+                make(2, 29)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
     with pytest.raises(ResourceLimitError):
         union_cosets([1], 2, 40)
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclocode.bounds import max_zero_prefix
-from cyclocode.cosets import DefiningSet, union_cosets
+from cyclocode.cosets import DEFAULT_INDEX_CAP, DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, closed_size_T
 from cyclocode.defsets import (
     bch_set,
@@ -15,7 +17,7 @@ from cyclocode.defsets import (
 )
 from cyclocode.errors import ParameterError, ResourceLimitError, ZeroCodeError
 from cyclocode.oracle import brute_T, brute_max_prefix
-from cyclocode.qadic import expand, matches_dual_exclusion
+from cyclocode.qadic import matches_dual_exclusion
 
 T_LISTING_3_4_1_2_1 = [
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
@@ -31,8 +33,17 @@ def test_build_T_examples():
 
 
 def test_build_T_respects_cap():
-    with pytest.raises(ResourceLimitError):
-        build_T(CodeParams(2, 10, 1, 1, 1), cap=512)
+    # q^m = 2^29 is over the 2^28 index cap; the check comes before any
+    # 64-MiB digit mask is built.
+    assert DEFAULT_INDEX_CAP == 1 << 28
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=str(DEFAULT_INDEX_CAP)):
+            build_T(CodeParams(2, 29, 1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_descendant_closure_examples():
@@ -46,15 +57,13 @@ def test_descendant_closure_examples():
 
 
 def test_descendant_closure_matches_naive():
-    from cyclocode.qadic import dominates, expand
-
     q, m = 3, 3
     D = DefiningSet.from_members(q, m, [5, 21])
     naive = {
         s
         for s in range(q**m)
         for d in D
-        if dominates(expand(d, q, m), expand(s, q, m))
+        if all(d // q**i % q >= s // q**i % q for i in range(m))
     }
     assert descendant_closure(D).members() == sorted(naive)
 
@@ -175,7 +184,7 @@ def test_dual_set_pattern_equals_per_value_exclusion(p):
     q, m, t, a, b = p.astuple()
     expected = [
         s for s in range(q**m)
-        if not matches_dual_exclusion(expand(s, q, m), a, b, t)
+        if not matches_dual_exclusion(s, q, m, a, b, t)
     ]
     assert dual_set_pattern(p).members() == expected
 
@@ -193,7 +202,7 @@ def test_dual_block_kernel_equals_per_value_exclusion(p, data):
             assert block >> q**k == 0
             for j in range(q**k):
                 s = high * q**k + j
-                excluded = matches_dual_exclusion(expand(s, q, m), a, b, t)
+                excluded = matches_dual_exclusion(s, q, m, a, b, t)
                 assert (block >> j & 1) == excluded, (p, k, high, j)
 
 

@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
+
+import cyclocode
 
 from cyclocode.cosets import DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
@@ -73,14 +78,15 @@ def test_dual_min_distance_examples():
     assert (ext.kind, ext.value) == ("exact", 4)
 
 
-def test_dual_min_distance_budget_and_floor():
+def test_dual_min_distance_budget():
     F = field_make(2, 4)
     T = build_T(CodeParams(2, 4, 1, 1, 1))
     res = dual_min_distance(F, T, budget=100)
     assert res.kind == "budget-exhausted"
     assert res.enumerated == 100 and res.value >= 2
-    res = dual_min_distance(F, T, stop_at=2)
-    assert res.kind == "lower-bound-only" and res.value == 2
+    F3 = field_make(3, 3)
+    res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)), budget=50)
+    assert res.kind == "budget-exhausted" and res.enumerated == 50
 
 
 def test_dual_min_distance_nonbinary():
@@ -126,3 +132,26 @@ def test_dual_distance_agrees_with_reflection_route():
     p = CodeParams(2, 4, 2, 1, 1)
     T = build_T(p)
     assert dual_set_pattern(p) == dual_set(T)
+
+
+def _imported_modules(module: str) -> set[str]:
+    """Every module name the source of cyclocode.<module> imports."""
+    tree = ast.parse((Path(cyclocode.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    return names
+
+
+def _imports_kernel(module: str) -> bool:
+    return any("defsets" in name.split(".") for name in _imported_modules(module))
+
+
+@pytest.mark.parametrize("module", ["oracle", "qadic"])
+def test_oracles_do_not_import_the_mask_kernel(module):
+    assert _imports_kernel("bounds")  # the check sees the kernel where it is
+    assert not _imports_kernel(module)

@@ -1,114 +1,20 @@
 import pytest
 
 from cyclocode.errors import ParameterError
-from cyclocode.qadic import (
-    QAdicWord,
-    dominates,
-    expand,
-    matches_dual_exclusion,
-    pattern_profile,
-    rotate,
-    word_value,
-)
+from cyclocode.qadic import matches_dual_exclusion, profile_counts
 
 
-def test_expand_examples():
-    assert expand(0, 3, 4).digits == (0, 0, 0, 0)
-    assert expand(7, 3, 4).digits == (1, 2, 0, 0)
-    assert expand(17, 3, 4).digits == (2, 2, 1, 0)
-
-
-def test_expand_rejects_bad_input():
-    with pytest.raises(ParameterError):
-        expand(81, 3, 4)
-    with pytest.raises(ParameterError):
-        expand(-1, 3, 4)
-    with pytest.raises(ParameterError):
-        expand(0, 1, 4)
-    with pytest.raises(ParameterError):
-        expand(0, 3, 0)
-
-
-def test_word_value_examples():
-    assert word_value(QAdicWord((0, 0, 0, 0), 3)) == 0
-    assert word_value(QAdicWord((2, 2, 1, 0), 3)) == 17
-    assert word_value(QAdicWord((2, 2, 2, 2), 3)) == 80
-
-
-@pytest.mark.parametrize("q,m", [(2, 8), (3, 5), (5, 3), (7, 2)])
-def test_expand_value_round_trip(q, m):
-    for s in range(q**m):
-        assert word_value(expand(s, q, m)) == s
-
-
-def test_rotate_examples():
-    w = QAdicWord((2, 2, 1, 0), 3)
-    assert rotate(w, 1).digits == (0, 2, 2, 1)
-    assert word_value(rotate(w, 1)) == 51 == (17 * 3) % 80
-    assert rotate(w, 0) == w
-    zero = QAdicWord((0, 0, 0, 0), 3)
-    assert rotate(zero, 3) == zero
-
-
-@pytest.mark.parametrize("q,m", [(2, 6), (3, 4), (5, 3)])
-def test_rotation_is_multiplication_by_q(q, m):
-    n = q**m - 1
-    for s in range(1, n):
-        w = expand(s, q, m)
-        for j in range(m):
-            assert word_value(rotate(w, j)) == (s * q**j) % n
-    # both fixed points stay put
-    for s in (0, n):
-        w = expand(s, q, m)
-        assert all(rotate(w, j) == w for j in range(m))
-
-
-def test_dominates_examples():
-    v = QAdicWord((2, 2, 1, 0), 3)
-    assert dominates(v, QAdicWord((1, 0, 1, 0), 3))
-    assert not dominates(v, QAdicWord((0, 0, 0, 1), 3))
-    assert dominates(v, v)
-
-
-def test_dominates_is_a_partial_order():
-    q, m = 3, 3
-    words = [expand(s, q, m) for s in range(q**m)]
-    for u in words:
-        assert dominates(u, u)
-    for u in words:
-        for v in words:
-            if dominates(u, v) and dominates(v, u):
-                assert u == v
-            if dominates(u, v):
-                assert word_value(v) <= word_value(u)
-    # transitivity on a spot sample
-    for u in words[::3]:
-        for v in words[::4]:
-            if not dominates(u, v):
-                continue
-            for w in words[::5]:
-                if dominates(v, w):
-                    assert dominates(u, w)
-
-
-def test_dominates_rejects_mismatched_words():
-    with pytest.raises(ParameterError):
-        dominates(QAdicWord((1, 0), 3), QAdicWord((1, 0, 0), 3))
-    with pytest.raises(ParameterError):
-        dominates(QAdicWord((1, 0), 3), QAdicWord((1, 0), 2))
+def digits_of(s, q, m):
+    """The length-m digit word of s in radix q, lowest power first."""
+    return [s // q**i % q for i in range(m)]
 
 
 def test_pattern_profile_examples():
-    w = QAdicWord((1, 0, 1, 0), 3)
-    prof = pattern_profile(w, 2, 1, 1)
-    assert (prof.k, prof.ell, prof.digits_ok) == (2, 0, True)
-
-    w = QAdicWord((2, 0, 0, 1), 3)
-    prof = pattern_profile(w, 2, 1, 1)
-    assert (prof.k, prof.ell, prof.digits_ok) == (0, 1, True)
-
-    prof = pattern_profile(QAdicWord((0, 0, 0, 0), 3), 2, 1, 1)
-    assert (prof.k, prof.ell, prof.digits_ok) == (0, 0, True)
+    # (m, a, b, t) = (4, 2, 1, 1)
+    assert profile_counts([1, 0, 1, 0], 4, 2, 1, 1) == (2, 0, True)
+    assert profile_counts([2, 0, 0, 1], 4, 2, 1, 1) == (0, 1, True)
+    assert profile_counts([0, 0, 0, 0], 4, 2, 1, 1) == (0, 0, True)
+    assert profile_counts([2, 2, 2, 2], 4, 1, 1, 1) == (0, 0, False)
 
 
 def test_pattern_profile_occupancy_invariant():
@@ -116,17 +22,24 @@ def test_pattern_profile_occupancy_invariant():
     q, m = 3, 5
     for t in range(m):
         for s in range(q**m):
-            prof = pattern_profile(expand(s, q, m), 2, 1, t)
-            if prof.digits_ok and (prof.k, prof.ell) != (0, 0):
-                assert prof.k * (t + 1) + prof.ell * (t + 2) <= m
+            k, ell, ok = profile_counts(digits_of(s, q, m), m, 2, 1, t)
+            if ok and (k, ell) != (0, 0):
+                assert k * (t + 1) + ell * (t + 2) <= m
 
 
-def test_pattern_profile_rejects_bad_regime():
-    w = QAdicWord((1, 0, 1, 0), 3)
+def test_matches_dual_exclusion_rejects_bad_input():
     with pytest.raises(ParameterError):
-        pattern_profile(w, 1, 2, 1)  # b > a
+        matches_dual_exclusion(0, 3, 4, 3, 1, 1)  # a > q-1
     with pytest.raises(ParameterError):
-        pattern_profile(w, 2, 1, 4)  # t > m-1
+        matches_dual_exclusion(0, 3, 4, 2, 0, 1)  # b < 1
+    with pytest.raises(ParameterError):
+        matches_dual_exclusion(0, 3, 4, 2, 1, 4)  # t > m-1
+    with pytest.raises(ParameterError):
+        matches_dual_exclusion(0, 1, 4, 1, 1, 1)  # radix 1
+    for s in (-1, 81):  # outside [0, q^m - 1]
+        with pytest.raises(ParameterError):
+            matches_dual_exclusion(s, 3, 4, 2, 1, 1)
+    assert matches_dual_exclusion(80, 3, 4, 2, 1, 1)
 
 
 T_LISTING_3_4_1_2_1 = frozenset(
@@ -143,18 +56,17 @@ def test_matches_dual_exclusion_against_reflection():
     n = 80
     for s in range(81):
         expected = (n - s) in T_LISTING_3_4_1_2_1
-        assert matches_dual_exclusion(expand(s, q, m), a, b, t) == expected
+        assert matches_dual_exclusion(s, q, m, a, b, t) == expected
     # spot values pinned by the same oracle
-    assert matches_dual_exclusion(expand(73, q, m), a, b, t) is True
-    assert matches_dual_exclusion(expand(74, q, m), a, b, t) is True  # 80-74=6 is in T
-    assert matches_dual_exclusion(expand(80, q, m), a, b, t) is True
+    assert matches_dual_exclusion(73, q, m, a, b, t) is True
+    assert matches_dual_exclusion(74, q, m, a, b, t) is True  # 80-74=6 is in T
+    assert matches_dual_exclusion(80, q, m, a, b, t) is True
 
 
 def test_matches_dual_exclusion_all_top_word():
     for q, m, t in [(2, 4, 1), (3, 3, 2), (5, 2, 1)]:
-        w = expand(q**m - 1, q, m)
-        assert matches_dual_exclusion(w, q - 1, q - 1, t)
-        assert matches_dual_exclusion(w, 1, 1, t)
+        assert matches_dual_exclusion(q**m - 1, q, m, q - 1, q - 1, t)
+        assert matches_dual_exclusion(q**m - 1, q, m, 1, 1, t)
 
 
 def test_matches_dual_exclusion_independent_a_b():
@@ -175,12 +87,11 @@ def test_matches_dual_exclusion_independent_a_b():
     for a in range(1, q):
         for b in range(1, q):
             for s in range(q**m):
-                w = expand(s, q, m)
-                comp = [q - 1 - d for d in w.digits]
+                comp = [q - 1 - d for d in digits_of(s, q, m)]
                 # the zero complement word is always in T (s = n reflects to 0)
                 expected = not any(comp) or any(
                     head_at(comp, i, 1, b, t, a)
                     or head_at(comp, i, b + 1, a, t + 1, a)
                     for i in range(m)
                 )
-                assert matches_dual_exclusion(w, a, b, t) == expected, (s, a, b)
+                assert matches_dual_exclusion(s, q, m, a, b, t) == expected, (s, a, b)

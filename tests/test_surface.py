@@ -1,0 +1,105 @@
+"""The package surface that the CLI, the tests and the benchmark rely on.
+
+perfbench/ reaches the package only through ``cyclocode.<name>`` (as
+``cc.<name>``) and its tracer looks up one module attribute per layer, so
+these tests pin that contract from the package side.
+"""
+
+import ast
+import importlib.util
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cyclocode
+import cyclocode.cli  # noqa: F401  (the benchmark imports it the same way)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = str(Path(cyclocode.__file__).resolve().parents[1])
+
+PUBLIC_NAMES = [
+    "CodeParams",
+    "ConsistencyError",
+    "CyclocodeError",
+    "DefiningSet",
+    "ParameterError",
+    "ResourceLimitError",
+    "ZeroCodeError",
+    "audit",
+    "build_T",
+    "build_certificate",
+    "class_sizes",
+    "classify_case",
+    "closed_size_T",
+    "dimension",
+    "dual_min_distance",
+    "dual_set",
+    "dual_set_pattern",
+    "field_make",
+    "max_zero_prefix",
+    "stated_bound",
+    "verify_certificate",
+]
+
+
+def _cc_attribute(node) -> bool:
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cc")
+
+
+def _perfbench_nodes():
+    """(file name, node) for every syntax node of perfbench's sources."""
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            yield path.name, node
+
+
+def test_all_is_the_trimmed_list():
+    assert cyclocode.__all__ == PUBLIC_NAMES
+    for name in cyclocode.__all__:
+        assert getattr(cyclocode, name) is not None
+
+
+def test_every_perfbench_name_resolves():
+    names = {node.attr for _, node in _perfbench_nodes() if _cc_attribute(node)}
+    for name in names:
+        assert hasattr(cyclocode, name), name
+    # besides the cli and cosets modules, the benchmark uses exported names only
+    assert "build_T" in names and names - {"cli", "cosets"} <= set(PUBLIC_NAMES)
+
+
+def test_perfbench_keyword_arguments_exist():
+    keywords = 0
+    for filename, node in _perfbench_nodes():
+        if isinstance(node, ast.Call) and _cc_attribute(node.func):
+            params = inspect.signature(getattr(cyclocode, node.func.attr)).parameters
+            for kw in node.keywords:
+                assert kw.arg in params, (filename, node.func.attr, kw.arg)
+                keywords += 1
+    assert keywords >= 3  # seed= twice and extended= at least once
+
+
+def test_tracer_layers_and_methods_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer in tracer.LAYERS:
+        assert inspect.ismodule(getattr(cyclocode, layer)), layer
+    ds = cyclocode.cosets.DefiningSet
+    for attr in tracer.DEFINING_SET_METHODS + tracer.DEFINING_SET_CLASSMETHODS:
+        assert attr in ds.__dict__, attr
+
+
+def test_layer_modules_are_loaded_by_the_package_import():
+    # a fresh interpreter, so nothing but "import cyclocode" has run
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, cyclocode; "
+            "print(sorted(m for m in sys.modules if m.startswith('cyclocode.')))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = ast.literal_eval(proc.stdout.strip())
+    for module in ("qadic", "cosets", "counting", "defsets", "bounds", "galois", "oracle"):
+        assert f"cyclocode.{module}" in loaded, loaded
