@@ -33,6 +33,8 @@ _BIT_POSITIONS = tuple(tuple(j for j in range(8) if i >> j & 1) for i in range(2
 
 
 def _check_range(s: int, q: int, m: int) -> None:
+    if q < 2 or m < 1:
+        raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
     if not 0 <= s <= q**m - 1:
         raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
 

@@ -14,7 +14,6 @@ closed form, and inverting a two-parameter binomial transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import comb
 
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
@@ -169,12 +168,12 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     """
     _check_admissible(k, ell, m, t)
     blocks = m - k * t - ell * (t + 1)  # block count after collapsing zero runs
-    value = Fraction(m, blocks) * comb(blocks, k) * comb(blocks - k, ell)
-    if value.denominator != 1:
+    value, rem = divmod(m * comb(blocks, k) * comb(blocks - k, ell), blocks)
+    if rem:
         raise ConsistencyError(
             f"non-integral word count for (k, ell, m, t) = ({k}, {ell}, {m}, {t})"
         )
-    return int(value)
+    return value
 
 
 def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:

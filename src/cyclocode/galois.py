@@ -11,6 +11,13 @@ coefficientwise over GF(p) in every field, so one rule serves them all: the
 carry-less base-p digit sum, which is XOR when p = 2.  GF(q) itself is the
 same field class built at (p, e), and the prime field ends the recursion.
 
+Whether a field has tables is decided in one place, the memoized factory
+field_make: every level of order at most TABLE_CAP gets exp/log/Zech
+tables, and the exp table is built by repeated _times_x (one base-q digit
+shift plus one add), since alpha is the class of x.  A FieldContext built
+directly has no tables and runs the digit route, which is what the tests
+compare the table route against.
+
 Moduli come from a fixed built-in table: for each supported (q, m) the
 lexicographically smallest monic degree-m polynomial over GF(q) (ordered by
 the base-q encoding of its non-leading coefficients) for which the class of
@@ -21,7 +28,7 @@ fields are identical across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .cosets import DefiningSet, coset_of
@@ -41,22 +48,12 @@ SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
 
 MAX_FIELD_ORDER = 1 << 32
 
-# exp/log tables are built when the field order is at most this.
-DEFAULT_TABLE_CAP = 1 << 20
-
-# q = p^e with e > 1: defining polynomial of GF(q) over GF(p), coefficients
-# lowest degree first, monic.  Smallest primitive choice per the module rule.
-_BASE_MODULI: dict[int, tuple[int, tuple[int, ...]]] = {
-    4: (2, (1, 1, 1)),
-    8: (2, (1, 1, 0, 1)),
-    9: (3, (2, 1, 1)),
-    16: (2, (1, 1, 0, 0, 1)),
-    25: (5, (2, 1, 1)),
-    27: (3, (1, 2, 0, 1)),
-}
+# field_make builds exp/log/Zech tables for every level of order at most this.
+TABLE_CAP = 1 << 20
 
 # (q, m) -> defining polynomial of GF(q^m) over GF(q), coefficients lowest
-# degree first (base-field encodings), monic, x primitive.
+# degree first (base-field encodings), monic, x primitive.  GF(p^e) as the
+# base field of GF(q^m), q = p^e, is built from the (p, e) entry.
 _EXT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (2, 2): (1, 1, 1),
     (2, 3): (1, 1, 0, 1),
@@ -174,21 +171,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{'' if c == 1 else c}x")
-            else:
-                terms.append(f"{'' if c == 1 else c}x^{i}")
-        return " + ".join(terms)
-
 
 def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     out = list(coeffs)
@@ -237,11 +219,10 @@ class FieldContext:
     GF(q) is itself a FieldContext, of degree e over GF(p); the prime field
     GF(p) has base None and multiplies modulo p.
 
-    Addition and multiplication each take one of two routes, chosen by one
-    test: when the field order is at most the table cap, exp/log tables back
-    multiplication and a Zech-logarithm table backs addition; otherwise
-    multiplication is polynomial arithmetic modulo the defining polynomial
-    and addition is the carry-less base-p digit sum.
+    The constructor builds no tables, so a field made directly runs the
+    digit route: Horner multiplication modulo the defining polynomial and
+    the carry-less base-p digit sum.  field_make adds exp/log tables behind
+    mul and a Zech-logarithm table behind add, up to TABLE_CAP.
     """
 
     def __init__(
@@ -250,7 +231,6 @@ class FieldContext:
         base: "FieldContext | None",
         m: int,
         modulus: tuple[int, ...],
-        table_cap: int,
     ):
         self.p = p
         self.base = base
@@ -262,9 +242,15 @@ class FieldContext:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._zech: list[int] | None = None
+        if base is not None:
+            # x^m = -(f_0 + ... + f_{m-1} x^(m-1)): the top digit c of a
+            # shifted element folds back in as _wrap[c] = -c * f_low
+            self._top = self.q ** (m - 1)
+            self._wrap = [
+                self.from_coeffs([base.neg(base.mul(c, f)) for f in modulus[:m]])
+                for c in range(self.q)
+            ]
         self.alpha = self._find_alpha()
-        if self.order <= table_cap:
-            self._build_tables()
 
     # -- representation ------------------------------------------------
 
@@ -311,25 +297,23 @@ class FieldContext:
     def sub(self, x: int, y: int) -> int:
         return self.add(x, self.neg(y))
 
+    def _times_x(self, v: int) -> int:
+        """v * x: shift one base-q digit up and fold the top digit back in."""
+        top, low = divmod(v, self._top)
+        return self.add(low * self.q, self._wrap[top])
+
     def _mul_poly(self, x: int, y: int) -> int:
+        """x * y by Horner's rule over the digits of y, one shift a step."""
         B = self.base
         if B is None:
             return x * y % self.p
-        a, b = self.coeffs(x), self.coeffs(y)
-        prod = [0] * (2 * self.m - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = B.add(prod[i + j], B.mul(ai, bj))
-        mod = self.modulus
-        for i in range(len(prod) - 1, self.m - 1, -1):
-            c = prod[i]
+        xs = self.coeffs(x)
+        r = 0
+        for c in reversed(self.coeffs(y)):
+            r = self._times_x(r)
             if c:
-                prod[i] = 0
-                for j in range(self.m):
-                    prod[i - self.m + j] = B.sub(prod[i - self.m + j], B.mul(c, mod[j]))
-        return self.from_coeffs(prod[: self.m])
+                r = self.add(r, self.from_coeffs([B.mul(c, d) for d in xs]))
+        return r
 
     def mul(self, x: int, y: int) -> int:
         if self._exp is not None:
@@ -346,10 +330,9 @@ class FieldContext:
         return self.pow(x, self.n - 1)
 
     def pow(self, x: int, k: int) -> int:
+        """x^k for k >= 0."""
         if self._exp is not None and x != 0:
             return self._exp[(self._log[x] * k) % self.n]
-        if k < 0:
-            return self.pow(self.inv(x), -k)
         r = 1
         while k:
             if k & 1:
@@ -365,17 +348,10 @@ class FieldContext:
         return self.pow(self.alpha, i % self.n)
 
     def log(self, x: int) -> int:
+        """Discrete log to base alpha, read from the table."""
         if x == 0:
             raise ValueError("zero has no discrete log")
-        if self._log is not None:
-            return self._log[x]
-        # no table: fall back to a scan (only sensible for small orders)
-        y = 1
-        for i in range(self.n):
-            if y == x:
-                return i
-            y = self._mul_poly(y, self.alpha)
-        raise ConsistencyError("element not generated by alpha")
+        return self._log[x]
 
     # -- construction helpers ---------------------------------------------
 
@@ -405,12 +381,14 @@ class FieldContext:
         return x
 
     def _build_tables(self) -> None:
+        # alpha is the class of x for m >= 2, so each power is one shift
+        step = self._times_x if self.m > 1 else partial(self._mul_poly, self.alpha)
         exp = [1] * self.n
         acc = 1
         for i in range(1, self.n):
-            acc = self._mul_poly(acc, self.alpha)
+            acc = step(acc)
             exp[i] = acc
-        if self._mul_poly(acc, self.alpha) != 1:
+        if step(acc) != 1:
             raise ConsistencyError("exp table does not close at order n")
         log = [0] * self.order
         for i, v in enumerate(exp):
@@ -436,25 +414,25 @@ def has_builtin_modulus(q: int, m: int) -> bool:
     return q in SUPPORTED_Q and (m == 1 or (q, m) in _EXT_MODULI)
 
 
-def _subfield(q: int, table_cap: int) -> FieldContext:
-    """GF(q) as a field of its own: the prime field when q is prime, else
-    degree e over GF(p) with the defining polynomial from _BASE_MODULI."""
-    if q not in _BASE_MODULI:
-        return FieldContext(q, None, 1, (q - 1, 1), table_cap)
-    p, modulus = _BASE_MODULI[q]
-    return FieldContext(p, _subfield(p, table_cap), len(modulus) - 1, modulus, table_cap)
+def _tabled(field: FieldContext) -> FieldContext:
+    """The factory's one table rule: tables for every order up to TABLE_CAP."""
+    if field.order <= TABLE_CAP:
+        field._build_tables()
+    return field
 
 
 @lru_cache(maxsize=None)
-def _build(q: int, m: int, table_cap: int) -> FieldContext:
+def _build(q: int, m: int) -> FieldContext:
     """GF(q^m) over GF(q); fields are immutable, so each one is built once
-    per process.  For m = 1 the modulus x - 1 is a placeholder."""
-    base = _subfield(q, table_cap)
-    modulus = (base.p - 1, 1) if m == 1 else _EXT_MODULI[(q, m)]
-    return FieldContext(base.p, base, m, modulus, table_cap)
+    per process.  GF(q) is the prime field (base None) when q is prime and
+    _build(p, e) when q = p^e.  For m = 1 the modulus x - 1 is a placeholder."""
+    ((p, e),) = factorize(q).items()
+    base = _build(p, e) if e > 1 else _tabled(FieldContext(p, None, 1, (p - 1, 1)))
+    modulus = (p - 1, 1) if m == 1 else _EXT_MODULI[(q, m)]
+    return _tabled(FieldContext(p, base, m, modulus))
 
 
-def field_make(q: int, m: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldContext:
+def field_make(q: int, m: int) -> FieldContext:
     """Deterministic GF(q^m): modulus from the built-in table, alpha the
     smallest-valued generator (the class of x for m >= 2)."""
     if q not in SUPPORTED_Q:
@@ -465,7 +443,7 @@ def field_make(q: int, m: int, table_cap: int = DEFAULT_TABLE_CAP) -> FieldConte
         raise ResourceLimitError(f"field order {q**m} exceeds {MAX_FIELD_ORDER}")
     if m > 1 and (q, m) not in _EXT_MODULI:
         raise ParameterError(f"no built-in defining polynomial for GF({q}^{m})")
-    return _build(q, m, table_cap)
+    return _build(q, m)
 
 
 def minimal_polynomial(field: FieldContext, s: int) -> Polynomial:
@@ -489,19 +467,13 @@ def minimal_polynomial(field: FieldContext, s: int) -> Polynomial:
     return Polynomial(tuple(poly))
 
 
-def _as_exponents(D: "DefiningSet | Iterable[int]") -> list[int]:
-    if isinstance(D, DefiningSet):
-        return D.members()
-    return sorted(set(D))
-
-
 def generator_polynomial(field: FieldContext, D: "DefiningSet | Iterable[int]") -> Polynomial:
     """Product of the minimal polynomials over the coset leaders of D.
 
     D must be a rotation-closed subset of [1, n-1]; the degree of the result
     then equals |D|.
     """
-    exps = _as_exponents(D)
+    exps = sorted(set(D))
     n = field.n
     for s in exps:
         if not 1 <= s <= n - 1:

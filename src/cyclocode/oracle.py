@@ -3,9 +3,10 @@ exhaustive code-level verification on instances small enough to enumerate.
 
 Nothing here reuses a closed-form path it is meant to check: the defining
 set is rebuilt from its definition (descendants of word rotations), the
-occurrence-class sizes are re-counted by scanning every value, dimensions
-come from generator-polynomial degrees, and dual minimum distances come
-from full codeword enumeration over a basis of the dual code.
+occurrence-class sizes are re-counted by scanning every digit word whose
+digits are all <= a, dimensions come from generator-polynomial degrees, and
+dual minimum distances come from full codeword enumeration over a basis of
+the dual code.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 from .cosets import DefiningSet, _check_cap
 from .counting import CodeParams
 from .errors import ParameterError
-from .galois import FieldContext, generator_polynomial, poly_divmod
+from .galois import FieldContext, generator_polynomial, poly_divmod, syndrome
 from .qadic import profile_counts
 
 __all__ = [
@@ -32,21 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_DISTANCE_BUDGET = 1 << 21
-
-
-def _digit_odometer(q: int, m: int):
-    """Yield (s, digits) for s = 0 .. q^m - 1; digits is reused in place."""
-    digits = [0] * m
-    yield 0, digits
-    for s in range(1, q**m):
-        i = 0
-        while True:
-            digits[i] += 1
-            if digits[i] < q:
-                break
-            digits[i] = 0
-            i += 1
-        yield s, digits
 
 
 def brute_T(params: CodeParams) -> DefiningSet:
@@ -74,16 +60,18 @@ def brute_T(params: CodeParams) -> DefiningSet:
 
 
 def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
-    """Count every value of [0, n] by its exact occurrence profile (k, ell),
-    keeping only profiles with all digits <= a and (k, ell) != (0, 0)."""
+    """Count every value of [0, n] whose digits are all <= a by its exact
+    occurrence profile (k, ell), keeping only (k, ell) != (0, 0).  Values
+    with a larger digit have no profile, so only the (a+1)^m digit words
+    with every digit <= a are scanned."""
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
     _check_cap(q, m)
     census: dict[tuple[int, int], int] = {}
-    for _, digits in _digit_odometer(q, m):
-        k, ell, ok = profile_counts(digits, m, a, b, t)
-        if ok and (k or ell):
+    for digits in product(range(a + 1), repeat=m):
+        k, ell, _ = profile_counts(digits, m, a, b, t)
+        if k or ell:
             key = (k, ell)
             census[key] = census.get(key, 0) + 1
     return census
@@ -285,8 +273,8 @@ def affine_invariance_probe(
     defining_set: DefiningSet | None = None,
 ) -> bool:
     """Sample random extended codewords and random coordinate maps
-    g -> u g + v (u nonzero), and test membership via the defining-set
-    evaluations.  Returns True iff every trial stays inside the code.
+    g -> u g + v (u nonzero), and test membership via the syndromes at the
+    defining-set exponents.  Returns True iff every trial stays inside the code.
 
     The default T is brute_T's, built from the definition.  defining_set
     overrides it, which is how a deliberately broken (non-descendant-closed)
@@ -321,14 +309,8 @@ def affine_invariance_probe(
         for pos in range(field.n + 1):
             target = field.add(field.mul(u, enc_of_pos[pos]), v)
             permuted[pos_of_enc[target]] = cw[pos]
-        for s in exponents:
-            total = permuted[0] if s == 0 else 0
-            for i in range(field.n):
-                c = permuted[1 + i]
-                if c:
-                    total = field.add(total, field.mul(c, field.exp(i * s)))
-            if total != 0:
-                return False
+        if any(syndrome(field, permuted, s) for s in exponents):
+            return False
     return True
 
 

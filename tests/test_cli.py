@@ -117,6 +117,8 @@ def test_verify_small(capsys):
     assert code == 0, err
     assert "failures: 0" in out
     assert "defining-set: pattern vs definition" in out
+    golden = Path(__file__).parent / "golden" / "verify_max_n_100.txt"
+    assert out.encode() == golden.read_bytes()
 
 
 def test_parameter_error_exit_code(capsys):
@@ -187,6 +189,21 @@ def test_bad_grid_value_exits_2_without_traceback():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parameter error:")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("q,m,s", [(-3, 2, 1), (1, 2, 0), (2, 0, 0), (2, -1, 0)])
+def test_coset_rejects_impossible_q_and_m(q, m, s):
+    src = str(Path(cyclocode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocode.cli", "coset", "--q", str(q), "--m", str(m),
+         "--s", str(s)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parameter error:")
     assert len(proc.stderr.strip().splitlines()) == 1

@@ -8,6 +8,7 @@ from cyclocode.errors import ParameterError, ResourceLimitError
 from cyclocode.galois import (
     _EXT_MODULI,
     SUPPORTED_Q,
+    TABLE_CAP,
     FieldContext,
     Polynomial,
     factorize,
@@ -58,13 +59,29 @@ def test_field_make_rejects_unsupported():
     with pytest.raises(ParameterError):
         field_make(2, 25)  # no built-in modulus that far out
     with pytest.raises(ResourceLimitError):
-        field_make(2, 33, table_cap=1)
+        field_make(2, 33)
+
+
+def test_factory_alone_decides_tables():
+    big = field_make(5, 9)  # order 1,953,125 is above TABLE_CAP: the digit route
+    assert big.order > TABLE_CAP and big._exp is None and big.base._exp is not None
+    assert big.mul(big.exp(7), big.exp(11)) == big.exp(18)
+    small = field_make(2, 16)
+    direct = FieldContext(small.p, small.base, small.m, small.modulus)
+    assert small._exp is not None and direct._exp is None
+    assert [direct.exp(i) for i in range(0, small.n, 997)] == small._exp[::997]
+
+
+def _digit_route(F: FieldContext) -> FieldContext:
+    """F rebuilt by the constructor at every level, so no level has tables."""
+    return FieldContext(F.p, None if F.base is None else _digit_route(F.base), F.m, F.modulus)
 
 
 def test_every_builtin_modulus_is_primitive():
     # alpha = class of x must have order exactly q^m - 1
-    for (q, m), _mod in sorted(_EXT_MODULI.items()):
-        F = field_make(q, m, table_cap=1)  # force polynomial arithmetic
+    for (q, m), modulus in sorted(_EXT_MODULI.items()):
+        base = field_make(q, 1).base  # GF(q), with tables
+        F = FieldContext(base.p, base, m, modulus)  # no tables: the digit route
         n = F.n
         assert F.pow(F.alpha, n) == 1, (q, m)
         for r in factorize(n):
@@ -79,8 +96,9 @@ ROUTE_FIELDS = sorted(
 
 @pytest.mark.parametrize("q,m", ROUTE_FIELDS)
 def test_table_route_equals_digit_route(q, m):
-    table, digit = field_make(q, m), field_make(q, m, table_cap=1)
-    assert table._zech is not None and digit._zech is None
+    table = field_make(q, m)
+    digit = _digit_route(table)
+    assert table._zech is not None and digit._zech is None and digit.base._zech is None
     if table.order <= 1 << 8:
         pairs = [(x, y) for x in range(table.order) for y in range(table.order)]
     else:
@@ -225,7 +243,6 @@ def test_polynomial_type():
     assert Polynomial(()).degree == -1
     with pytest.raises(ParameterError):
         Polynomial((1, 0))
-    assert str(Polynomial((2, 1))) == "2 + x"
 
 
 def test_poly_divmod_round_trip():
