@@ -331,6 +331,8 @@ class FieldContext:
 
     def pow(self, x: int, k: int) -> int:
         """x^k for k >= 0."""
+        if k < 0:
+            raise ParameterError(f"exponent {k} is negative; use inv for inverses")
         if self._exp is not None and x != 0:
             return self._exp[(self._log[x] * k) % self.n]
         r = 1
@@ -351,6 +353,11 @@ class FieldContext:
         """Discrete log to base alpha, read from the table."""
         if x == 0:
             raise ValueError("zero has no discrete log")
+        if self._log is None:
+            raise ResourceLimitError(
+                f"GF({self.q}^{self.m}) has no log table: field_make tables only "
+                f"fields of order <= TABLE_CAP = {TABLE_CAP}"
+            )
         return self._log[x]
 
     # -- construction helpers ---------------------------------------------

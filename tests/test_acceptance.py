@@ -39,7 +39,10 @@ from cyclocode.oracle import (
     brute_class_census,
     brute_dimension,
     brute_max_prefix,
+    code_rows,
     dual_min_distance,
+    macwilliams,
+    weight_distribution,
 )
 
 GRID_QS = (2, 3, 4, 5)
@@ -378,14 +381,15 @@ EXACT_DISTANCE_INSTANCES = [
 
 @dataclass
 class DualDistances:
-    """Both dual distances of one instance, with the dual dimensions the
-    test expects the oracle to walk: |T| - 1 for the cyclic dual and |T|
-    for the extended dual."""
+    """Both dual distances of one instance, with the dimensions of the sides
+    the oracle may walk: |T| - 1 for the cyclic dual, |T| for the extended
+    dual, and n - |T| + 1 for either primal code."""
 
     cyclic: DistanceResult
     extended: DistanceResult
     k_cyclic: int
     k_extended: int
+    k_primal: int
 
 
 @pytest.fixture(scope="session")
@@ -401,23 +405,34 @@ def exact_dual_distances() -> dict[tuple[int, ...], DualDistances]:
             codewords = p.q**k - 1
             assert codewords <= DEFAULT_DISTANCE_BUDGET, (tup, extended, k)
             results.append(dual_min_distance(field, T, budget=codewords, extended=extended))
-        out[tup] = DualDistances(*results, k_cyclic, k_extended)
+        out[tup] = DualDistances(*results, k_cyclic, k_extended, field.n - k_cyclic)
     return out
 
 
-def _exact_value(tup: tuple[int, ...], res: DistanceResult, k: int) -> int:
+def _exact_value(tup: tuple[int, ...], dd: DualDistances, extended: bool) -> int:
     """The distance, once the enumeration is shown to be exhaustive over
-    all q^k - 1 nonzero codewords of a k-dimensional dual."""
+    all q^k - 1 nonzero codewords of the side its route names: the
+    k-dimensional dual, or the smaller primal code whose weight distribution
+    the MacWilliams identities turn into the dual's."""
+    res = dd.extended if extended else dd.cyclic
+    k_dual = dd.k_extended if extended else dd.k_cyclic
+    if res.route == "macwilliams":
+        k = dd.k_primal
+        assert k < k_dual, (tup, extended, k)
+    else:
+        assert res.route == "dual-enumeration", (tup, res.route)
+        k = k_dual
     codewords = tup[0] ** k - 1
     assert res.kind == "exact" and res.enumerated == codewords, (
-        f"{tup}: kind={res.kind}, enumerated={res.enumerated}, q^k-1={codewords}"
+        f"{tup}: kind={res.kind}, route={res.route}, enumerated={res.enumerated}, "
+        f"q^k-1={codewords}"
     )
     return res.value
 
 
 def test_criterion_09_distance_bound_soundness(exact_dual_distances):
     for tup, dd in exact_dual_distances.items():
-        d_cyc = _exact_value(tup, dd.cyclic, dd.k_cyclic)
+        d_cyc = _exact_value(tup, dd, False)
         p = CodeParams(*tup)
         cert = build_certificate(p)
         result = verify_certificate(cert, p)
@@ -427,8 +442,8 @@ def test_criterion_09_distance_bound_soundness(exact_dual_distances):
         )
     # the mandated [15, 8] instance, exhaustively enumerated
     dd = exact_dual_distances[(2, 4, 2, 1, 1)]
-    d_cyc = _exact_value((2, 4, 2, 1, 1), dd.cyclic, dd.k_cyclic)
-    d_ext = _exact_value((2, 4, 2, 1, 1), dd.extended, dd.k_extended)
+    d_cyc = _exact_value((2, 4, 2, 1, 1), dd, False)
+    d_ext = _exact_value((2, 4, 2, 1, 1), dd, True)
     assert d_cyc == d_ext == 4
     p = CodeParams(2, 4, 2, 1, 1)
     assert verify_certificate(build_certificate(p), p).certified_bound == 4
@@ -474,6 +489,73 @@ def test_criterion_10_affine_invariance(counting_sweep):
 
 def test_criterion_11_extended_equals_cyclic_dual_distance(exact_dual_distances):
     for tup, dd in exact_dual_distances.items():
-        d_cyc = _exact_value(tup, dd.cyclic, dd.k_cyclic)
-        d_ext = _exact_value(tup, dd.extended, dd.k_extended)
+        d_cyc = _exact_value(tup, dd, False)
+        d_ext = _exact_value(tup, dd, True)
         assert d_cyc == d_ext, f"{tup}: cyclic {d_cyc} != extended {d_ext}"
+
+
+def test_criterion_11_both_routes_give_one_dual_distribution():
+    """Whole weight distributions, not only d: wherever both sides fit the
+    budget, the dual's enumerated distribution equals the MacWilliams
+    transform of the primal's.  Where the primal has too many codewords to
+    walk (up to 3^76), the transform of the dual's distribution must still
+    be the distribution of a q^k-word code: integral, with one zero word."""
+    compared = []
+    for tup in EXACT_DISTANCE_INSTANCES:
+        q = tup[0]
+        field = field_make(q, tup[1])
+        T = build_T(CodeParams(*tup))
+        for extended in (False, True):
+            primal, dual = code_rows(field, T, extended)
+            length = len(dual[0])
+            B, steps = weight_distribution(field, dual)
+            assert steps == q ** len(dual) - 1, (tup, extended)
+            B = {0: 1, **B}
+            if q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
+                A, steps = weight_distribution(field, primal)
+                assert steps == q ** len(primal) - 1, (tup, extended)
+                assert macwilliams(q, length, {0: 1, **A}) == B, (tup, extended)
+                assert macwilliams(q, length, B) == {0: 1, **A}, (tup, extended)
+                compared.append(tup)
+            else:
+                A = macwilliams(q, length, B)
+                assert A[0] == 1 and sum(A.values()) == q ** len(primal), (tup, extended)
+    # every instance but (2,5,4,1,1) and the six with q = 3, m >= 3
+    assert len(compared) == 2 * 11
+
+
+# --------------------------------------------------------------------------
+# case-8 verdicts: exact dual distances against the stated and certified bounds
+# --------------------------------------------------------------------------
+
+CASE8_VERDICTS = [
+    # (q, m, t, a, b), case, exact d, stated bound, certified Roos bound, verdict
+    # q = 2, t = 1: T is all of [0, n), the primal is the repetition code
+    # and d = 2 < 3, so the case-8 form q^(t+1) - q + 1 is refuted there
+    ((2, 4, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    ((2, 5, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    ((2, 6, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    ((2, 7, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    ((2, 8, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    # sound but not tight, and the certificate is 2 short of d
+    ((2, 6, 2, 1, 1), "case8", 8, 7, 6, "sound"),
+    # a case-9 neighbour for contrast
+    ((2, 5, 2, 1, 1), "case9", 6, 5, 5, "sound"),
+]
+
+
+@pytest.mark.parametrize(
+    "tup,case,d,stated,certified,verdict", CASE8_VERDICTS, ids=[str(v[0]) for v in CASE8_VERDICTS]
+)
+def test_case8_verdicts_from_exact_distances(tup, case, d, stated, certified, verdict):
+    p = CodeParams(*tup)
+    field = field_make(p.q, p.m)
+    T = build_T(p)
+    for extended in (False, True):
+        res = dual_min_distance(field, T, extended=extended)
+        assert (res.kind, res.route, res.value) == ("exact", "macwilliams", d), (tup, res)
+    assert classify_case(p) == case
+    assert stated_bound(p) == stated
+    result = verify_certificate(build_certificate(p), p)
+    assert result.passed and result.certified_bound == certified <= d
+    assert ("refuted" if d < stated else "sound") == verdict

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from cyclocode.cosets import coset_of, union_cosets
-from cyclocode.errors import ParameterError, ResourceLimitError
+from cyclocode.errors import CyclocodeError, ParameterError, ResourceLimitError
 from cyclocode.galois import (
     _EXT_MODULI,
     SUPPORTED_Q,
@@ -130,6 +130,23 @@ def test_exp_log_round_trip():
             assert F.exp(F.log(x)) == x
         for i in range(F.n):
             assert F.log(F.exp(i)) == i
+
+
+def test_pow_rejects_negative_exponent_on_both_routes():
+    tabled = field_make(3, 4)
+    digit = field_make(5, 9)  # above TABLE_CAP: the square-and-multiply route
+    assert tabled._exp is not None and digit._exp is None
+    for F in (tabled, digit):
+        with pytest.raises(ParameterError):
+            F.pow(3, -1)
+        assert F.mul(F.pow(3, F.n - 1), 3) == 1  # the inverse, by a valid exponent
+
+
+def test_log_without_tables_is_a_typed_error():
+    F = field_make(5, 9)
+    with pytest.raises(ResourceLimitError, match="TABLE_CAP"):
+        F.log(3)
+    assert issubclass(ResourceLimitError, CyclocodeError)
 
 
 def test_frobenius_power_is_identity_after_m_steps():

@@ -1,4 +1,7 @@
 import ast
+from collections import Counter
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -8,15 +11,20 @@ import cyclocode
 from cyclocode.cosets import DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
 from cyclocode.defsets import build_T, dual_set, dual_set_pattern
-from cyclocode.errors import ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError
 from cyclocode.galois import field_make
 from cyclocode.oracle import (
+    _TABLE_ROWS,
+    _histogram_odometer,
     affine_invariance_probe,
     brute_T,
     brute_class_census,
     brute_dimension,
     brute_max_prefix,
+    code_rows,
     dual_min_distance,
+    macwilliams,
+    weight_distribution,
 )
 
 T_LISTING_3_4_1_2_1 = [
@@ -66,27 +74,39 @@ def test_brute_dimension_examples():
 
 def test_dual_min_distance_examples():
     F = field_make(2, 4)
-    # repetition code: dual is the even-weight code
+    # repetition code: dual is the even-weight code, read off the primal's
+    # single nonzero codeword by the MacWilliams identities
     res = dual_min_distance(F, build_T(CodeParams(2, 4, 1, 1, 1)))
-    assert (res.kind, res.value) == ("exact", 2)
-    assert res.enumerated == 2**14 - 1
+    assert (res.kind, res.value, res.route) == ("exact", 2, "macwilliams")
+    assert res.enumerated == 2**1 - 1
+    assert res.count == 15 * 14 // 2  # every weight-2 word is even
     # the [15, 7] double-error-correcting code: dual distance 4
     T = build_T(CodeParams(2, 4, 2, 1, 1))
     res = dual_min_distance(F, T)
     assert (res.kind, res.value) == ("exact", 4)
     ext = dual_min_distance(F, T, extended=True)
     assert (ext.kind, ext.value) == ("exact", 4)
+    # (2,4,3,1,1): dual dimension 4 against primal 11, so the dual is walked
+    res = dual_min_distance(F, build_T(CodeParams(2, 4, 3, 1, 1)))
+    assert (res.kind, res.value, res.route) == ("exact", 8, "dual-enumeration")
+    assert res.enumerated == 2**4 - 1 and res.count == 15  # the simplex code
 
 
 def test_dual_min_distance_budget():
     F = field_make(2, 4)
     T = build_T(CodeParams(2, 4, 1, 1, 1))
+    # the primal has one nonzero codeword, well inside the budget
     res = dual_min_distance(F, T, budget=100)
-    assert res.kind == "budget-exhausted"
-    assert res.enumerated == 100 and res.value >= 2
+    assert (res.kind, res.value, res.route, res.enumerated) == ("exact", 2, "macwilliams", 1)
+    # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100
+    res = dual_min_distance(F, build_T(CodeParams(2, 4, 2, 1, 1)), budget=100)
+    assert (res.kind, res.route) == ("budget-exhausted", "dual-enumeration")
+    assert res.enumerated == 100 and res.value >= 4
     F3 = field_make(3, 3)
     res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)), budget=50)
     assert res.kind == "budget-exhausted" and res.enumerated == 50
+    with pytest.raises(ParameterError):
+        dual_min_distance(F, T, budget=0)
 
 
 def test_dual_min_distance_nonbinary():
@@ -96,6 +116,97 @@ def test_dual_min_distance_nonbinary():
     assert res.kind == "exact" and res.enumerated == 3**6 - 1
     ext = dual_min_distance(F, T, extended=True)
     assert ext.kind == "exact" and ext.value == res.value
+
+
+def _brute_distribution(field, rows):
+    """Weight histogram of every nonzero combination of rows, one
+    coefficient vector at a time: the reference for every kernel."""
+    base = field.base
+    hist = Counter()
+    for coefs in product(range(field.q), repeat=len(rows)):
+        word = [0] * len(rows[0])
+        for c, row in zip(coefs, rows):
+            word = [base.add(w, base.mul(c, x)) for w, x in zip(word, row)]
+        hist[len(word) - word.count(0)] += 1
+    hist[0] -= 1
+    return {w: c for w, c in hist.items() if c}
+
+
+# q = 4 checks that the odometer reaches every GF(4) multiple of a row,
+# not only the sums of copies of it
+@pytest.mark.parametrize("q,m,t,a,b", [
+    (2, 4, 2, 1, 1), (2, 5, 3, 1, 1), (3, 2, 1, 2, 2), (3, 3, 2, 2, 1), (4, 2, 1, 3, 1),
+    (5, 2, 1, 4, 2),
+])
+def test_histogram_kernels_match_brute_force(q, m, t, a, b):
+    F = field_make(q, m)
+    for extended in (False, True):
+        primal, dual = code_rows(F, build_T(CodeParams(q, m, t, a, b)), extended)
+        for rows in (primal, dual):
+            if q ** len(rows) > 3000:
+                continue
+            expect = _brute_distribution(F, rows)
+            hist, steps = weight_distribution(F, rows)
+            assert (hist, steps) == (expect, q ** len(rows) - 1)
+            # past the table of low-row combinations, the odometer agrees too
+            assert _histogram_odometer(F, rows, steps + 1) == Counter({0: 1, **expect})
+            # a budget caps the count of nonzero codewords exactly
+            part, covered = weight_distribution(F, rows, budget=steps // 2 + 1)
+            assert covered == steps // 2 + 1 == sum(part.values())
+
+
+def test_gf2_and_gf3_kernels_span_several_blocks():
+    # more rows than the table holds, so the high-row walk takes several
+    # steps, and a budget that ends inside a block truncates it exactly
+    for q, m, t in [(2, 4, 2), (3, 3, 1)]:
+        F = field_make(q, m)
+        _, dual = code_rows(F, build_T(CodeParams(q, m, t, 1, 1)), extended=True)
+        assert len(dual) > _TABLE_ROWS[q]
+        for budget in (q ** len(dual) - 1, q ** _TABLE_ROWS[q] + 7):
+            hist, steps = weight_distribution(F, dual, budget)
+            assert steps == budget
+            assert Counter({0: 1, **hist}) == _histogram_odometer(F, dual, steps + 1)
+
+
+def _krawtchouk(j, i, length, q):
+    return sum((-1) ** s * comb(i, s) * comb(length - i, j - s) * (q - 1) ** (j - s)
+               for s in range(j + 1))
+
+
+def test_macwilliams_examples():
+    hamming = {0: 1, 3: 7, 4: 7, 7: 1}
+    simplex = {0: 1, 4: 7}
+    assert macwilliams(2, 7, hamming) == simplex
+    assert macwilliams(2, 7, simplex) == hamming
+    assert macwilliams(3, 4, {0: 1, 3: 8}) == {0: 1, 3: 8}  # the self-dual [4, 2, 3]
+
+
+@pytest.mark.parametrize("q,m,t,a,b", [(2, 4, 2, 1, 1), (3, 2, 1, 2, 2)])
+def test_macwilliams_recurrence_equals_krawtchouk_definition(q, m, t, a, b):
+    F = field_make(q, m)
+    primal, dual = code_rows(F, build_T(CodeParams(q, m, t, a, b)), extended=True)
+    length = len(dual[0])
+    A = {0: 1, **_brute_distribution(F, primal)}
+    size = q ** len(primal)
+    sums = [sum(c * _krawtchouk(j, i, length, q) for i, c in A.items())
+            for j in range(length + 1)]
+    assert all(s % size == 0 for s in sums)
+    expect = {j: s // size for j, s in enumerate(sums) if s}
+    assert macwilliams(q, length, A) == expect == {0: 1, **_brute_distribution(F, dual)}
+
+
+@pytest.mark.parametrize("A,reason", [
+    # one weight-3 word of the [7, 4] Hamming code moved to weight 4
+    ({0: 1, 3: 6, 4: 8, 7: 1}, "sum at weight 1 is -2"),
+    # the weight-7 word moved to weight 4: the sums are not multiples of 16
+    ({0: 1, 3: 7, 4: 8}, "sum at weight 1 is 6"),
+    ({0: 1, 3: 7, 4: 7}, "15 is not a power of 2"),
+    # sixteen zero words: every sum divides, but the dual totals 2^7
+    ({0: 16}, "dual weights sum to 128, not 2\\^3"),
+])
+def test_macwilliams_rejects_a_corrupted_distribution(A, reason):
+    with pytest.raises(ConsistencyError, match=reason):
+        macwilliams(2, 7, A)
 
 
 def test_dual_min_distance_rejects_mismatched_field():
@@ -135,10 +246,20 @@ def test_dual_distance_agrees_with_reflection_route():
 
 
 def _imported_modules(module: str) -> set[str]:
-    """Every module name the source of cyclocode.<module> imports."""
+    """Every module name the source of cyclocode.<module> imports at run
+    time; imports under ``if TYPE_CHECKING:`` serve annotations only."""
     tree = ast.parse((Path(cyclocode.__file__).parent / f"{module}.py").read_text())
+    typing_only = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and getattr(block.test, "id", None) == "TYPE_CHECKING"
+        for stmt in block.body
+        for node in ast.walk(stmt)
+    }
     names = set()
     for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -147,11 +268,17 @@ def _imported_modules(module: str) -> set[str]:
     return names
 
 
-def _imports_kernel(module: str) -> bool:
-    return any("defsets" in name.split(".") for name in _imported_modules(module))
+def _imports(module: str, target: str) -> bool:
+    return any(target in name.split(".") for name in _imported_modules(module))
 
 
 @pytest.mark.parametrize("module", ["oracle", "qadic"])
 def test_oracles_do_not_import_the_mask_kernel(module):
-    assert _imports_kernel("bounds")  # the check sees the kernel where it is
-    assert not _imports_kernel(module)
+    assert _imports("bounds", "defsets")  # the check sees the kernel where it is
+    assert not _imports(module, "defsets")
+
+
+@pytest.mark.parametrize("module", ["oracle", "qadic"])
+def test_oracles_do_not_import_the_closed_forms(module):
+    assert _imports("bounds", "counting")
+    assert not _imports(module, "counting")
