@@ -4,12 +4,15 @@ exhaustive code-level verification on instances small enough to enumerate.
 Nothing here reuses a closed-form path it is meant to check: the defining
 set is rebuilt from its definition (descendants of word rotations), the
 occurrence-class sizes are re-counted by scanning every digit word whose
-digits are all <= a, dimensions come from generator-polynomial degrees, and
-dual minimum distances come from an exhaustive weight distribution of
-whichever side has fewer codewords: the dual itself, or the primal code,
-whose distribution the MacWilliams identities turn into the dual's exactly.
-The GF(2) and GF(3) walks count weights by popcount over bit masks, a
-table of low-row combinations at a time; other q add one row per step.
+digits are all <= a, and dimensions come from generator-polynomial degrees.
+Dual minimum distances come from an exhaustive weight distribution of
+whichever side has fewer codewords when one fits the budget: the dual
+itself, or the primal code, whose distribution the MacWilliams identities
+turn into the dual's exactly.  When neither fits, the Brouwer-Zimmermann
+algorithm bounds the dual's minimum weight from below over successive
+information sets until the lightest codeword found meets the bound.  Every
+walk weighs codewords by popcount: over GF(2) of bit masks, over other
+fields of one-hot words, a table of combinations of rows at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
+from operator import xor
 from typing import TYPE_CHECKING, Mapping
 
 from .cosets import DefiningSet, _check_cap
@@ -36,6 +40,7 @@ __all__ = [
     "code_rows",
     "dual_min_distance",
     "macwilliams",
+    "minimum_weight",
     "weight_distribution",
     "affine_invariance_probe",
     "brute_max_prefix",
@@ -99,19 +104,24 @@ def brute_dimension(field: FieldContext, D: DefiningSet) -> int:
 class DistanceResult:
     """Result of a minimum-weight search.
 
-    kind is "exact" only when every nonzero codeword of the enumerated side
-    was covered; "budget-exhausted" reports the best (smallest) weight seen,
-    which is only an upper bound on the true minimum.  route names the side
-    walked: "dual-enumeration" walks the dual itself, "macwilliams" walks the
-    primal code and transforms its weight distribution.  count is the number
-    of codewords of weight value (among those seen, when budget-exhausted).
+    kind is "exact" when the value is established: every nonzero codeword
+    of the side walked was covered, or the Brouwer-Zimmermann lower bound
+    met the lightest codeword found.  "budget-exhausted" reports the
+    smallest weight seen, which is only an upper bound on the true minimum.
+    route names the method: "dual-enumeration" walks the dual itself,
+    "macwilliams" walks the primal code and transforms its weight
+    distribution, and "brouwer-zimmermann" runs minimum_weight on the dual
+    rows.  enumerated counts the codewords generated, never more than the
+    budget.  count is the number of codewords of weight value on the two
+    exhaustive routes, and None on "brouwer-zimmermann", which does not
+    establish it.
     """
 
     kind: str
     value: int
     enumerated: int
     route: str
-    count: int
+    count: int | None
 
 
 def code_rows(
@@ -155,9 +165,126 @@ def _extend_rows(field: FieldContext, rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-# The GF(2) and GF(3) kernels tabulate every combination of this many low
-# rows and walk the remaining rows one block of the table at a time.
-_TABLE_ROWS = {2: 8, 3: 5}
+# The walks tabulate every combination of as many low rows as fit this many
+# words, and weigh each further word against the whole table at once.
+_TABLE_WORDS = 256
+
+
+def _table_rows(q: int, k: int) -> int:
+    """How many of k rows the walks tabulate: q^rows <= _TABLE_WORDS."""
+    low = 0
+    while low < k and q ** (low + 1) <= _TABLE_WORDS:
+        low += 1
+    return low
+
+
+def _mask(row: list[int], value: int) -> int:
+    """The coordinates of row equal to value, as a bit mask."""
+    return sum(1 << j for j, c in enumerate(row) if c == value)
+
+
+def _gf3_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Sum of two GF(3) words held as bitplanes (P, M): P marks the
+    coordinates equal to 1 and M those equal to 2 (Boothby & Bradshaw)."""
+    t = (x[0] | y[1]) ^ (x[1] | y[0])
+    return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
+
+
+def _field_tables(field: FieldContext) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """Addition, multiplication and negation tables of GF(field.q)."""
+    base, q = field.base, field.q
+    return ([[base.add(x, y) for y in range(q)] for x in range(q)],
+            [[base.mul(c, x) for x in range(q)] for c in range(q)],
+            [base.neg(x) for x in range(q)])
+
+
+class _GF2Words:
+    """Words of length n as the walks hold them, and how they are weighed.
+
+    Each word class has zero, add, multiples(row) (c times the row for
+    every encoding c, zero first), key, negkey and shift, such that
+    popcount(key(c) ^ negkey(t)) is weight(c + t) << shift.  Over GF(2) a
+    word is a bit mask, and key and negkey are the mask itself.
+    """
+
+    zero, shift, add = 0, 0, xor
+    key = negkey = int  # the identity on masks, without a Python call
+
+    @staticmethod
+    def multiples(row: list[int]) -> list[int]:
+        return [0, _mask(row, 1)]
+
+
+class _GF3Words:
+    """GF(3) words as two bitplanes (P, M), where 2 times a word swaps its
+    planes, weighed by their one-hot forms as in _OneHotWords: three n-bit
+    planes marking the coordinates equal to 0, to 1 (P) and to 2 (M)."""
+
+    zero, shift, add = (0, 0), 1, staticmethod(_gf3_add)
+
+    def __init__(self, n: int):
+        self.n, self.ones = n, (1 << n) - 1
+
+    @staticmethod
+    def multiples(row: list[int]) -> list[tuple[int, int]]:
+        p, m = _mask(row, 1), _mask(row, 2)
+        return [(0, 0), (p, m), (m, p)]
+
+    def key(self, w: tuple[int, int]) -> int:
+        p, m = w
+        return (self.ones ^ (p | m)) | p << self.n | m << 2 * self.n
+
+    def negkey(self, w: tuple[int, int]) -> int:
+        p, m = w
+        return (self.ones ^ (p | m)) | m << self.n | p << 2 * self.n
+
+
+class _OneHotWords:
+    """Words over any other GF(q) as lists of field encodings, added through
+    a q-by-q table and weighed by their one-hot forms: q planes of n bits,
+    plane x marking the coordinates equal to x.  The one-hot words of c and
+    of -t agree at a coordinate exactly when c + t is 0 there and differ in
+    two bits otherwise, so the shift is 1.  A plane is read off the word's
+    encodings as bytes, translated to binary digits."""
+
+    shift = 1
+
+    def __init__(self, field: FieldContext, n: int):
+        self.n, self.zero = n, [0] * n
+        self._sum, self._mul, neg = _field_tables(field)
+        values = bytes(range(field.q))
+
+        def planes(image) -> list[bytes]:
+            # plane x: the digit 1 for the encodings whose image is x
+            return [bytes.maketrans(values, bytes(b"01"[image[v] == x] for v in values))
+                    for x in values]
+
+        self._planes, self._negplanes = planes(values), planes(neg)
+
+    def add(self, x: list[int], y: list[int]) -> list[int]:
+        return [self._sum[a][b] for a, b in zip(x, y)]
+
+    def multiples(self, row: list[int]) -> list[list[int]]:
+        return [[mc[x] for x in row] for mc in self._mul]
+
+    def _onehot(self, w: list[int], planes: list[bytes]) -> int:
+        digits = b"0" + bytes(reversed(w))
+        return sum(int(digits.translate(p), 2) << x * self.n for x, p in enumerate(planes))
+
+    def key(self, w: list[int]) -> int:
+        return self._onehot(w, self._planes)
+
+    def negkey(self, w: list[int]) -> int:
+        return self._onehot(w, self._negplanes)
+
+
+def _words(field: FieldContext, n: int):
+    """The word class of field.q for words of length n."""
+    if field.q == 2:
+        return _GF2Words()
+    if field.q == 3:
+        return _GF3Words(n)
+    return _OneHotWords(field, n)
 
 
 def _blocks(table: list[int], count: int, high_words):
@@ -169,36 +296,6 @@ def _blocks(table: list[int], count: int, high_words):
         yield next(high_words), table
     if rest:
         yield next(high_words), table[:rest]
-
-
-def _gray_masks(masks: list[int]):
-    """Every GF(2) combination of masks, zero first, one XOR a step."""
-    cw = 0
-    yield cw
-    for idx in range(1, 1 << len(masks)):
-        cw ^= masks[(idx & -idx).bit_length() - 1]
-        yield cw
-
-
-def _histogram_gf2(rows: list[list[int]], count: int) -> Counter:
-    """Weights of the first count codewords: a row is a bit mask, and the
-    weight of a word is the popcount of its mask."""
-    masks = [sum(1 << j for j, c in enumerate(row) if c) for row in rows]
-    low = _TABLE_ROWS[2]
-    table = [0]
-    for r in masks[:low]:
-        table += [t ^ r for t in table]
-    hist: Counter = Counter()
-    for cw, block in _blocks(table, count, _gray_masks(masks[low:])):
-        hist.update(map(int.bit_count, map(cw.__xor__, block)))
-    return hist
-
-
-def _gf3_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """Sum of two GF(3) words held as bitplanes (P, M): P marks the
-    coordinates equal to 1 and M those equal to 2 (Boothby & Bradshaw)."""
-    t = (x[0] | y[1]) ^ (x[1] | y[0])
-    return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
 
 
 def _odometer(deltas: list[list], add, zero):
@@ -221,59 +318,29 @@ def _odometer(deltas: list[list], add, zero):
         yield cw
 
 
-def _onehot(plus: int, minus: int, n: int) -> int:
-    """Three n-bit planes: the coordinates equal to 0, to 1 (plus) and to
-    2 (minus)."""
-    return (((1 << n) - 1) ^ (plus | minus)) | plus << n | minus << 2 * n
-
-
-def _histogram_gf3(rows: list[list[int]], count: int) -> Counter:
-    """Weights of the first count codewords, each held as two bitplanes.
-
-    The inner loop compares one-hot words.  Those of c and -t agree at a
-    coordinate exactly when c + t is 0 there and differ in two bits
-    otherwise, so the weight of c + t is popcount(onehot(c) ^ onehot(-t)) / 2.
-    """
-    n = len(rows[0]) if rows else 0
-    planes = [
-        (sum(1 << j for j, c in enumerate(row) if c == 1),
-         sum(1 << j for j, c in enumerate(row) if c == 2))
-        for row in rows
-    ]
-    low = _TABLE_ROWS[3]
-    words = [(0, 0)]
-    for r in planes[:low]:
-        once = [_gf3_add(w, r) for w in words]
-        words += once + [_gf3_add(w, r) for w in once]
-    table = [_onehot(m, p, n) for p, m in words]  # -t swaps the planes of t
-    # every GF(3) step adds 1, so each digit move adds the row itself
-    high_words = _odometer([[r] * 3 for r in planes[low:]], _gf3_add, (0, 0))
-    high = (_onehot(p, m, n) for p, m in high_words)
+def _histogram(field: FieldContext, rows: list[list[int]], count: int) -> Counter:
+    """Weights of the first count codewords in message order, digit 0
+    fastest: a table holds negkey of every combination of the low rows, and
+    the odometer walks the high rows, one key a block.  Moving a digit from
+    encoding c to the next adds (next - c) times its row, so every GF(q)
+    multiple is reached even when q is not prime."""
+    q, sub = field.q, field.base.sub
+    words = _words(field, len(rows[0]) if rows else 0)
+    multiples = [words.multiples(row) for row in rows]
+    low = _table_rows(q, len(rows))
+    table = [words.zero]
+    for ms in multiples[:low]:
+        table += [words.add(t, m) for m in ms[1:] for t in table]
+    table = list(map(words.negkey, table))
+    steps = [sub((c + 1) % q, c) for c in range(q)]
+    deltas = [[ms[s] for s in steps] for ms in multiples[low:]]
+    high = map(words.key, _odometer(deltas, words.add, words.zero))
     hist: Counter = Counter()
     for cw, block in _blocks(table, count, high):
         hist.update(map(int.bit_count, map(cw.__xor__, block)))
-    return Counter({w // 2: c for w, c in hist.items()})
-
-
-def _histogram_odometer(field: FieldContext, rows: list[list[int]], count: int) -> Counter:
-    """Weights of the first count codewords, one field vector a step.
-    Moving a digit from c to the next encoding adds (next - c) times its
-    row, so every GF(q) multiple is reached even when q is not prime."""
-    base, q = field.base, field.q
-    deltas = []
-    for row in rows:
-        steps = [[base.mul(base.sub((c + 1) % q, c), x) for x in row] for c in range(q)]
-        deltas.append([([j for j, x in enumerate(st) if x], st) for st in steps])
-
-    def add(cw: list[int], delta) -> list[int]:
-        # in place: each word is weighed before the walk moves on
-        support, step = delta
-        for j in support:
-            cw[j] = base.add(cw[j], step[j])
-        return cw
-
-    words = _odometer(deltas, add, [0] * (len(rows[0]) if rows else 0))
-    return Counter(len(w) - w.count(0) for w in islice(words, count))
+    if words.shift:
+        hist = Counter({w >> words.shift: c for w, c in hist.items()})
+    return hist
 
 
 def weight_distribution(
@@ -287,14 +354,8 @@ def weight_distribution(
     """
     if budget < 1:
         raise ParameterError("budget must be >= 1")
-    q = field.q
-    steps = min(q ** len(rows) - 1, budget)
-    if q == 2:
-        hist = _histogram_gf2(rows, steps + 1)
-    elif q == 3:
-        hist = _histogram_gf3(rows, steps + 1)
-    else:
-        hist = _histogram_odometer(field, rows, steps + 1)
+    steps = min(field.q ** len(rows) - 1, budget)
+    hist = _histogram(field, rows, steps + 1)
     # the zero word is the walk's first and, the rows being independent, only
     if hist[0] != 1:
         raise ConsistencyError(f"{hist[0]} zero codewords: the rows are dependent")
@@ -339,23 +400,157 @@ def macwilliams(q: int, length: int, A: Mapping[int, int]) -> dict[int, int]:
     return B
 
 
+def _information_sets(field: FieldContext, rows: list[list[int]]) -> list[tuple[list[list[int]], int]]:
+    """Systematic generator matrices of the code spanned by rows, on
+    successive information sets, each with r, its number of pivot columns
+    that no earlier set used.  Gauss-Jordan elimination over GF(q) takes
+    its pivots among the unused columns first, and the sets stop when no
+    unused column is left to pivot on."""
+    k, n = len(rows), len(rows[0])
+    sums, mul, neg = _field_tables(field)
+    used = [False] * n
+    out = []
+    while True:
+        mat = [list(r) for r in rows]
+        pivots: list[int] = []
+        for col in sorted(range(n), key=used.__getitem__):
+            top = len(pivots)
+            found = next((i for i in range(top, k) if mat[i][col]), None)
+            if found is None:
+                continue
+            mat[top], mat[found] = mat[found], mat[top]
+            lead = mul[field.base.inv(mat[top][col])]
+            pivot = mat[top] = [lead[x] for x in mat[top]]
+            for i, row in enumerate(mat):
+                if i != top and row[col]:
+                    f = mul[neg[row[col]]]
+                    mat[i] = [sums[x][f[y]] for x, y in zip(row, pivot)]
+            pivots.append(col)
+            if len(pivots) == k:
+                break
+        if len(pivots) < k:
+            raise ConsistencyError(f"rank {len(pivots)} < {k}: the rows are dependent")
+        r = sum(not used[c] for c in pivots)
+        if not r:
+            return out
+        out.append((mat, r))
+        for c in pivots:
+            used[c] = True
+
+
+def _suffix_table(words, multiples: list[list], depth: int) -> tuple[list[int], list[int]]:
+    """negkey of every sum of exactly depth (at most 2) rows with nonzero
+    coefficients, grouped by first row, and offsets: the sums whose rows
+    all come at or after row s start at offsets[s]."""
+    k = len(multiples)
+    if depth == 0:
+        return [words.negkey(words.zero)], [0] * (k + 1)
+    table: list[int] = []
+    offsets = []
+    for a in range(k):
+        offsets.append(len(table))
+        tails = [words.zero] if depth == 1 else [m for ms in multiples[a + 1:] for m in ms[1:]]
+        table += [words.negkey(words.add(h, t)) for h in multiples[a][1:] for t in tails]
+    offsets.append(len(table))
+    return table, offsets
+
+
+def _prefixes(words, multiples: list[list], count: int, stop: int):
+    """(sum, index after its last row) for every choice of count >= 1 rows
+    among the first stop, depth first, the first row with coefficient 1 and
+    the others with every nonzero coefficient."""
+
+    def grow(acc, start: int, left: int, coefficients: slice):
+        for i in range(start, stop - left + 1):
+            for m in multiples[i][coefficients]:
+                if left == 1:
+                    yield words.add(acc, m), i + 1
+                else:
+                    yield from grow(words.add(acc, m), i + 1, left - 1, slice(1, None))
+
+    return grow(words.zero, 0, count, slice(1, 2))
+
+
+def minimum_weight(
+    field: FieldContext, rows: list[list[int]], budget: int = DEFAULT_DISTANCE_BUDGET
+) -> DistanceResult:
+    """Minimum nonzero weight of the code spanned by the linearly
+    independent rows over GF(field.q), by the Brouwer-Zimmermann algorithm
+    (Zimmermann 1996; Grassl 2006).
+
+    Each systematic generator matrix of _information_sets walks level
+    w = 1, 2, ...: every combination of exactly w of its rows, with the
+    leading coefficient 1.  A codeword not yet generated has more than w
+    nonzeros on the information set of every matrix whose level w is
+    done, so more than w - (k - r) on that set's r new columns, which no
+    two sets share.  Its weight is therefore at least
+    sum_j max(0, w_j + 1 - (k - r_j)) over the levels w_j done, and the
+    walk stops as soon as the lightest codeword generated is that light:
+    kind "exact".  A matrix joins the walk at the first level where it adds
+    to that sum.  After budget codewords the walk stops with kind
+    "budget-exhausted", and value is then only an upper bound.
+
+    Level w takes prefixes of w - 2 rows depth first and weighs each
+    against a table of every pair of later rows (levels 1 and 2 take
+    prefixes of one row), so memory stays at the table.  The route is
+    "brouwer-zimmermann" and count is None: the walk does not establish
+    how many codewords have the minimum weight.
+    """
+    if budget < 1:
+        raise ParameterError("budget must be >= 1")
+    if not rows:
+        raise ParameterError("no rows: the code has no nonzero codeword")
+    k, n = len(rows), len(rows[0])
+    route = "brouwer-zimmermann"
+    words = _words(field, n)
+    mats = [([words.multiples(row) for row in mat], r) for mat, r in _information_sets(field, rows)]
+    tables: list[dict] = [{} for _ in mats]
+    done = [0] * len(mats)
+    best, left = n, budget
+    heaviest = n << words.shift
+    for w in range(1, k + 1):
+        for j, (multiples, r) in enumerate(mats):
+            if w < k - r:
+                continue  # this matrix adds nothing to the bound yet
+            while done[j] < w:
+                done[j] += 1
+                depth = min(2, done[j] - 1)
+                if depth not in tables[j]:
+                    tables[j][depth] = _suffix_table(words, multiples, depth)
+                table, offsets = tables[j][depth]
+                for acc, after in _prefixes(words, multiples, done[j] - depth, k - depth):
+                    start, key = offsets[after], words.key(acc)
+                    weights = map(int.bit_count, map(key.__xor__, table[start:start + left]))
+                    best = min(best, min(weights, default=heaviest) >> words.shift)
+                    if start + left < len(table):  # the budget ends inside this block
+                        return DistanceResult("budget-exhausted", best, budget, route, None)
+                    left -= len(table) - start
+            bound = sum(max(0, d + 1 - (k - r)) for d, (_, r) in zip(done, mats))
+            if best <= bound:
+                return DistanceResult("exact", best, budget - left, route, None)
+    # the first matrix has walked every level: every codeword was generated
+    return DistanceResult("exact", best, budget - left, route, None)
+
+
 def dual_min_distance(
     field: FieldContext,
     D: DefiningSet,
     budget: int = DEFAULT_DISTANCE_BUDGET,
     extended: bool = False,
 ) -> DistanceResult:
-    """Minimum nonzero weight of the dual code, from an exact weight
-    distribution of whichever side has fewer codewords.
+    """Minimum nonzero weight of the dual code, by the first of three routes
+    that applies.
 
     With extended=False the code is the cyclic one on [1, n-1] exponents of
     D; with extended=True it is the length-(n+1) extension (defining set
     including 0).  When the primal code has strictly fewer codewords than
     the dual and all q^k - 1 of its nonzero ones fit the budget, they are
     enumerated and the MacWilliams identities give the dual's distribution
-    (route "macwilliams"); otherwise the dual is walked (route
-    "dual-enumeration"), and a budget overrun downgrades the result to
-    "budget-exhausted" instead of returning a wrong exact value.
+    (route "macwilliams").  Otherwise, when the dual's nonzero codewords fit
+    the budget, the dual is walked (route "dual-enumeration").  Otherwise
+    minimum_weight runs Brouwer-Zimmermann on the dual rows (route
+    "brouwer-zimmermann"); only this route can end "budget-exhausted", and
+    it leaves count None.
     """
     primal, dual = code_rows(field, D, extended)
     if not dual:
@@ -365,13 +560,14 @@ def dual_min_distance(
         A, steps = weight_distribution(field, primal, budget)
         B = macwilliams(q, len(dual[0]), {0: 1, **A})
         del B[0]
-        kind, route = "exact", "macwilliams"
-    else:
+        route = "macwilliams"
+    elif q ** len(dual) - 1 <= budget:
         B, steps = weight_distribution(field, dual, budget)
-        kind = "exact" if steps == q ** len(dual) - 1 else "budget-exhausted"
         route = "dual-enumeration"
+    else:
+        return minimum_weight(field, dual, budget)
     value = min(B)
-    return DistanceResult(kind, value, steps, route, B[value])
+    return DistanceResult("exact", value, steps, route, B[value])
 
 
 def affine_invariance_probe(

@@ -42,6 +42,7 @@ from cyclocode.oracle import (
     code_rows,
     dual_min_distance,
     macwilliams,
+    minimum_weight,
     weight_distribution,
 )
 
@@ -449,6 +450,23 @@ def test_criterion_09_distance_bound_soundness(exact_dual_distances):
     assert verify_certificate(build_certificate(p), p).certified_bound == 4
 
 
+def test_criterion_09_brouwer_zimmermann_matches_exhaustive_routes(exact_dual_distances):
+    """minimum_weight on the dual rows gives every exhaustive route's d, and
+    a budget one codeword short of its own walk leaves an upper bound."""
+    for tup, dd in exact_dual_distances.items():
+        field = field_make(tup[0], tup[1])
+        T = build_T(CodeParams(*tup))
+        for extended in (False, True):
+            d = _exact_value(tup, dd, extended)
+            _, dual = code_rows(field, T, extended)
+            res = minimum_weight(field, dual)
+            assert (res.kind, res.value, res.route) == ("exact", d, "brouwer-zimmermann"), (tup, res)
+            if res.enumerated > 1:
+                short = minimum_weight(field, dual, budget=res.enumerated - 1)
+                assert short.kind == "budget-exhausted" and short.value >= d, (tup, short)
+                assert short.enumerated == res.enumerated - 1, (tup, short)
+
+
 # --------------------------------------------------------------------------
 # criterion 10: descendant closure and affine-invariance probes
 # --------------------------------------------------------------------------
@@ -529,31 +547,36 @@ def test_criterion_11_both_routes_give_one_dual_distribution():
 # --------------------------------------------------------------------------
 
 CASE8_VERDICTS = [
-    # (q, m, t, a, b), case, exact d, stated bound, certified Roos bound, verdict
+    # (q, m, t, a, b), case, exact d, stated bound, certified Roos bound, verdict,
+    # and the route that establishes d
     # q = 2, t = 1: T is all of [0, n), the primal is the repetition code
     # and d = 2 < 3, so the case-8 form q^(t+1) - q + 1 is refuted there
-    ((2, 4, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
-    ((2, 5, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
-    ((2, 6, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
-    ((2, 7, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
-    ((2, 8, 1, 1, 1), "case8", 2, 3, 2, "refuted"),
+    ((2, 4, 1, 1, 1), "case8", 2, 3, 2, "refuted", "macwilliams"),
+    ((2, 5, 1, 1, 1), "case8", 2, 3, 2, "refuted", "macwilliams"),
+    ((2, 6, 1, 1, 1), "case8", 2, 3, 2, "refuted", "macwilliams"),
+    ((2, 7, 1, 1, 1), "case8", 2, 3, 2, "refuted", "macwilliams"),
+    ((2, 8, 1, 1, 1), "case8", 2, 3, 2, "refuted", "macwilliams"),
     # sound but not tight, and the certificate is 2 short of d
-    ((2, 6, 2, 1, 1), "case8", 8, 7, 6, "sound"),
-    # a case-9 neighbour for contrast
-    ((2, 5, 2, 1, 1), "case9", 6, 5, 5, "sound"),
+    ((2, 6, 2, 1, 1), "case8", 8, 7, 6, "sound", "macwilliams"),
+    # case-9 neighbours for contrast; (2,6,3,1,1) has 2^39 primal and 2^24
+    # dual codewords, both over the budget
+    ((2, 5, 2, 1, 1), "case9", 6, 5, 5, "sound", "macwilliams"),
+    ((2, 6, 3, 1, 1), "case9", 14, 9, 9, "sound", "brouwer-zimmermann"),
 ]
 
 
 @pytest.mark.parametrize(
-    "tup,case,d,stated,certified,verdict", CASE8_VERDICTS, ids=[str(v[0]) for v in CASE8_VERDICTS]
+    "tup,case,d,stated,certified,verdict,route",
+    CASE8_VERDICTS,
+    ids=[str(v[0]) for v in CASE8_VERDICTS],
 )
-def test_case8_verdicts_from_exact_distances(tup, case, d, stated, certified, verdict):
+def test_case8_verdicts_from_exact_distances(tup, case, d, stated, certified, verdict, route):
     p = CodeParams(*tup)
     field = field_make(p.q, p.m)
     T = build_T(p)
     for extended in (False, True):
         res = dual_min_distance(field, T, extended=extended)
-        assert (res.kind, res.route, res.value) == ("exact", "macwilliams", d), (tup, res)
+        assert (res.kind, res.route, res.value) == ("exact", route, d), (tup, res)
     assert classify_case(p) == case
     assert stated_bound(p) == stated
     result = verify_certificate(build_certificate(p), p)

@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import comb
 from pathlib import Path
 
@@ -14,8 +14,7 @@ from cyclocode.defsets import build_T, dual_set, dual_set_pattern
 from cyclocode.errors import ConsistencyError, ParameterError
 from cyclocode.galois import field_make
 from cyclocode.oracle import (
-    _TABLE_ROWS,
-    _histogram_odometer,
+    _table_rows,
     affine_invariance_probe,
     brute_T,
     brute_class_census,
@@ -24,6 +23,7 @@ from cyclocode.oracle import (
     code_rows,
     dual_min_distance,
     macwilliams,
+    minimum_weight,
     weight_distribution,
 )
 
@@ -98,13 +98,21 @@ def test_dual_min_distance_budget():
     # the primal has one nonzero codeword, well inside the budget
     res = dual_min_distance(F, T, budget=100)
     assert (res.kind, res.value, res.route, res.enumerated) == ("exact", 2, "macwilliams", 1)
-    # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100
-    res = dual_min_distance(F, build_T(CodeParams(2, 4, 2, 1, 1)), budget=100)
-    assert (res.kind, res.route) == ("budget-exhausted", "dual-enumeration")
-    assert res.enumerated == 100 and res.value >= 4
+    # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100,
+    # so Brouwer-Zimmermann runs on the dual: level 1 of both information
+    # sets (r = 8 and 7) and level 2 of the first establish d = 4
+    T = build_T(CodeParams(2, 4, 2, 1, 1))
+    res = dual_min_distance(F, T, budget=100)
+    assert (res.kind, res.value, res.route, res.count) == ("exact", 4, "brouwer-zimmermann", None)
+    assert res.enumerated == 8 + 28 + 8
+    # a budget that ends inside that walk leaves only an upper bound
+    res = dual_min_distance(F, T, budget=43)
+    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 43)
+    assert res.value >= 4
     F3 = field_make(3, 3)
     res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)), budget=50)
-    assert res.kind == "budget-exhausted" and res.enumerated == 50
+    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 50)
+    assert res.value >= 15
     with pytest.raises(ParameterError):
         dual_min_distance(F, T, budget=0)
 
@@ -118,25 +126,29 @@ def test_dual_min_distance_nonbinary():
     assert ext.kind == "exact" and ext.value == res.value
 
 
-def _brute_distribution(field, rows):
-    """Weight histogram of every nonzero combination of rows, one
-    coefficient vector at a time: the reference for every kernel."""
+def _brute_weights(field, rows):
+    """The weight of every combination of rows, one coefficient vector at a
+    time, in message order (row 0's coefficient fastest): the reference for
+    every kernel."""
     base = field.base
-    hist = Counter()
     for coefs in product(range(field.q), repeat=len(rows)):
         word = [0] * len(rows[0])
-        for c, row in zip(coefs, rows):
+        for c, row in zip(reversed(coefs), rows):
             word = [base.add(w, base.mul(c, x)) for w, x in zip(word, row)]
-        hist[len(word) - word.count(0)] += 1
+        yield len(word) - word.count(0)
+
+
+def _brute_distribution(field, rows):
+    hist = Counter(_brute_weights(field, rows))
     hist[0] -= 1
     return {w: c for w, c in hist.items() if c}
 
 
-# q = 4 checks that the odometer reaches every GF(4) multiple of a row,
-# not only the sums of copies of it
+# q = 4 and q = 8 check that every GF(q) multiple of a row is reached, not
+# only the sums of copies of it, and their codes span several table blocks
 @pytest.mark.parametrize("q,m,t,a,b", [
     (2, 4, 2, 1, 1), (2, 5, 3, 1, 1), (3, 2, 1, 2, 2), (3, 3, 2, 2, 1), (4, 2, 1, 3, 1),
-    (5, 2, 1, 4, 2),
+    (4, 2, 1, 3, 2), (5, 2, 1, 4, 2), (8, 2, 1, 7, 1), (8, 2, 0, 1, 1),
 ])
 def test_histogram_kernels_match_brute_force(q, m, t, a, b):
     F = field_make(q, m)
@@ -148,11 +160,13 @@ def test_histogram_kernels_match_brute_force(q, m, t, a, b):
             expect = _brute_distribution(F, rows)
             hist, steps = weight_distribution(F, rows)
             assert (hist, steps) == (expect, q ** len(rows) - 1)
-            # past the table of low-row combinations, the odometer agrees too
-            assert _histogram_odometer(F, rows, steps + 1) == Counter({0: 1, **expect})
-            # a budget caps the count of nonzero codewords exactly
+            # a budget caps the walk at exactly the first codewords in message order
             part, covered = weight_distribution(F, rows, budget=steps // 2 + 1)
-            assert covered == steps // 2 + 1 == sum(part.values())
+            prefix = Counter(islice(_brute_weights(F, rows), covered + 1))
+            assert covered == steps // 2 + 1 and Counter({0: 1, **part}) == prefix
+            # Brouwer-Zimmermann finds the same minimum
+            res = minimum_weight(F, rows)
+            assert (res.kind, res.value) == ("exact", min(expect)), res
 
 
 def test_gf2_and_gf3_kernels_span_several_blocks():
@@ -161,11 +175,36 @@ def test_gf2_and_gf3_kernels_span_several_blocks():
     for q, m, t in [(2, 4, 2), (3, 3, 1)]:
         F = field_make(q, m)
         _, dual = code_rows(F, build_T(CodeParams(q, m, t, 1, 1)), extended=True)
-        assert len(dual) > _TABLE_ROWS[q]
-        for budget in (q ** len(dual) - 1, q ** _TABLE_ROWS[q] + 7):
+        low = _table_rows(q, len(dual))
+        assert len(dual) > low
+        for budget in (q ** len(dual) - 1, q ** low + 7):
             hist, steps = weight_distribution(F, dual, budget)
             assert steps == budget
-            assert Counter({0: 1, **hist}) == _histogram_odometer(F, dual, steps + 1)
+            assert Counter({0: 1, **hist}) == Counter(islice(_brute_weights(F, dual), steps + 1))
+
+
+def test_minimum_weight_budget_and_bad_rows():
+    F = field_make(2, 4)
+    _, dual = code_rows(F, build_T(CodeParams(2, 4, 2, 1, 1)))
+    full = minimum_weight(F, dual)
+    assert (full.kind, full.value, full.count) == ("exact", 4, None)
+    # every budget short of that walk ends it with an upper bound only
+    for budget in (1, 8, full.enumerated - 1):
+        res = minimum_weight(F, dual, budget)
+        assert (res.kind, res.enumerated) == ("budget-exhausted", budget) and res.value >= 4
+    # over GF(3) only words with leading coefficient 1 are generated: level 1
+    # of the two information sets of this [8, 4] dual, 4 words each, proves
+    # weight >= 2 + 2 and finds d = 4
+    F3 = field_make(3, 2)
+    _, dual3 = code_rows(F3, build_T(CodeParams(3, 2, 1, 2, 2)))
+    res = minimum_weight(F3, dual3)
+    assert (res.kind, res.value, res.enumerated) == ("exact", 4, 8)
+    with pytest.raises(ParameterError):
+        minimum_weight(F, dual, budget=0)
+    with pytest.raises(ParameterError):
+        minimum_weight(F, [])
+    with pytest.raises(ConsistencyError, match="dependent"):
+        minimum_weight(F, dual + [dual[0]])
 
 
 def _krawtchouk(j, i, length, q):
