@@ -45,7 +45,7 @@ Grid mini-language (clauses joined by ';'):
 q and m.  A 'x<=y' clause filters combinations.  Values of q that are not
 prime powers, and out-of-regime points (m < 2 or the zero-code point
 a = b = q-1 with t = 0 for bound commands), are skipped.  Points come out in
-ascending (q, m, t, a, b) order.
+ascending (q, m, t, a, b) order, each once.
 
 Values of t outside [0, m-1] and of a, b outside [1, q-1] are dropped first.
 Every remaining (q, m, t, a, b) combination counts against the grid cap of
@@ -194,7 +194,7 @@ def parse_grid(spec: str) -> list[CodeParams]:
             if var not in GRID_VARS:
                 raise ParameterError(f"unknown grid variable {var!r}")
             parsed = _parse_values(rhs)
-            values[var] = None if parsed is None else sorted(parsed)
+            values[var] = None if parsed is None else sorted(set(parsed))
         else:
             raise ParameterError(f"bad grid clause {clause!r}")
     if values["q"] is None or values["m"] is None:
@@ -319,13 +319,7 @@ def _audit_row(params: CodeParams) -> dict:
 
 
 def cmd_audit(args) -> int:
-    points = []
-    for p in parse_grid(args.grid):
-        if p.m < 2 or p.is_degenerate:
-            continue
-        points.append(p)
-    points.sort(key=lambda p: p.astuple())
-    rows = [_audit_row(p) for p in points]
+    rows = [_audit_row(p) for p in parse_grid(args.grid) if p.m >= 2 and not p.is_degenerate]
     findings = [r for r in rows if r["mismatch"] != 0 or not r["verified_ok"]]
     meta = {"command": "audit", "grid": args.grid, "points": len(rows),
             "findings": len(findings)}
@@ -334,8 +328,6 @@ def cmd_audit(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.preset != "table2":
-        raise ParameterError(f"unknown preset {args.preset!r}")
     q, m = 5, 10
     rows = []
     for t in range(8, 1, -1):
@@ -419,7 +411,7 @@ def _verify_point(params: CodeParams, seed: int) -> list[tuple[str, str]]:
     ):
         field = field_make(q, m)
         rep = defsets.dimension(params)
-        bd = oracle.brute_dimension(field, defsets.build_T(params))
+        bd = oracle.brute_dimension(field, T)
         record("dimension: closed form vs generator degree", rep.dim == bd,
                f"{params.astuple()}: closed {rep.dim} != degree-based {bd}")
         if params.index_size <= 128:
@@ -440,7 +432,6 @@ def cmd_verify(args) -> int:
                         if b <= a or m >= 2:
                             points.append(CodeParams(q, m, t, a, b))
             m += 1
-    points.sort(key=lambda p: p.astuple())
     results = [_verify_point(p, args.seed) for p in points]
     passes: dict[str, int] = {}
     failures: list[str] = []

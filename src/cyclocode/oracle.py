@@ -6,9 +6,10 @@ set is rebuilt from its definition (descendants of word rotations), the
 occurrence-class sizes are re-counted by scanning every digit word whose
 digits are all <= a, and dimensions come from generator-polynomial degrees.
 Dual minimum distances come from an exhaustive weight distribution of
-whichever side has fewer codewords when one fits the budget: the dual
-itself, or the primal code, whose distribution the MacWilliams identities
-turn into the dual's exactly.  When neither fits, the Brouwer-Zimmermann
+whichever side has fewer codewords when one fits DEFAULT_DISTANCE_BUDGET,
+the one cap on the codewords a distance search generates: the dual, or
+the primal code, whose distribution the MacWilliams identities turn into
+the dual's exactly.  When neither fits, the Brouwer-Zimmermann
 algorithm bounds the dual's minimum weight from below over successive
 information sets until the lightest codeword found meets the bound.  Every
 walk weighs codewords by popcount: over GF(2) of bit masks, over other
@@ -24,8 +25,8 @@ from itertools import product
 from operator import xor
 from typing import TYPE_CHECKING, Mapping
 
-from .cosets import DefiningSet, _check_cap
-from .errors import ConsistencyError, ParameterError
+from .cosets import DefiningSet, _check_cap, leader
+from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .galois import FieldContext, generator_polynomial, poly_divmod, syndrome
 from .qadic import profile_counts
 
@@ -46,7 +47,7 @@ __all__ = [
     "brute_max_prefix",
 ]
 
-DEFAULT_DISTANCE_BUDGET = 1 << 21
+DEFAULT_DISTANCE_BUDGET = 1 << 21  # read when each search starts
 
 
 def brute_T(params: CodeParams) -> DefiningSet:
@@ -111,10 +112,10 @@ class DistanceResult:
     route names the method: "dual-enumeration" walks the dual itself,
     "macwilliams" walks the primal code and transforms its weight
     distribution, and "brouwer-zimmermann" runs minimum_weight on the dual
-    rows.  enumerated counts the codewords generated, never more than the
-    budget.  count is the number of codewords of weight value on the two
-    exhaustive routes, and None on "brouwer-zimmermann", which does not
-    establish it.
+    rows.  enumerated counts the codewords generated, never more than
+    DEFAULT_DISTANCE_BUDGET: q^k - 1 of the side walked on the two
+    exhaustive routes.  count is the number of codewords of weight value
+    there, and None on "brouwer-zimmermann", which does not establish it.
     """
 
     kind: str
@@ -287,17 +288,6 @@ def _words(field: FieldContext, n: int):
     return _OneHotWords(field, n)
 
 
-def _blocks(table: list[int], count: int, high_words):
-    """Split the first count codewords into blocks: one per high-row word
-    (from the iterator high_words, zero first), each covering the table or,
-    for the last, a prefix of it."""
-    full, rest = divmod(count, len(table))
-    for _ in range(full):
-        yield next(high_words), table
-    if rest:
-        yield next(high_words), table[:rest]
-
-
 def _odometer(deltas: list[list], add, zero):
     """Every combination of k rows, zero first, one digit move a step:
     deltas[i][c] is added when digit i leaves coefficient encoding c, and
@@ -318,12 +308,12 @@ def _odometer(deltas: list[list], add, zero):
         yield cw
 
 
-def _histogram(field: FieldContext, rows: list[list[int]], count: int) -> Counter:
-    """Weights of the first count codewords in message order, digit 0
-    fastest: a table holds negkey of every combination of the low rows, and
-    the odometer walks the high rows, one key a block.  Moving a digit from
-    encoding c to the next adds (next - c) times its row, so every GF(q)
-    multiple is reached even when q is not prime."""
+def _histogram(field: FieldContext, rows: list[list[int]]) -> Counter:
+    """Weights of all q^k codewords, the zero word included: a table holds
+    negkey of every combination of the low rows, and the odometer walks the
+    high rows, one key a block.  Moving a digit from encoding c to the next
+    adds (next - c) times its row, so every GF(q) multiple is reached even
+    when q is not prime."""
     q, sub = field.q, field.base.sub
     words = _words(field, len(rows[0]) if rows else 0)
     multiples = [words.multiples(row) for row in rows]
@@ -334,33 +324,29 @@ def _histogram(field: FieldContext, rows: list[list[int]], count: int) -> Counte
     table = list(map(words.negkey, table))
     steps = [sub((c + 1) % q, c) for c in range(q)]
     deltas = [[ms[s] for s in steps] for ms in multiples[low:]]
-    high = map(words.key, _odometer(deltas, words.add, words.zero))
     hist: Counter = Counter()
-    for cw, block in _blocks(table, count, high):
-        hist.update(map(int.bit_count, map(cw.__xor__, block)))
+    for cw in map(words.key, _odometer(deltas, words.add, words.zero)):
+        hist.update(map(int.bit_count, map(cw.__xor__, table)))
     if words.shift:
         hist = Counter({w >> words.shift: c for w, c in hist.items()})
     return hist
 
 
-def weight_distribution(
-    field: FieldContext, rows: list[list[int]], budget: int = DEFAULT_DISTANCE_BUDGET
-) -> tuple[dict[int, int], int]:
-    """Weight histogram of the nonzero codewords spanned by the linearly
-    independent rows over GF(field.q), and how many were enumerated.
+def weight_distribution(field: FieldContext, rows: list[list[int]]) -> dict[int, int]:
+    """Weight histogram of all q^k - 1 nonzero codewords spanned by the k
+    linearly independent rows over GF(field.q).
 
-    At most budget nonzero codewords are covered; the walk is exhaustive
-    exactly when the count returned is q^k - 1.
+    Raises ResourceLimitError when q^k - 1 exceeds DEFAULT_DISTANCE_BUDGET.
     """
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
-    steps = min(field.q ** len(rows) - 1, budget)
-    hist = _histogram(field, rows, steps + 1)
+    codewords = field.q ** len(rows) - 1
+    if codewords > DEFAULT_DISTANCE_BUDGET:
+        raise ResourceLimitError(f"{codewords} codewords exceed the cap {DEFAULT_DISTANCE_BUDGET}")
+    hist = _histogram(field, rows)
     # the zero word is the walk's first and, the rows being independent, only
     if hist[0] != 1:
         raise ConsistencyError(f"{hist[0]} zero codewords: the rows are dependent")
     del hist[0]
-    return dict(hist), steps
+    return dict(hist)
 
 
 def macwilliams(q: int, length: int, A: Mapping[int, int]) -> dict[int, int]:
@@ -471,9 +457,7 @@ def _prefixes(words, multiples: list[list], count: int, stop: int):
     return grow(words.zero, 0, count, slice(1, 2))
 
 
-def minimum_weight(
-    field: FieldContext, rows: list[list[int]], budget: int = DEFAULT_DISTANCE_BUDGET
-) -> DistanceResult:
+def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult:
     """Minimum nonzero weight of the code spanned by the linearly
     independent rows over GF(field.q), by the Brouwer-Zimmermann algorithm
     (Zimmermann 1996; Grassl 2006).
@@ -487,8 +471,8 @@ def minimum_weight(
     sum_j max(0, w_j + 1 - (k - r_j)) over the levels w_j done, and the
     walk stops as soon as the lightest codeword generated is that light:
     kind "exact".  A matrix joins the walk at the first level where it adds
-    to that sum.  After budget codewords the walk stops with kind
-    "budget-exhausted", and value is then only an upper bound.
+    to that sum.  After DEFAULT_DISTANCE_BUDGET codewords the walk stops
+    with kind "budget-exhausted", and value is then only an upper bound.
 
     Level w takes prefixes of w - 2 rows depth first and weighs each
     against a table of every pair of later rows (levels 1 and 2 take
@@ -496,12 +480,10 @@ def minimum_weight(
     "brouwer-zimmermann" and count is None: the walk does not establish
     how many codewords have the minimum weight.
     """
-    if budget < 1:
-        raise ParameterError("budget must be >= 1")
     if not rows:
         raise ParameterError("no rows: the code has no nonzero codeword")
     k, n = len(rows), len(rows[0])
-    route = "brouwer-zimmermann"
+    route, budget = "brouwer-zimmermann", DEFAULT_DISTANCE_BUDGET
     words = _words(field, n)
     mats = [([words.multiples(row) for row in mat], r) for mat, r in _information_sets(field, rows)]
     tables: list[dict] = [{} for _ in mats]
@@ -533,10 +515,7 @@ def minimum_weight(
 
 
 def dual_min_distance(
-    field: FieldContext,
-    D: DefiningSet,
-    budget: int = DEFAULT_DISTANCE_BUDGET,
-    extended: bool = False,
+    field: FieldContext, D: DefiningSet, extended: bool = False
 ) -> DistanceResult:
     """Minimum nonzero weight of the dual code, by the first of three routes
     that applies.
@@ -544,10 +523,10 @@ def dual_min_distance(
     With extended=False the code is the cyclic one on [1, n-1] exponents of
     D; with extended=True it is the length-(n+1) extension (defining set
     including 0).  When the primal code has strictly fewer codewords than
-    the dual and all q^k - 1 of its nonzero ones fit the budget, they are
-    enumerated and the MacWilliams identities give the dual's distribution
-    (route "macwilliams").  Otherwise, when the dual's nonzero codewords fit
-    the budget, the dual is walked (route "dual-enumeration").  Otherwise
+    the dual and all q^k - 1 of its nonzero ones fit DEFAULT_DISTANCE_BUDGET,
+    they are enumerated and the MacWilliams identities give the dual's
+    distribution (route "macwilliams").  Otherwise, when the dual's nonzero
+    codewords fit, the dual is walked (route "dual-enumeration").  Otherwise
     minimum_weight runs Brouwer-Zimmermann on the dual rows (route
     "brouwer-zimmermann"); only this route can end "budget-exhausted", and
     it leaves count None.
@@ -556,18 +535,17 @@ def dual_min_distance(
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
     q = field.q
-    if len(primal) < len(dual) and q ** len(primal) - 1 <= budget:
-        A, steps = weight_distribution(field, primal, budget)
-        B = macwilliams(q, len(dual[0]), {0: 1, **A})
+    if len(primal) < len(dual) and q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
+        B = macwilliams(q, len(dual[0]), {0: 1, **weight_distribution(field, primal)})
         del B[0]
-        route = "macwilliams"
-    elif q ** len(dual) - 1 <= budget:
-        B, steps = weight_distribution(field, dual, budget)
-        route = "dual-enumeration"
+        side, route = primal, "macwilliams"
+    elif q ** len(dual) - 1 <= DEFAULT_DISTANCE_BUDGET:
+        B = weight_distribution(field, dual)
+        side, route = dual, "dual-enumeration"
     else:
-        return minimum_weight(field, dual, budget)
+        return minimum_weight(field, dual)
     value = min(B)
-    return DistanceResult("exact", value, steps, route, B[value])
+    return DistanceResult("exact", value, q ** len(side) - 1, route, B[value])
 
 
 def affine_invariance_probe(
@@ -591,7 +569,8 @@ def affine_invariance_probe(
     rows, _ = code_rows(field, T, extended=True)
     base = field.base
     rng = random.Random(seed)
-    exponents = [s for s in T if s < T.n]  # evaluation exponents live in [0, n-1]
+    # over GF(q) S(qs) = S(s)^q: one exponent in [0, n-1] per coset decides
+    exponents = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
     # coordinate order: index 0 is the zero element, index 1 + i is alpha^i
     enc_of_pos = [0] + [field.exp(i) for i in range(field.n)]
     pos_of_enc = [0] * field.order

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from cyclocode import oracle
 from cyclocode.bounds import (
     CASE_LABELS,
     audit,
@@ -405,7 +406,9 @@ def exact_dual_distances() -> dict[tuple[int, ...], DualDistances]:
         for k, extended in ((k_cyclic, False), (k_extended, True)):
             codewords = p.q**k - 1
             assert codewords <= DEFAULT_DISTANCE_BUDGET, (tup, extended, k)
-            results.append(dual_min_distance(field, T, budget=codewords, extended=extended))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", codewords)
+                results.append(dual_min_distance(field, T, extended=extended))
         out[tup] = DualDistances(*results, k_cyclic, k_extended, field.n - k_cyclic)
     return out
 
@@ -450,7 +453,8 @@ def test_criterion_09_distance_bound_soundness(exact_dual_distances):
     assert verify_certificate(build_certificate(p), p).certified_bound == 4
 
 
-def test_criterion_09_brouwer_zimmermann_matches_exhaustive_routes(exact_dual_distances):
+def test_criterion_09_brouwer_zimmermann_matches_exhaustive_routes(exact_dual_distances,
+                                                                  monkeypatch):
     """minimum_weight on the dual rows gives every exhaustive route's d, and
     a budget one codeword short of its own walk leaves an upper bound."""
     for tup, dd in exact_dual_distances.items():
@@ -462,7 +466,9 @@ def test_criterion_09_brouwer_zimmermann_matches_exhaustive_routes(exact_dual_di
             res = minimum_weight(field, dual)
             assert (res.kind, res.value, res.route) == ("exact", d, "brouwer-zimmermann"), (tup, res)
             if res.enumerated > 1:
-                short = minimum_weight(field, dual, budget=res.enumerated - 1)
+                with monkeypatch.context() as mp:
+                    mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", res.enumerated - 1)
+                    short = minimum_weight(field, dual)
                 assert short.kind == "budget-exhausted" and short.value >= d, (tup, short)
                 assert short.enumerated == res.enumerated - 1, (tup, short)
 
@@ -526,12 +532,12 @@ def test_criterion_11_both_routes_give_one_dual_distribution():
         for extended in (False, True):
             primal, dual = code_rows(field, T, extended)
             length = len(dual[0])
-            B, steps = weight_distribution(field, dual)
-            assert steps == q ** len(dual) - 1, (tup, extended)
+            B = weight_distribution(field, dual)
+            assert sum(B.values()) == q ** len(dual) - 1, (tup, extended)
             B = {0: 1, **B}
             if q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
-                A, steps = weight_distribution(field, primal)
-                assert steps == q ** len(primal) - 1, (tup, extended)
+                A = weight_distribution(field, primal)
+                assert sum(A.values()) == q ** len(primal) - 1, (tup, extended)
                 assert macwilliams(q, length, {0: 1, **A}) == B, (tup, extended)
                 assert macwilliams(q, length, B) == {0: 1, **A}, (tup, extended)
                 compared.append(tup)

@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from itertools import islice, product
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -8,10 +8,11 @@ import pytest
 
 import cyclocode
 
+from cyclocode import oracle
 from cyclocode.cosets import DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
 from cyclocode.defsets import build_T, dual_set, dual_set_pattern
-from cyclocode.errors import ConsistencyError, ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 from cyclocode.galois import field_make
 from cyclocode.oracle import (
     _table_rows,
@@ -92,29 +93,30 @@ def test_dual_min_distance_examples():
     assert res.enumerated == 2**4 - 1 and res.count == 15  # the simplex code
 
 
-def test_dual_min_distance_budget():
+def test_dual_min_distance_budget(monkeypatch):
     F = field_make(2, 4)
     T = build_T(CodeParams(2, 4, 1, 1, 1))
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 100)
     # the primal has one nonzero codeword, well inside the budget
-    res = dual_min_distance(F, T, budget=100)
+    res = dual_min_distance(F, T)
     assert (res.kind, res.value, res.route, res.enumerated) == ("exact", 2, "macwilliams", 1)
     # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100,
     # so Brouwer-Zimmermann runs on the dual: level 1 of both information
     # sets (r = 8 and 7) and level 2 of the first establish d = 4
     T = build_T(CodeParams(2, 4, 2, 1, 1))
-    res = dual_min_distance(F, T, budget=100)
+    res = dual_min_distance(F, T)
     assert (res.kind, res.value, res.route, res.count) == ("exact", 4, "brouwer-zimmermann", None)
     assert res.enumerated == 8 + 28 + 8
     # a budget that ends inside that walk leaves only an upper bound
-    res = dual_min_distance(F, T, budget=43)
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 43)
+    res = dual_min_distance(F, T)
     assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 43)
     assert res.value >= 4
     F3 = field_make(3, 3)
-    res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)), budget=50)
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 50)
+    res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)))
     assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 50)
     assert res.value >= 15
-    with pytest.raises(ParameterError):
-        dual_min_distance(F, T, budget=0)
 
 
 def test_dual_min_distance_nonbinary():
@@ -158,39 +160,42 @@ def test_histogram_kernels_match_brute_force(q, m, t, a, b):
             if q ** len(rows) > 3000:
                 continue
             expect = _brute_distribution(F, rows)
-            hist, steps = weight_distribution(F, rows)
-            assert (hist, steps) == (expect, q ** len(rows) - 1)
-            # a budget caps the walk at exactly the first codewords in message order
-            part, covered = weight_distribution(F, rows, budget=steps // 2 + 1)
-            prefix = Counter(islice(_brute_weights(F, rows), covered + 1))
-            assert covered == steps // 2 + 1 and Counter({0: 1, **part}) == prefix
+            assert weight_distribution(F, rows) == expect
             # Brouwer-Zimmermann finds the same minimum
             res = minimum_weight(F, rows)
             assert (res.kind, res.value) == ("exact", min(expect)), res
 
 
 def test_gf2_and_gf3_kernels_span_several_blocks():
-    # more rows than the table holds, so the high-row walk takes several
-    # steps, and a budget that ends inside a block truncates it exactly
+    # more rows than the table holds, so the high-row walk takes several steps
     for q, m, t in [(2, 4, 2), (3, 3, 1)]:
         F = field_make(q, m)
         _, dual = code_rows(F, build_T(CodeParams(q, m, t, 1, 1)), extended=True)
-        low = _table_rows(q, len(dual))
-        assert len(dual) > low
-        for budget in (q ** len(dual) - 1, q ** low + 7):
-            hist, steps = weight_distribution(F, dual, budget)
-            assert steps == budget
-            assert Counter({0: 1, **hist}) == Counter(islice(_brute_weights(F, dual), steps + 1))
+        assert len(dual) > _table_rows(q, len(dual))
+        hist = weight_distribution(F, dual)
+        assert Counter({0: 1, **hist}) == Counter(_brute_weights(F, dual))
 
 
-def test_minimum_weight_budget_and_bad_rows():
+def test_weight_distribution_refuses_a_walk_past_the_cap(monkeypatch):
+    F = field_make(2, 4)
+    _, dual = code_rows(F, build_T(CodeParams(2, 4, 2, 1, 1)))  # 8 rows, 255 nonzero words
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 255)
+    assert sum(weight_distribution(F, dual).values()) == 255
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 254)
+    with pytest.raises(ResourceLimitError, match="255 codewords exceed the cap 254"):
+        weight_distribution(F, dual)
+
+
+def test_minimum_weight_budget_and_bad_rows(monkeypatch):
     F = field_make(2, 4)
     _, dual = code_rows(F, build_T(CodeParams(2, 4, 2, 1, 1)))
     full = minimum_weight(F, dual)
     assert (full.kind, full.value, full.count) == ("exact", 4, None)
     # every budget short of that walk ends it with an upper bound only
     for budget in (1, 8, full.enumerated - 1):
-        res = minimum_weight(F, dual, budget)
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
+            res = minimum_weight(F, dual)
         assert (res.kind, res.enumerated) == ("budget-exhausted", budget) and res.value >= 4
     # over GF(3) only words with leading coefficient 1 are generated: level 1
     # of the two information sets of this [8, 4] dual, 4 words each, proves
@@ -199,8 +204,6 @@ def test_minimum_weight_budget_and_bad_rows():
     _, dual3 = code_rows(F3, build_T(CodeParams(3, 2, 1, 2, 2)))
     res = minimum_weight(F3, dual3)
     assert (res.kind, res.value, res.enumerated) == ("exact", 4, 8)
-    with pytest.raises(ParameterError):
-        minimum_weight(F, dual, budget=0)
     with pytest.raises(ParameterError):
         minimum_weight(F, [])
     with pytest.raises(ConsistencyError, match="dependent"):

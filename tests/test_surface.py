@@ -81,15 +81,70 @@ def test_perfbench_keyword_arguments_exist():
     assert keywords >= 3  # seed= twice and extended= at least once
 
 
-def test_tracer_layers_and_methods_resolve():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_layers_and_methods_resolve():
+    tracer = _load_tracer()
     for layer in tracer.LAYERS:
         assert inspect.ismodule(getattr(cyclocode, layer)), layer
     ds = cyclocode.cosets.DefiningSet
     for attr in tracer.DEFINING_SET_METHODS + tracer.DEFINING_SET_CLASSMETHODS:
         assert attr in ds.__dict__, attr
+
+
+def _tracer_subscripts() -> dict[str, set[str]]:
+    """For every recorded name that tracer.py reads, the keys it subscripts
+    on the bound arguments: ``for args, _ in self._records(name)`` loops and
+    comprehensions, then ``args["key"]`` inside them.  name is a string, or
+    a comprehension variable that runs over a tuple of strings."""
+    tree = ast.parse((PERFBENCH / "tracer.py").read_text())
+    out: dict[str, set[str]] = {}
+
+    def keys(nodes, var: str) -> set[str]:
+        return {sub.slice.value for node in nodes for sub in ast.walk(node)
+                if isinstance(sub, ast.Subscript) and isinstance(sub.value, ast.Name)
+                and sub.value.id == var and isinstance(sub.slice, ast.Constant)}
+
+    def is_records(node) -> bool:
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_records")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and is_records(node.iter):
+            loops, gens, body = {}, [(node.target, node.iter)], node.body
+        elif isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
+            loops = {g.target.id: [e.value for e in g.iter.elts] for g in node.generators
+                     if isinstance(g.target, ast.Name) and isinstance(g.iter, ast.Tuple)}
+            gens = [(g.target, g.iter) for g in node.generators if is_records(g.iter)]
+            body = [node.elt] + [cond for g in node.generators for cond in g.ifs]
+        else:
+            continue
+        for target, call in gens:
+            arg = call.args[0]
+            for name in [arg.value] if isinstance(arg, ast.Constant) else loops[arg.id]:
+                out.setdefault(name, set()).update(keys(body, target.elts[0].id))
+    return out
+
+
+def test_tracer_recorded_calls_bind_to_their_functions():
+    # the tracer binds each recorded call by signature and reads arguments
+    # by name, so a renamed parameter would break only traced runs
+    tracer = _load_tracer()
+    for name in tracer.RECORDED:
+        layer, _, attr = name.partition(".")
+        assert inspect.isfunction(getattr(getattr(cyclocode, layer), attr)), name
+    subscripts = _tracer_subscripts()
+    assert set(subscripts) <= set(tracer.RECORDED), subscripts
+    assert set().union(*subscripts.values()) >= {"params", "field", "trials", "defining_set"}
+    for name, keys in subscripts.items():
+        layer, _, attr = name.partition(".")
+        params = inspect.signature(getattr(getattr(cyclocode, layer), attr)).parameters
+        assert keys <= set(params), (name, keys - set(params))
 
 
 def test_layer_modules_are_loaded_by_the_package_import():
