@@ -6,8 +6,8 @@ A certificate is a triple (v, z, S) for a Roos bound (Roos, IEEE TIT
 defining set, z is a multiplier coprime to q^m - 1, and S is an explicit
 set of shift indices such that every translated interval [s z, s z + v)
 mod (q^m - 1) also lies inside the dual defining set.  When additionally
-max S - min S - |S| + 1 < v, the dual minimum distance is at least
-v + |S| + 1.
+M = {0} u S leaves at most v - 1 gaps in its hull, max M - min M + 1 - |M|
+<= v - 1, the dual minimum distance is at least v + |S| + 1.
 
 Eleven mutually exclusive parameter cases each come with a concrete (z, S)
 construction and a closed-form value of v + |S| + 1.  verify_certificate
@@ -293,7 +293,9 @@ def verify_certificate(
     Conditions: (i) [0, v) lies in the dual defining set; (ii) for every s
     in S each residue of [s z, s z + v) mod (q^m - 1) lies there too, the
     residue 0 being tested as the value 0; (iii) gcd(z, q^m - 1) = 1,
-    0 not in S, and max S - min S - |S| + 1 < v when S is nonempty.
+    0 not in S, an explicit S has distinct elements and the stated size,
+    min and max, and, when S is nonempty, Roos's gap condition on
+    M = {0} u S: max M - min M + 1 - |M| <= v - 1.
 
     Intervals are checked whole, block by block, so every membership is
     tested and the detail names the first excluded value.  When (|S| + 1) * v
@@ -309,14 +311,21 @@ def verify_certificate(
 
     ok_structure = True
     detail = "gcd, zero-exclusion and gap conditions hold"
+    # the gaps in the hull of M = {0} u S: max M - min M + 1 - |M|
+    gaps = max(cert.s_max, 0) - min(cert.s_min, 0) - cert.s_size if cert.s_size else 0
     if math.gcd(cert.z, n) != 1:
         ok_structure, detail = False, f"gcd(z={cert.z}, {n}) != 1"
     elif cert.s_set is not None and 0 in cert.s_set:
         ok_structure, detail = False, "zero in S"
-    elif cert.s_size > 0 and cert.s_max - cert.s_min - cert.s_size + 1 >= v:
+    elif cert.s_set is not None and (
+        len(set(cert.s_set)) != cert.s_size
+        or cert.s_size and (min(cert.s_set), max(cert.s_set)) != (cert.s_min, cert.s_max)
+    ):
+        ok_structure, detail = False, "S does not have the stated size, min and max"
+    elif gaps > v - 1:
         ok_structure, detail = (
             False,
-            f"gap condition fails: {cert.s_max} - {cert.s_min} - {cert.s_size} + 1 >= {v}",
+            f"gap condition fails: {{0}} u S has {gaps} gaps > v - 1 = {v - 1}",
         )
     conditions.append(("structure", ok_structure, detail))
 

@@ -9,12 +9,18 @@ whose rotation orbits' descendants form the defining set T.  The counting
 layer never materializes T: it computes |T| by classifying words by their
 exact pattern-occurrence counts (k, ell), counting a relaxed family in
 closed form, and inverting a two-parameter binomial transform.
+
+The relaxed counts A_{r,s} fill one table over the down-set of admissible
+pairs.  The inversion is separable, a Taylor shift by -1 along each row and
+then along each column, so it takes O(P m) additions for P admissible pairs
+and no binomial coefficient; |T| is the table's alternating sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb
+from operator import add, sub
 
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
 
@@ -157,6 +163,16 @@ def _check_admissible(k: int, ell: int, m: int, t: int) -> None:
         )
 
 
+def _pattern_words(k: int, ell: int, m: int, t: int) -> int:
+    blocks = m - k * t - ell * (t + 1)  # block count after collapsing zero runs
+    value, rem = divmod(m * comb(blocks, k) * comb(blocks - k, ell), blocks)
+    if rem:
+        raise ConsistencyError(
+            f"non-integral word count for (k, ell, m, t) = ({k}, {ell}, {m}, {t})"
+        )
+    return value
+
+
 def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     """Number of length-m cyclic symbol words made of exactly k blocks x0^t,
     ell blocks y0^{t+1} and filler symbols z:
@@ -167,13 +183,17 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     internal error.
     """
     _check_admissible(k, ell, m, t)
-    blocks = m - k * t - ell * (t + 1)  # block count after collapsing zero runs
-    value, rem = divmod(m * comb(blocks, k) * comb(blocks - k, ell), blocks)
-    if rem:
-        raise ConsistencyError(
-            f"non-integral word count for (k, ell, m, t) = ({k}, {ell}, {m}, {t})"
-        )
-    return value
+    return _pattern_words(k, ell, m, t)
+
+
+def _entry(r: int, s: int, p: CodeParams) -> int:
+    free = p.m - r * (p.t + 1) - s * (p.t + 2)
+    return (
+        p.b**r
+        * (p.a - p.b) ** s
+        * (p.a + 1) ** free
+        * _pattern_words(r, s, p.m, p.t)
+    )
 
 
 def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
@@ -182,13 +202,43 @@ def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
     params.require_counting_regime()
     p = params.normalized()
     _check_admissible(r, s, p.m, p.t)
-    free = p.m - r * (p.t + 1) - s * (p.t + 2)
-    return (
-        p.b**r
-        * (p.a - p.b) ** s
-        * (p.a + 1) ** free
-        * count_pattern_words(r, s, p.m, p.t)
-    )
+    return _entry(r, s, p)
+
+
+def _entry_table(p: CodeParams) -> list[list[int]]:
+    """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
+    A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1)."""
+    m, t = p.m, p.t
+    rows = [
+        [_entry(r, s, p) for r in range((m - s * (t + 2)) // (t + 1) + 1)]
+        for s in range(m // (t + 2) + 1)
+    ]
+    rows[0][0] = 0
+    return rows
+
+
+def _binomial_transform(rows: list[list[int]], op) -> list[list[int]]:
+    """The table x_{r,s} taken to sum_{(r',s')} (+-1)^{r'+s'-r-s} C(r',r)
+    C(s',s) x_{r',s'}, as a new table of the same shape: with op = sub a
+    Taylor shift by -1 along r in every row, then along s in every column;
+    with op = add the same by +1.
+
+    Each shift is Horner's rule, f(x) -> f(x -+ 1) one coefficient at a
+    time; every step combines a coefficient with the old value of the next,
+    so a whole step is one elementwise op.  The table is a down-set, so a
+    column step combines row s with the leading part of row s + 1 and every
+    term of the sum is present.
+    """
+    rows = [list(row) for row in rows]
+    for c in rows:
+        d = len(c) - 1
+        for i in range(d - 1, -1, -1):
+            c[i:d] = map(op, c[i:d], c[i + 1:])
+    d = len(rows) - 1
+    for i in range(d - 1, -1, -1):
+        for lo, hi in zip(rows[i:d], rows[i + 1:]):
+            lo[: len(hi)] = map(op, lo, hi)
+    return rows
 
 
 def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
@@ -196,33 +246,34 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
 
         B_{k,ell} = sum_{(r,s)} (-1)^{r+s-k-ell} C(r,k) C(s,ell) A_{r,s}
 
-    The forward identity A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell} is re-checked
-    after inversion; a failure would be an internal error.
+    The transform is separable: a Taylor shift by -1 along r in every row
+    of the A table, then along s in every column, in O(P m) additions for
+    P admissible pairs and no binomial coefficient.  The forward identity
+    A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same two shifts by +1, is
+    re-checked after inversion; a failure, or a negative class size, would
+    be an internal error.
     """
     params.require_counting_regime()
     p = params.normalized()
-    pairs = admissible_pairs(p.m, p.t)
-    a_vals = {rs: count_matrix_entries(rs[0], rs[1], p) for rs in pairs}
-    sizes: dict[AdmissiblePair, int] = {}
-    for k, ell in pairs:
-        total = 0
-        for (r, s), a_rs in a_vals.items():
-            c = comb(r, k) * comb(s, ell)
-            if c:
-                total += (-1) ** (r + s - k - ell) * c * a_rs
-        if total < 0:
+    a_rows = _entry_table(p)
+    b_rows = _binomial_transform(a_rows, sub)
+    sizes = {
+        (k, ell): size for ell, row in enumerate(b_rows) for k, size in enumerate(row)
+    }
+    del sizes[(0, 0)]
+    for (k, ell), size in sizes.items():
+        if size < 0:
             raise ConsistencyError(
-                f"negative class size B_{{{k},{ell}}} = {total} at {p.astuple()}"
+                f"negative class size B_{{{k},{ell}}} = {size} at {p.astuple()}"
             )
-        sizes[(k, ell)] = total
-    for (r, s), a_rs in a_vals.items():
-        forward = sum(
-            comb(k, r) * comb(ell, s) * sizes[(k, ell)] for k, ell in pairs
+    forward = _binomial_transform(b_rows, add)
+    forward[0][0] = a_rows[0][0]  # B_{0,0} is no class size
+    if forward != a_rows:
+        r, s = next((r, s) for s, row in enumerate(forward)
+                    for r, x in enumerate(row) if x != a_rows[s][r])
+        raise ConsistencyError(
+            f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
         )
-        if forward != a_rs:
-            raise ConsistencyError(
-                f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
-            )
     return sizes
 
 
@@ -237,12 +288,14 @@ def count_class(k: int, ell: int, params: CodeParams) -> int:
 def closed_size_T(params: CodeParams) -> int:
     """|T| = 1 + sum over admissible (r, s) of (-1)^(r+s+1) A_{r,s}.
 
-    The alternating sum is the sum of all class sizes by inclusion-exclusion,
-    so no class size is inverted; the +1 is the zero word.
+    The alternating sum of the A table is the sum of all class sizes by
+    inclusion-exclusion, so no class size is inverted; the +1 is the zero
+    word.
     """
     params.require_counting_regime()
     p = params.normalized()
-    return 1 + sum(
-        (-1) ** (r + s + 1) * count_matrix_entries(r, s, p)
-        for r, s in admissible_pairs(p.m, p.t)
+    return 1 - sum(
+        (-1) ** (r + s) * entry
+        for s, row in enumerate(_entry_table(p))
+        for r, entry in enumerate(row)
     )

@@ -37,6 +37,7 @@ __all__ = [
     "DistanceResult",
     "brute_T",
     "brute_class_census",
+    "segment_class_sizes",
     "brute_dimension",
     "code_rows",
     "dual_min_distance",
@@ -90,6 +91,47 @@ def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
             key = (k, ell)
             census[key] = census.get(key, 0) + 1
     return census
+
+
+def segment_class_sizes(params: CodeParams) -> dict[tuple[int, int], int]:
+    """The occurrence-class sizes by a segment DP, in time polynomial in m.
+
+    A word with a nonzero digit splits cyclically into segments h 0^r.  A
+    segment adds one to k when h <= b and r >= t, and one to ell when
+    b < h <= a and r >= t+1, so the segments of length L = r+1 together
+    weigh w(L) = b x^[r>=t] + (a-b) y^[r>=t+1].  The segment covering
+    position 0 starts at one of its L positions, and the rest of the word
+    is a linear sequence of segments, whose weights total S(j) over length
+    j: S(0) = 1 and S(j) = sum_L w(L) S(j-L).  So B_{k,ell} is the
+    coefficient of x^k y^ell in sum_L L w(L) S(m-L) (Stanley, EC1 4.7).
+    Only the nonzero classes other than (0, 0) are returned."""
+    params.require_counting_regime()
+    p = params.normalized()
+    m, t, a, b = p.m, p.t, p.a, p.b
+
+    def weight(length: int) -> Counter:
+        w: Counter = Counter()
+        w[(1, 0) if length > t else (0, 0)] += b
+        if a > b:
+            w[(0, 1) if length > t + 1 else (0, 0)] += a - b
+        return w
+
+    def times(poly: Counter, w: Counter, scale: int, out: Counter) -> None:
+        for (k, ell), c in poly.items():
+            for (dk, dl), cw in w.items():
+                out[(k + dk, ell + dl)] += scale * c * cw
+
+    weights = [None] + [weight(length) for length in range(1, m + 1)]
+    S = [Counter({(0, 0): 1})]
+    for j in range(1, m + 1):
+        total: Counter = Counter()
+        for length in range(1, j + 1):
+            times(S[j - length], weights[length], 1, total)
+        S.append(total)
+    sizes: Counter = Counter()
+    for length in range(1, m + 1):
+        times(S[m - length], weights[length], length, sizes)
+    return {kl: v for kl, v in sorted(sizes.items()) if kl != (0, 0)}
 
 
 def brute_dimension(field: FieldContext, D: DefiningSet) -> int:

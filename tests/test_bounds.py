@@ -206,11 +206,41 @@ def test_audit_rows():
 
 
 def test_gap_condition_on_constructed_certificates():
+    # Roos's condition on M = {0} u S: max M - min M + 1 - |M| <= v - 1
     for p in _bound_grid((3, 4, 5), 3000):
         cert = build_certificate(p)
         if cert.s_size > 0:
-            assert cert.s_max - cert.s_min - cert.s_size + 1 < cert.v, p
+            assert cert.s_min > 0 and cert.s_max - cert.s_size <= cert.v - 1, p
             assert math.gcd(cert.z, p.n) == 1
+
+
+def test_gap_condition_reads_the_hull_of_zero_and_S():
+    # the hull of S = {5, 6} alone has no gap, but {0, 5, 6} has 4 > v - 1
+    p = CodeParams(2, 4, 1, 1, 1)
+    cert = BoundCertificate(
+        case_id="case8", v=2, z=1, s_set=(5, 6), s_size=2,
+        s_min=5, s_max=6, claimed_bound=5,
+    )
+    result = verify_certificate(cert, p)
+    assert not result.passed and result.certified_bound is None
+    structure = dict((n, (ok, d)) for n, ok, d in result.conditions)["structure"]
+    assert structure == (False, "gap condition fails: {0} u S has 4 gaps > v - 1 = 1")
+
+
+def test_stated_S_fields_must_match_S():
+    # a repeated shift or a misstated hull must not buy a larger bound
+    p = CodeParams(3, 4, 1, 2, 1)
+    good = build_certificate(p)
+    for s_set, s_max in [(good.s_set * 2, good.s_max), (good.s_set + (11,), good.s_max)]:
+        bad = BoundCertificate(
+            case_id=good.case_id, v=good.v, z=good.z, s_set=s_set,
+            s_size=len(s_set), s_min=good.s_min, s_max=s_max,
+            claimed_bound=good.v + len(s_set) + 1,
+        )
+        result = verify_certificate(bad, p)
+        assert not result.passed and result.certified_bound is None
+        assert result.conditions[0] == (
+            "structure", False, "S does not have the stated size, min and max")
 
 
 def test_every_case_has_small_fully_verified_instances():
@@ -248,10 +278,14 @@ def _reference_verify(cert, p):
         ok_structure, detail = False, f"gcd(z={cert.z}, {n}) != 1"
     elif 0 in cert.s_set:
         ok_structure, detail = False, "zero in S"
-    elif cert.s_size > 0 and cert.s_max - cert.s_min - cert.s_size + 1 >= v:
+    elif len(set(cert.s_set)) != cert.s_size or cert.s_size and (
+        (min(cert.s_set), max(cert.s_set)) != (cert.s_min, cert.s_max)
+    ):
+        ok_structure, detail = False, "S does not have the stated size, min and max"
+    elif cert.s_size > 0 and cert.s_max - cert.s_size > v - 1:
         ok_structure, detail = (
             False,
-            f"gap condition fails: {cert.s_max} - {cert.s_min} - {cert.s_size} + 1 >= {v}",
+            f"gap condition fails: {{0}} u S has {cert.s_max - cert.s_size} gaps > v - 1 = {v - 1}",
         )
     conditions = [("structure", ok_structure, detail)]
     bad = next((w for w in range(v) if not member(w)), None)
@@ -304,11 +338,12 @@ def test_value_before_the_top_is_always_excluded():
 
 def test_wrapping_translate_fails_like_the_per_value_route():
     p = CodeParams(3, 4, 1, 2, 1)  # n = 80, v = 7; nothing above 60 is a member
-    cert = BoundCertificate("case4", 7, 1, (77,), 1, 77, 77, 9)  # [77, 84) wraps
+    cert = BoundCertificate("case4", 7, 77, (1,), 1, 1, 1, 9)  # [77, 84) wraps
     result = verify_certificate(cert, p)
     assert not result.passed and result.mode == "full"
     assert result.conditions == _reference_verify(cert, p)[2]
-    assert result.conditions[2] == ("translates", False, "residue of s=77, w=0 is excluded")
+    assert result.conditions[0][1]  # {0, 1} meets the gap condition
+    assert result.conditions[2] == ("translates", False, "residue of s=1, w=0 is excluded")
 
 
 def _explicit_exclusions(excluded_values):

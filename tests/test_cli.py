@@ -183,6 +183,15 @@ def test_json_round_trip(capsys):
     assert doc["size_T"] == sum(r["class_size"] for r in doc["rows"]) + 1
 
 
+def test_size_t_at_m_200(capsys):
+    code, out, _ = run(capsys, "size-t", "--q", "2", "--m", "200", "--t", "0",
+                       "--a", "1", "--b", "1", "--format", "json",
+                       "--no-timestamp")
+    assert code == 0
+    doc = json.loads(out)  # integers past 2^53 are written as strings
+    assert int(doc["size_T"]) == 1 + sum(int(r["class_size"]) for r in doc["rows"])
+
+
 def test_bad_grid_value_exits_2_without_traceback():
     src = str(Path(cyclocode.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

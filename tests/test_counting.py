@@ -1,5 +1,8 @@
+from operator import sub
+
 import pytest
 
+from cyclocode import counting
 from cyclocode.counting import (
     CodeParams,
     admissible_pairs,
@@ -9,7 +12,7 @@ from cyclocode.counting import (
     count_matrix_entries,
     count_pattern_words,
 )
-from cyclocode.errors import ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError
 
 
 def test_code_params_validation():
@@ -152,6 +155,35 @@ def test_forward_identity_round_trip():
             assert forward == count_matrix_entries(r, s, params)
 
 
+def test_corrupted_entry_table_raises(monkeypatch):
+    # with a = b every A_{r,s} with s >= 1 is zero, so taking one from
+    # A_{0,1} leaves B_{0,1} = -1
+    build = counting._entry_table
+
+    def corrupted(p):
+        rows = build(p)
+        rows[1][0] -= 1
+        return rows
+
+    monkeypatch.setattr(counting, "_entry_table", corrupted)
+    with pytest.raises(ConsistencyError, match="negative class size"):
+        class_sizes(CodeParams(2, 6, 1, 1, 1))
+
+
+def test_corrupted_inversion_fails_the_round_trip(monkeypatch):
+    transform = counting._binomial_transform
+
+    def corrupted(rows, op):
+        out = transform(rows, op)
+        if op is sub:
+            out[0][1] += 1  # B_{1,0} off by one
+        return out
+
+    monkeypatch.setattr(counting, "_binomial_transform", corrupted)
+    with pytest.raises(ConsistencyError, match="round trip failed at \\(r, s\\) = \\(1, 0\\)"):
+        class_sizes(CodeParams(3, 4, 1, 2, 1))
+
+
 def test_class_sizes_match_census_small_grid():
     from cyclocode.oracle import brute_class_census
 
@@ -162,6 +194,7 @@ def test_class_sizes_match_census_small_grid():
                     for b in range(1, a + 1):
                         p = CodeParams(q, m, t, a, b)
                         sizes = class_sizes(p)
+                        assert list(sizes) == admissible_pairs(m, t)
                         census = brute_class_census(p)
                         assert set(census) <= set(sizes)
                         for kl, v in sizes.items():

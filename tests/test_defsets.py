@@ -108,6 +108,23 @@ def test_bch_set_examples():
         bch_set(2, 4, 1)
 
 
+def test_bch_dimension_closed_form():
+    # Aly, Klappenecker and Sarvepalli (IEEE TIT 2007): for
+    # 2 <= delta <= q^ceil(m/2) + 1 the narrow-sense primitive BCH code has
+    # dimension n - m ceil((delta - 1)(1 - 1/q))
+    points = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        m = 1
+        while q**m <= 2 * 10**4:
+            n = q**m - 1
+            for delta in range(2, min(q ** -(-m // 2) + 1, n) + 1):
+                expected = n - m * -(-(delta - 1) * (q - 1) // q)
+                assert n - len(bch_set(q, m, delta)) == expected, (q, m, delta)
+                points += 1
+            m += 1
+    assert points == 2490
+
+
 def test_bch_identity_when_a_is_top():
     # with a = q-1: T minus {0} is exactly the BCH defining set
     for q, mmax in [(2, 6), (3, 4), (5, 3)]:

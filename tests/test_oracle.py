@@ -25,6 +25,7 @@ from cyclocode.oracle import (
     dual_min_distance,
     macwilliams,
     minimum_weight,
+    segment_class_sizes,
     weight_distribution,
 )
 
@@ -62,6 +63,26 @@ def test_census_matches_class_sizes():
     assert brute_class_census(p) == {(1, 0): 32, (2, 0): 2, (0, 1): 12}
     sizes = class_sizes(p)
     assert closed_size_T(p) == sum(sizes.values()) + 1
+
+
+def test_segment_class_sizes_match_census_small_grid():
+    for q, mmax in [(2, 7), (3, 5), (4, 4), (5, 3)]:
+        for m in range(1, mmax + 1):
+            for t in range(m):
+                for a in range(1, q):
+                    for b in range(1, a + 1):
+                        p = CodeParams(q, m, t, a, b)
+                        assert segment_class_sizes(p) == brute_class_census(p), p
+
+
+@pytest.mark.parametrize("point", [(2, 200, 1, 1, 1), (2, 120, 0, 1, 1), (3, 60, 0, 2, 1)])
+def test_segment_class_sizes_match_class_sizes_at_large_m(point):
+    p = CodeParams(*point)
+    segments, sizes = segment_class_sizes(p), class_sizes(p)
+    # class_sizes lists every admissible pair, the empty classes too
+    assert set(segments) <= set(sizes)
+    for kl, size in sizes.items():
+        assert segments.get(kl, 0) == size, kl
 
 
 def test_brute_dimension_examples():

@@ -158,3 +158,44 @@ def test_layer_modules_are_loaded_by_the_package_import():
     loaded = ast.literal_eval(proc.stdout.strip())
     for module in ("qadic", "cosets", "counting", "defsets", "bounds", "galois", "oracle"):
         assert f"cyclocode.{module}" in loaded, loaded
+
+
+def _runtime_imports(module: str) -> list[tuple[str, list[str]]]:
+    """(imported module, names) for every import statement of a package
+    module outside ``if TYPE_CHECKING:`` blocks; relative imports are named
+    by their module within the package."""
+    tree = ast.parse(Path(cyclocode.__file__).with_name(f"{module}.py").read_text())
+    skip = {id(node) for top in ast.walk(tree) if isinstance(top, ast.If)
+            and isinstance(top.test, ast.Name) and top.test.id == "TYPE_CHECKING"
+            for stmt in top.body for node in ast.walk(stmt)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.level and not node.module:  # from . import x
+                out += [(alias.name, []) for alias in node.names]
+            else:
+                out.append((node.module.removeprefix("cyclocode."),
+                            [alias.name for alias in node.names]))
+        elif isinstance(node, ast.Import):
+            out += [(alias.name.removeprefix("cyclocode."), []) for alias in node.names]
+    return out
+
+
+def test_oracles_do_not_import_the_fast_kernel():
+    # the oracle modules, and every package module they load, take no
+    # function from counting and nothing from defsets's mask kernel
+    seen, todo = set(), ["oracle", "qadic"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for target, names in _runtime_imports(module):
+            assert target != "defsets", module
+            if target == "counting":
+                assert set(names) <= {"CodeParams"} and names, (module, names)
+            if Path(cyclocode.__file__).with_name(f"{target}.py").exists():
+                todo.append(target)
+    assert {"oracle", "qadic", "cosets", "galois"} <= seen
