@@ -13,13 +13,15 @@ Eleven mutually exclusive parameter cases each come with a concrete (z, S)
 construction and a closed-form value of v + |S| + 1.  verify_certificate
 re-checks all three conditions from scratch, so a claimed bound never has
 to be taken on faith.  It checks [0, v) and each translate as whole
-intervals, in aligned blocks of at most BLOCK_SIZE values, on the same
-digit-mask kernel that builds the dual defining set; a translate that wraps
-at q^m - 1 is split in two.  Every membership is tested ("full" mode) unless
-(|S| + 1) * v exceeds DEFAULT_WORK_CAP or S has more than DEFAULT_S_CAP
-elements and is only known in parametric form; then nothing is tested, the
-mode is "unchecked" and no bound is certified.  Both caps are module
-constants.
+intervals: each rotation of the forbidden pattern is a box of digit floors
+(the floors the mask kernel in defsets builds the dual defining set from),
+and the least excluded value of an interval is the least successor over
+the m boxes, found in one pass over the digits of its start whatever v is.
+A translate that wraps at q^m - 1 is split in two.  Every certificate with
+an explicit S is checked in full ("full" mode).  When S has more than
+DEFAULT_S_CAP elements it is only known in parametric form; then nothing
+is tested, the mode is "unchecked" and no bound is certified.
+DEFAULT_S_CAP is the only certificate cap.
 
 The closed-form prefix value: the published case split for a != q-1 is
 only valid for m >= t+2.  For m = t+1 the word u = b 0...0 has no a-digits
@@ -33,11 +35,12 @@ for example, q=5, m=2, t=1, a=2, b=1).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product
 
 from .counting import CodeParams
-from .defsets import _dual_excluded_block
+from .defsets import _dual_floors
 from .errors import ParameterError
 
 __all__ = [
@@ -52,18 +55,11 @@ __all__ = [
     "stated_bound",
     "audit",
     "DEFAULT_S_CAP",
-    "DEFAULT_WORK_CAP",
 ]
 
-# S sets are enumerated explicitly up to this many elements.
+# S sets are enumerated explicitly up to this many elements; a larger S is
+# parametric and its certificate is "unchecked".
 DEFAULT_S_CAP = 10**6
-
-# Certificates are checked in full when (|S| + 1) * v memberships fit under
-# this; beyond it nothing is checked and the result is "unchecked".
-DEFAULT_WORK_CAP = 10**8
-
-# Intervals are checked in aligned blocks of q^k <= BLOCK_SIZE values.
-BLOCK_SIZE = 1 << 14
 
 CASE_LABELS: dict[str, str] = {
     "case1": "a=q-1, b!=q-1, m>=2t+5, t>=1",
@@ -219,10 +215,12 @@ class VerificationResult:
     """Outcome of re-checking the three certificate conditions.
 
     mode is "full" when every membership in [0, v) and in all translated
-    intervals was tested, and "unchecked" when S is only known in parametric
-    form or (|S| + 1) * v exceeds DEFAULT_WORK_CAP; an unchecked certificate
-    never passes.  certified_bound is the claimed bound when every condition
-    passed, else None.  checked counts the memberships tested.
+    intervals was decided, and "unchecked" when S is only known in
+    parametric form (more than DEFAULT_S_CAP elements); an unchecked
+    certificate never passes.  certified_bound is the claimed bound when
+    every condition passed, else None.  checked counts the memberships
+    decided: the whole of each interval that passed, and of a failing one
+    its values up to the first excluded one.
     """
 
     passed: bool
@@ -232,63 +230,53 @@ class VerificationResult:
     checked: int
 
 
-class _IntervalCheck:
-    """Finds excluded values of the dual defining set in whole intervals.
+def _excluded_successor(params: CodeParams) -> Callable[[int], int]:
+    """A function that maps each A in [0, n] to the least value >= A outside
+    the dual defining set; it is at most n, whose digits are all q - 1.
 
-    The index range is cut into aligned blocks of q^k <= BLOCK_SIZE values;
-    an interval is checked by shifting each block's excluded mask to the
-    interval and comparing it with zero.  The low-digit masks and the last
-    block's mask are kept, so memory stays O(BLOCK_SIZE) bits.
+    Rotation r of the forbidden pattern is the box "digit (r + o) mod m >=
+    floors[o] for every o".  The least member >= A of one box keeps A's
+    digits above the highest digit of A that lies below its floor, and sets
+    that digit and every lower one to their floors; it is A itself when no
+    digit lies below its floor.  A lower such digit gives a smaller member,
+    so one pass over A's digits from the top narrows the mask of boxes that
+    no digit has ruled out yet, and the answer comes from the boxes ruled
+    out last.  The tables hold O(m (m + q)) entries; a query takes O(m)
+    steps.
     """
+    q, m = params.q, params.m
+    floors = _dual_floors(params)
+    powers = [q**d for d in range(m + 1)]
+    below = []  # below[d][x]: the boxes whose floor at digit d exceeds x
+    lows = []  # lows[d][r]: the value of box r's floors on digits 0..d
+    low = [0] * m
+    for d in range(m):
+        floor = [floors[(d - r) % m] for r in range(m)]
+        below.append([sum(1 << r for r in range(m) if x < floor[r]) for x in range(q)])
+        low = [low[r] + floor[r] * powers[d] for r in range(m)]
+        lows.append(low)
 
-    def __init__(self, params: CodeParams) -> None:
-        q, m = params.q, params.m
-        k = 1
-        while k < m and q ** (k + 1) <= BLOCK_SIZE:
-            k += 1
-        self.params, self.k, self.size = params, k, q**k
-        self.masks: dict = {}
-        self.high, self.block = -1, 0
+    def successor(value: int) -> int:
+        alive = (1 << m) - 1
+        for d in range(m - 1, -1, -1):
+            hit = alive & below[d][value // powers[d] % q]
+            if hit == alive:
+                best = powers[d + 1]
+                while hit:
+                    r = hit.bit_length() - 1
+                    best = min(best, lows[d][r])
+                    hit ^= 1 << r
+                return value - value % powers[d + 1] + best
+            alive ^= hit
+        return value
 
-    def _excluded(self, high: int) -> int:
-        if high != self.high:
-            self.high = high
-            self.block = _dual_excluded_block(self.params, self.k, high, self.masks)
-        return self.block
-
-    def first_excluded(self, lo: int, hi: int) -> int | None:
-        """The least value of [lo, hi) outside the dual defining set, or None."""
-        size = self.size
-        high = lo // size
-        while high * size < hi:
-            start = max(lo, high * size)
-            stop = min(hi, (high + 1) * size)
-            bad = self._excluded(high) >> (start - high * size) & ((1 << (stop - start)) - 1)
-            if bad:
-                return start + (bad & -bad).bit_length() - 1
-            high += 1
-        return None
-
-    def excluded_offset(self, base: int, v: int) -> int | None:
-        """The least w in [0, v) with (base + w) mod n outside the dual
-        defining set, or None.
-
-        An interval that wraps at n splits into [base, n) and
-        [0, base + v - n); past one full turn the residues repeat.
-        """
-        n = self.params.n
-        tail = min(v, n - base)
-        bad = self.first_excluded(base, base + tail)
-        if bad is not None:
-            return bad - base
-        bad = self.first_excluded(0, min(v - tail, base))
-        return None if bad is None else tail + bad
+    return successor
 
 
 def verify_certificate(
     cert: BoundCertificate, params: CodeParams, seed: int = 0
 ) -> VerificationResult:
-    """Re-check the Roos-bound certificate against the dual pattern kernel.
+    """Re-check the Roos-bound certificate against the dual pattern's boxes.
 
     Conditions: (i) [0, v) lies in the dual defining set; (ii) for every s
     in S each residue of [s z, s z + v) mod (q^m - 1) lies there too, the
@@ -297,11 +285,11 @@ def verify_certificate(
     min and max, and, when S is nonempty, Roos's gap condition on
     M = {0} u S: max M - min M + 1 - |M| <= v - 1.
 
-    Intervals are checked whole, block by block, so every membership is
-    tested and the detail names the first excluded value.  When (|S| + 1) * v
-    exceeds DEFAULT_WORK_CAP, or S is in parametric form, nothing is checked
-    and the result is "unchecked"; the caps are module constants.  seed is
-    accepted for callers that pass one and is unused: the check is
+    Each interval is checked whole by one successor query on the digit
+    boxes of the forbidden pattern, so every membership is decided whatever
+    v is, and the detail names the first excluded value.  Only a parametric
+    S (more than DEFAULT_S_CAP elements) leaves the result "unchecked".
+    seed is accepted for callers that pass one and is unused: the check is
     deterministic.
     """
     params.require_bound_regime()
@@ -329,22 +317,31 @@ def verify_certificate(
         )
     conditions.append(("structure", ok_structure, detail))
 
-    if cert.s_set is None or (cert.s_size + 1) * v > DEFAULT_WORK_CAP:
-        why = (
-            f"unchecked: S is parametric (|S| = {cert.s_size})"
-            if cert.s_set is None
-            else f"unchecked: (|S| + 1) * v = {(cert.s_size + 1) * v} "
-            f"exceeds the work cap {DEFAULT_WORK_CAP}"
-        )
+    if cert.s_set is None:
+        why = f"unchecked: S is parametric (|S| = {cert.s_size})"
         conditions.append(("prefix", False, why))
         conditions.append(("translates", False, why))
         return VerificationResult(False, "unchecked", tuple(conditions), None, 0)
 
-    check = _IntervalCheck(params)
+    successor = _excluded_successor(params)
+    first = successor(0)
+
+    def excluded_offset(base: int) -> int | None:
+        """The least w in [0, v) with (base + w) mod n excluded, or None.
+
+        An interval that wraps at n splits into [base, n) and
+        [0, base + v - n); past one full turn the residues repeat.
+        """
+        tail = min(v, n - base)
+        w = successor(base) - base
+        if w < tail:
+            return w
+        return tail + first if first < min(v - tail, base) else None
+
     checked = 0
     ok_prefix = True
     prefix_detail = "[0, v) lies in the dual defining set"
-    w = check.excluded_offset(0, v)
+    w = excluded_offset(0)
     checked += v if w is None else w + 1
     if w is not None:
         ok_prefix, prefix_detail = False, f"prefix value {w} is excluded"
@@ -354,7 +351,7 @@ def verify_certificate(
     trans_detail = "all translated intervals lie in the dual defining set"
     if cert.s_size > 0 and ok_structure:
         for s in cert.s_set:
-            w = check.excluded_offset((s * cert.z) % n, v)
+            w = excluded_offset((s * cert.z) % n)
             checked += v if w is None else w + 1
             if w is not None:
                 ok_trans = False
@@ -428,8 +425,8 @@ class AuditRow:
 def audit(params: CodeParams, seed: int = 0) -> AuditRow:
     """Build and verify the certificate, then compare with the closed form.
 
-    The caps are those of verify_certificate, module constants.  seed is
-    unused, as there: the check is deterministic.
+    The only cap is verify_certificate's, DEFAULT_S_CAP.  seed is unused,
+    as there: the check is deterministic.
     """
     cert = build_certificate(params)
     result = verify_certificate(cert, params)

@@ -5,9 +5,9 @@ T and its dual are built by two deliberately independent routes:
 - the bit-sliced kernel here.  "Digit i of s lies in [lo, hi]" is a periodic
   bit pattern over all s in [0, q^m), so build_T and dual_set_pattern
   evaluate their digit-pattern characterizations over the whole index range
-  at once, as ANDs and ORs of q^m-bit masks held in Python ints.  The dual
-  pattern is evaluated on one aligned block of q^k values (k = m for the
-  whole set); bounds checks certificate intervals block by block on it;
+  at once, as ANDs and ORs of q^m-bit masks held in Python ints.  bounds
+  reads the dual pattern's digit floors from here, and finds excluded
+  values in certificate intervals from them without building a mask;
 - the per-value oracles.  The oracle module rebuilds T straight from the
   definition (descendants of rotations), and qadic's profile_counts and
   matches_dual_exclusion test the same patterns one value at a time.
@@ -123,57 +123,39 @@ def dual_set(D: DefiningSet) -> DefiningSet:
     return D.reflect().complement()
 
 
-def _dual_excluded_block(
-    params: CodeParams, k: int, high: int = 0, masks: dict | None = None
-) -> int:
-    """The q^k-bit mask of the block values high * q^k + j, 0 <= j < q^k,
-    that some rotation of the forbidden pattern matches.
+def _dual_floors(params: CodeParams) -> list[int]:
+    """The lowest allowed digit at each offset o of the forbidden pattern
+    x_1 ... x_{m-t-1} y (q-1)^t.
 
-    The pattern starting at digit r reads x_1 ... x_{m-t-1} y (q-1)^t
-    cyclically, so it fixes a lowest allowed digit at every position; the
-    excluded values are the OR over r of the AND of "digit >= floor" terms.
-    Inside the block digits k..m-1 are the constant digits of high, so such
-    a term is all-ones or zero, and only the low digits need a q^k-bit mask.
-    masks, when given, keeps those low-digit masks for the next block of
-    the same (params, k).  a and b are independent here (no b <= a
-    requirement).
+    The rotation starting at digit r matches s exactly when digit
+    (r + o) mod m of s is >= floors[o] for every o.  a and b are independent
+    here (no b <= a requirement).
     """
     q, m, t, a, b = params.astuple()
-    full = (1 << q**k) - 1
-    floors = [q - 1 - a] * (m - t - 1) + [q - 1 - b] + [q - 1] * t
-    top = [high // q**i % q for i in range(m - k)]  # digits k..m-1
-    excluded = 0
-    for r in range(m):
-        terms = [((r + offset) % m, lo) for offset, lo in enumerate(floors) if lo]
-        if any(top[d - k] < lo for d, lo in terms if d >= k):
-            continue
-        hit = full
-        for d, lo in terms:
-            if d >= k:
-                continue
-            if masks is None:
-                hit &= _digit_mask(q, k, d, lo, q - 1)
-            else:
-                if (d, lo) not in masks:
-                    masks[d, lo] = _digit_mask(q, k, d, lo, q - 1)
-                hit &= masks[d, lo]
-            if not hit:
-                break
-        excluded |= hit
-    return excluded
+    return [q - 1 - a] * (m - t - 1) + [q - 1 - b] + [q - 1] * t
 
 
 def dual_set_pattern(params: CodeParams) -> DefiningSet:
     """The dual defining set built directly from its pattern characterization:
     values whose word avoids the full-length forbidden pattern.
 
-    This is the one-block case (k = m, high = 0) of the block kernel, with
-    digit masks built as they are needed.
+    The excluded values are the OR over rotations r of the AND of the
+    "digit (r + o) mod m >= floors[o]" masks, built as they are needed.
     """
     q, m = params.q, params.m
     size = _check_cap(q, m)
     full = (1 << size) - 1
-    return DefiningSet(q, m, full & ~_dual_excluded_block(params, m))
+    floors = _dual_floors(params)
+    excluded = 0
+    for r in range(m):
+        hit = full
+        for offset, lo in enumerate(floors):
+            if lo:
+                hit &= _digit_mask(q, m, (r + offset) % m, lo, q - 1)
+                if not hit:
+                    break
+        excluded |= hit
+    return DefiningSet(q, m, full & ~excluded)
 
 
 def bch_set(q: int, m: int, delta: int) -> DefiningSet:

@@ -2,6 +2,7 @@ import math
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cyclocode import bounds
 from cyclocode.bounds import (
@@ -310,10 +311,7 @@ def _with_v(cert, v):
                             cert.s_min, cert.s_max, v + cert.s_size + 1)
 
 
-@pytest.mark.parametrize("block_size", [bounds.BLOCK_SIZE, 9])
-def test_interval_check_matches_per_value_reference(monkeypatch, block_size):
-    # A block size of 9 splits every interval over many blocks.
-    monkeypatch.setattr(bounds, "BLOCK_SIZE", block_size)
+def test_interval_check_matches_per_value_reference():
     points = failing = 0
     for p in _bound_grid((2, 3, 4, 5), 3000):
         good = build_certificate(p)
@@ -347,35 +345,66 @@ def test_wrapping_translate_fails_like_the_per_value_route():
 
 
 def _explicit_exclusions(excluded_values):
-    """A stand-in block kernel whose excluded set is the given values."""
-    def block(params, k, high=0, masks=None):
-        size = params.q**k
-        bits = 0
-        for value in excluded_values:
-            if high * size <= value < (high + 1) * size:
-                bits |= 1 << (value - high * size)
-        return bits
-    return block
+    """A stand-in successor query whose excluded set is the given values."""
+    def successor_of(params):
+        return lambda value: min(x for x in excluded_values | {params.n} if x >= value)
+    return successor_of
 
 
-@pytest.mark.parametrize("block_size", [bounds.BLOCK_SIZE, 9])
-def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch, block_size):
+def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch):
     # n = 80.  The translate of s=1 under z=77 is [77, 84), that is the
     # residues 77, 78, 79, 0, 1, 2, 3; w counts on across the wrap.  76 lies
     # just before the translate and 80 = n is never a residue.
-    monkeypatch.setattr(bounds, "BLOCK_SIZE", block_size)
     p = CodeParams(3, 4, 1, 2, 1)
     cert = BoundCertificate("case4", 7, 77, (1,), 1, 1, 1, 9)
-    monkeypatch.setattr(bounds, "_dual_excluded_block", _explicit_exclusions({76, 80}))
+    monkeypatch.setattr(bounds, "_excluded_successor", _explicit_exclusions({76, 80}))
     result = verify_certificate(cert, p)
     assert result.passed and result.certified_bound == 9
     assert result.checked == 14
-    monkeypatch.setattr(bounds, "_dual_excluded_block", _explicit_exclusions({2, 80}))
+    monkeypatch.setattr(bounds, "_excluded_successor", _explicit_exclusions({2, 80}))
     result = verify_certificate(cert, p)
     assert not result.passed and result.certified_bound is None
     assert result.conditions[1] == ("prefix", False, "prefix value 2 is excluded")
     assert result.conditions[2] == ("translates", False, "residue of s=1, w=5 is excluded")
     assert result.checked == 3 + 6
+
+
+@st.composite
+def _intervals(draw):
+    """Bound-regime parameters with m up to 30, an interval [lo, hi) of at
+    most 64 values that starts at a word drawn digit by digit or ends at n,
+    and a translate that wraps at n."""
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    m = draw(st.integers(2, 30))
+    a = draw(st.integers(1, q - 1))
+    b = draw(st.integers(1, q - 1))
+    t = draw(st.integers(1 if a == b == q - 1 else 0, m - 1))
+    p = CodeParams(q, m, t, a, b)
+    length = draw(st.integers(0, 64))
+    if draw(st.booleans()):
+        lo, hi = max(0, p.n - length), p.n
+    else:
+        digits = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+        lo = sum(d * q**i for i, d in enumerate(digits))
+        hi = min(lo + length, p.n)
+    # z = n - 1 moves s to the base n - s, so [n - s, n - s + v) wraps
+    s = draw(st.integers(1, min(64, p.n - 1)))
+    v = draw(st.integers(s + 1, s + 64))
+    return p, lo, hi, BoundCertificate("case11", v, p.n - 1, (s,), 1, s, s, v + 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_intervals())
+def test_box_successor_equals_per_value_scan(drawn):
+    p, lo, hi, wrapping = drawn
+    q, m, t, a, b = p.astuple()
+    found = bounds._excluded_successor(p)(lo)
+    assert lo <= found <= p.n and matches_dual_exclusion(found, q, m, a, b, t)
+    scan = next((s for s in range(lo, hi) if matches_dual_exclusion(s, q, m, a, b, t)), None)
+    assert (found if found < hi else None) == scan, (p, lo, hi)
+    result = verify_certificate(wrapping, p)
+    assert (result.passed, result.certified_bound, result.conditions) == _reference_verify(
+        wrapping, p), (p, wrapping)
 
 
 TABLE2_ROWS = [(t, b) for t in range(8, 1, -1) for b in range(1, 5)]
@@ -394,30 +423,61 @@ def test_all_table2_rows_verify_in_full():
                for t, b in TABLE2_ROWS) == 3
 
 
-# Case 11 with S empty and v = 193,710,244: one interval of v memberships,
-# over the 10^8 work cap.
-OVER_WORK_CAP = CodeParams(3, 18, 0, 1, 1)
+# Case 8 with |S| = 2^20 - 2 = 1,048,574 > DEFAULT_S_CAP: S is only known in
+# parametric form, the one case a certificate is left unchecked.
+PARAMETRIC_S = CodeParams(2, 42, 20, 1, 1)
 
 
-def test_work_cap_leaves_certificate_unchecked():
-    p = OVER_WORK_CAP
+def test_parametric_S_leaves_certificate_unchecked():
+    p = PARAMETRIC_S
     cert = build_certificate(p)
-    assert (cert.case_id, cert.s_size, cert.v) == ("case11", 0, 193_710_244)
-    assert (cert.s_size + 1) * cert.v > bounds.DEFAULT_WORK_CAP == 10**8
+    assert (cert.case_id, cert.s_set, cert.s_size) == ("case8", None, 1_048_574)
+    assert cert.s_size > bounds.DEFAULT_S_CAP
     result = verify_certificate(cert, p)
     assert result.mode == "unchecked"
     assert result.passed is False and result.certified_bound is None
     assert result.checked == 0
     failed = [(name, detail) for name, ok, detail in result.conditions if not ok]
-    assert [name for name, _ in failed] == ["prefix", "translates"]
-    assert all("193710244 exceeds the work cap 100000000" in detail
-               for _, detail in failed)
+    assert failed == [(name, "unchecked: S is parametric (|S| = 1048574)")
+                      for name in ("prefix", "translates")]
 
     row = audit(p)
     assert row.mode == "unchecked" and not row.verified_ok
-    assert row.stated == 193_710_245
+    assert row.stated == 2_097_151
     assert row.certified is None and row.mismatch is None
     assert not row.stated_sound
+
+
+def test_large_certificates_verify_in_full():
+    # one interval of 193,710,244 memberships, past the 10^8 that a work cap
+    # once allowed
+    p = CodeParams(3, 18, 0, 1, 1)  # case 11, S empty
+    cert = build_certificate(p)
+    assert (cert.case_id, cert.s_size, cert.v) == ("case11", 0, 193_710_244)
+    result = verify_certificate(cert, p)
+    assert result.mode == "full" and result.passed
+    assert result.certified_bound == stated_bound(p) == 193_710_245
+    assert result.checked == 193_710_244
+
+    p = CodeParams(2, 28, 13, 1, 1)  # 8,191 intervals of 8,191 memberships
+    cert = build_certificate(p)
+    assert (cert.case_id, cert.s_size, cert.v) == ("case8", 8190, 8191)
+    result = verify_certificate(cert, p)
+    assert result.mode == "full" and result.passed
+    assert result.checked == 8191 * 8191
+
+
+def test_every_point_up_to_10_9_verifies_in_full():
+    points = over = 0
+    for p in _bound_grid((2, 3, 4, 5, 7, 8, 9), 10**9):
+        if p.q**p.m <= 10**8:
+            continue
+        cert = build_certificate(p)
+        result = verify_certificate(cert, p)
+        assert result.mode == "full" and result.passed, p
+        points += 1
+        over += (cert.s_size + 1) * cert.v > 10**8
+    assert (points, over) == (1909, 667)
 
 
 def test_audit_certifies_nothing_for_a_failing_certificate(monkeypatch):

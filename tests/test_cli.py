@@ -242,16 +242,16 @@ def test_grid_value_list_over_the_cap_is_a_resource_error():
 
 
 def test_audit_reports_an_unchecked_certificate_as_a_finding(capsys):
-    # (3, 18, 0, 1, 1) needs (|S| + 1) * v = 193,710,244 memberships, over
-    # the 10^8 work cap, so its certificate is left unchecked.
-    code, out, _ = run(capsys, "audit", "--grid", "q=3;m=18;t=0;a=1;b=1",
+    # (2, 42, 20, 1, 1) is case 8 with |S| = 1,048,574, over DEFAULT_S_CAP,
+    # so S is parametric and its certificate is left unchecked.
+    code, out, _ = run(capsys, "audit", "--grid", "q=2;m=42;t=20;a=1;b=1",
                        "--format", "json", "--no-timestamp")
     assert code == 0
     doc = json.loads(out)
     assert doc["findings"] == 1
     row = doc["rows"][0]
     assert row["mode"] == "unchecked" and row["verified_ok"] is False
-    assert row["stated"] == 193_710_245
+    assert row["stated"] == 2_097_151
     assert row["certified"] is None and row["mismatch"] is None
     assert row["stated_sound"] is False
 

@@ -13,7 +13,6 @@ from cyclocode.defsets import (
     dimension,
     dual_set,
     dual_set_pattern,
-    _dual_excluded_block,
 )
 from cyclocode.errors import ParameterError, ResourceLimitError, ZeroCodeError
 from cyclocode.oracle import brute_T, brute_max_prefix
@@ -204,23 +203,6 @@ def test_dual_set_pattern_equals_per_value_exclusion(p):
         if not matches_dual_exclusion(s, q, m, a, b, t)
     ]
     assert dual_set_pattern(p).members() == expected
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(code_params(b_le_a=False), st.data())
-def test_dual_block_kernel_equals_per_value_exclusion(p, data):
-    q, m, t, a, b = p.astuple()
-    for k in range(m + 1):
-        masks: dict = {}
-        # two blocks through one mask memo: the second reuses the first's masks
-        for _ in range(2):
-            high = data.draw(st.integers(0, q ** (m - k) - 1))
-            block = _dual_excluded_block(p, k, high, masks)
-            assert block >> q**k == 0
-            for j in range(q**k):
-                s = high * q**k + j
-                excluded = matches_dual_exclusion(s, q, m, a, b, t)
-                assert (block >> j & 1) == excluded, (p, k, high, j)
 
 
 def test_build_T_at_2_20_is_all_but_the_top():
