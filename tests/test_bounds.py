@@ -311,11 +311,15 @@ def _with_v(cert, v):
                             cert.s_min, cert.s_max, v + cert.s_size + 1)
 
 
-def test_interval_check_matches_per_value_reference():
+@pytest.mark.parametrize("stretch", [16384, 9])
+def test_interval_check_matches_per_value_reference(stretch):
+    # v + 16384 runs every interval many turns round n (n <= 3000 here);
+    # v + 9 stops short of a turn on all but the smallest n.
     points = failing = 0
     for p in _bound_grid((2, 3, 4, 5), 3000):
         good = build_certificate(p)
-        for cert in (good, _with_v(good, good.v + 1), _with_v(good, good.v + 7)):
+        lengthened = (good.v + 1, good.v + 7, good.v + stretch)
+        for cert in (good, *(_with_v(good, v) for v in lengthened)):
             result = verify_certificate(cert, p)
             assert result.mode == "full", p
             got = (result.passed, result.certified_bound, result.conditions)
@@ -323,7 +327,7 @@ def test_interval_check_matches_per_value_reference():
             failing += not result.passed
         points += 1
     assert points == 420
-    assert failing >= 2 * points
+    assert failing >= 3 * points
 
 
 def test_value_before_the_top_is_always_excluded():
@@ -351,7 +355,18 @@ def _explicit_exclusions(excluded_values):
     return successor_of
 
 
-def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch):
+@pytest.mark.parametrize(
+    "long_v, long_outcome",
+    [
+        # many turns round n: 76 is met at prefix value 76 and, past the
+        # wrap, at w = 3 + 76 of the translate
+        pytest.param(16384, (False, "residue of s=1, w=79 is excluded", 77 + 80), id="16384"),
+        # [0, 9) and the residues 77, 78, 79, 0, ..., 5 all miss 76
+        pytest.param(9, (True, "all translated intervals lie in the dual defining set", 18),
+                     id="9"),
+    ],
+)
+def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch, long_v, long_outcome):
     # n = 80.  The translate of s=1 under z=77 is [77, 84), that is the
     # residues 77, 78, 79, 0, 1, 2, 3; w counts on across the wrap.  76 lies
     # just before the translate and 80 = n is never a residue.
@@ -361,12 +376,20 @@ def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch):
     result = verify_certificate(cert, p)
     assert result.passed and result.certified_bound == 9
     assert result.checked == 14
+    long = _with_v(cert, long_v)
+    result = verify_certificate(long, p)
+    passed, trans_detail, checked = long_outcome
+    assert result.passed == passed and result.conditions[2] == ("translates", passed, trans_detail)
+    assert result.certified_bound == (long_v + 2 if passed else None)
+    assert result.checked == checked
     monkeypatch.setattr(bounds, "_excluded_successor", _explicit_exclusions({2, 80}))
-    result = verify_certificate(cert, p)
-    assert not result.passed and result.certified_bound is None
-    assert result.conditions[1] == ("prefix", False, "prefix value 2 is excluded")
-    assert result.conditions[2] == ("translates", False, "residue of s=1, w=5 is excluded")
-    assert result.checked == 3 + 6
+    # 2 is met at the same offsets whatever the length, so both counts stay
+    for c in (cert, long):
+        result = verify_certificate(c, p)
+        assert not result.passed and result.certified_bound is None
+        assert result.conditions[1] == ("prefix", False, "prefix value 2 is excluded")
+        assert result.conditions[2] == ("translates", False, "residue of s=1, w=5 is excluded")
+        assert result.checked == 3 + 6
 
 
 @st.composite
