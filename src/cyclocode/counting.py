@@ -19,7 +19,8 @@ and no binomial coefficient; |T| is the table's alternating sum.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
+from functools import lru_cache
+from math import factorial
 from operator import add, sub
 
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
@@ -163,9 +164,11 @@ def _check_admissible(k: int, ell: int, m: int, t: int) -> None:
         )
 
 
-def _pattern_words(k: int, ell: int, m: int, t: int) -> int:
+def _pattern_words(k: int, ell: int, m: int, t: int, fact: list[int]) -> int:
+    """The pattern-word count, from the factorials fact[i] = i! up to m."""
     blocks = m - k * t - ell * (t + 1)  # block count after collapsing zero runs
-    value, rem = divmod(m * comb(blocks, k) * comb(blocks - k, ell), blocks)
+    free = blocks - k - ell
+    value, rem = divmod(m * (fact[blocks] // (fact[k] * fact[ell] * fact[free])), blocks)
     if rem:
         raise ConsistencyError(
             f"non-integral word count for (k, ell, m, t) = ({k}, {ell}, {m}, {t})"
@@ -183,17 +186,7 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     internal error.
     """
     _check_admissible(k, ell, m, t)
-    return _pattern_words(k, ell, m, t)
-
-
-def _entry(r: int, s: int, p: CodeParams) -> int:
-    free = p.m - r * (p.t + 1) - s * (p.t + 2)
-    return (
-        p.b**r
-        * (p.a - p.b) ** s
-        * (p.a + 1) ** free
-        * _pattern_words(r, s, p.m, p.t)
-    )
+    return _pattern_words(k, ell, m, t, list(map(factorial, range(m + 1))))
 
 
 def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
@@ -202,19 +195,33 @@ def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
     params.require_counting_regime()
     p = params.normalized()
     _check_admissible(r, s, p.m, p.t)
-    return _entry(r, s, p)
+    return _entry_rows(p)[s][r]
+
+
+@lru_cache(maxsize=8)
+def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
+    """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
+    A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1).
+
+    Built once per normalized point from one factorial list and the powers
+    of b, a - b and a + 1; the memo holds the last few points."""
+    m, t, a, b = p.m, p.t, p.a, p.b
+    fact = list(map(factorial, range(m + 1)))
+    pow_b, pow_ab, pow_a1 = ([x**i for i in range(m + 1)] for x in (b, a - b, a + 1))
+    rows = tuple(
+        tuple(
+            pow_b[r] * pow_ab[s] * pow_a1[m - r * (t + 1) - s * (t + 2)]
+            * _pattern_words(r, s, m, t, fact)
+            for r in range((m - s * (t + 2)) // (t + 1) + 1)
+        )
+        for s in range(m // (t + 2) + 1)
+    )
+    return ((0,) + rows[0][1:],) + rows[1:]
 
 
 def _entry_table(p: CodeParams) -> list[list[int]]:
-    """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
-    A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1)."""
-    m, t = p.m, p.t
-    rows = [
-        [_entry(r, s, p) for r in range((m - s * (t + 2)) // (t + 1) + 1)]
-        for s in range(m // (t + 2) + 1)
-    ]
-    rows[0][0] = 0
-    return rows
+    """The A table of _entry_rows as fresh lists, which the caller may change."""
+    return [list(row) for row in _entry_rows(p)]
 
 
 def _binomial_transform(rows: list[list[int]], op) -> list[list[int]]:
@@ -296,6 +303,6 @@ def closed_size_T(params: CodeParams) -> int:
     p = params.normalized()
     return 1 - sum(
         (-1) ** (r + s) * entry
-        for s, row in enumerate(_entry_table(p))
+        for s, row in enumerate(_entry_rows(p))
         for r, entry in enumerate(row)
     )

@@ -28,7 +28,8 @@ fields are identical across runs and platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import xor
 from typing import Iterable, Sequence
 
 from .cosets import DefiningSet, coset_of
@@ -509,21 +510,41 @@ def syndrome(field: FieldContext, codeword: Sequence[int], s: int) -> int:
     length-(n+1) codeword is extended: coordinate 0 is the zero-element
     position, contributing c_0 only at s = 0 (convention 0^0 = 1), and
     coordinate 1 + i belongs to alpha^i.
+
+    On a field with tables the sum is taken in the log domain: the term at
+    coordinate i is alpha^(log c + i s), and the terms are added by XOR when
+    p = 2, else by Zech logarithms, alpha^x + alpha^y = alpha^(x + zech(y - x)).
+    A field without tables (order above TABLE_CAP) raises ResourceLimitError.
     """
     n = field.n
     if not 0 <= s <= n - 1:
         raise ParameterError(f"exponent {s} out of range [0, {n - 1}]")
     if len(codeword) == n:
         cyclic = codeword
-        total = 0
+        head = 0
     elif len(codeword) == n + 1:
         cyclic = codeword[1:]
-        total = codeword[0] if s == 0 else 0
+        head = codeword[0] if s == 0 else 0
     else:
         raise ParameterError(
             f"codeword length {len(codeword)} is neither n = {n} nor n + 1"
         )
-    for i, c in enumerate(cyclic):
-        if c:
-            total = field.add(total, field.mul(c, field.exp(i * s)))
-    return total
+    if field._log is None:
+        raise ResourceLimitError(
+            f"GF({field.q}^{field.m}) has no tables: syndromes are taken in the log "
+            f"domain, on fields of order <= TABLE_CAP = {TABLE_CAP}"
+        )
+    log, exp, zech = field._log, field._exp, field._zech
+    logs = [(log[c] + i * s) % n for i, c in enumerate(cyclic) if c]
+    if head:
+        logs.append(log[head])
+    if field.p == 2:
+        return reduce(xor, map(exp.__getitem__, logs), 0)
+    acc = -1  # log of the running sum, -1 while it is zero
+    for e in logs:
+        if acc < 0:
+            acc = e
+        else:
+            z = zech[(e - acc) % n]
+            acc = -1 if z < 0 else (acc + z) % n
+    return 0 if acc < 0 else exp[acc]

@@ -21,7 +21,9 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import xor
 from typing import TYPE_CHECKING, Mapping
 
@@ -233,8 +235,10 @@ def _gf3_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
 
 
+@lru_cache(maxsize=32)
 def _field_tables(field: FieldContext) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Addition, multiplication and negation tables of GF(field.q)."""
+    """Addition, multiplication and negation tables of GF(field.q), built
+    once per field; callers only read them."""
     base, q = field.base, field.q
     return ([[base.add(x, y) for y in range(q)] for x in range(q)],
             [[base.mul(c, x) for x in range(q)] for c in range(q)],
@@ -246,11 +250,12 @@ class _GF2Words:
 
     Each word class has zero, add, multiples(row) (c times the row for
     every encoding c, zero first), key, negkey and shift, such that
-    popcount(key(c) ^ negkey(t)) is weight(c + t) << shift.  Over GF(2) a
+    popcount(key(c) ^ negkey(t)) is weight(c + t) << shift, and deepest,
+    the most rows a suffix table of minimum_weight sums.  Over GF(2) a
     word is a bit mask, and key and negkey are the mask itself.
     """
 
-    zero, shift, add = 0, 0, xor
+    zero, shift, add, deepest = 0, 0, xor, 3
     key = negkey = int  # the identity on masks, without a Python call
 
     @staticmethod
@@ -263,7 +268,7 @@ class _GF3Words:
     planes, weighed by their one-hot forms as in _OneHotWords: three n-bit
     planes marking the coordinates equal to 0, to 1 (P) and to 2 (M)."""
 
-    zero, shift, add = (0, 0), 1, staticmethod(_gf3_add)
+    zero, shift, add, deepest = (0, 0), 1, staticmethod(_gf3_add), 3
 
     def __init__(self, n: int):
         self.n, self.ones = n, (1 << n) - 1
@@ -288,9 +293,13 @@ class _OneHotWords:
     plane x marking the coordinates equal to x.  The one-hot words of c and
     of -t agree at a coordinate exactly when c + t is 0 there and differ in
     two bits otherwise, so the shift is 1.  A plane is read off the word's
-    encodings as bytes, translated to binary digits."""
+    encodings as bytes, translated to binary digits.
 
-    shift = 1
+    A sum is a Python pass over the n coordinates, so a table of sums of
+    three rows would cost more to build than the short blocks it saves:
+    these words stop at pairs."""
+
+    shift, deepest = 1, 2
 
     def __init__(self, field: FieldContext, n: int):
         self.n, self.zero = n, [0] * n
@@ -466,21 +475,31 @@ def _information_sets(field: FieldContext, rows: list[list[int]]) -> list[tuple[
             used[c] = True
 
 
+# minimum_weight weighs each prefix against a table of the sums of exactly
+# three later rows while that table holds at most this many entries, and of
+# two otherwise.  The cap bounds memory only: both tables walk the same words.
+_SUFFIX_ENTRIES = 1 << 16
+
+
 def _suffix_table(words, multiples: list[list], depth: int) -> tuple[list[int], list[int]]:
-    """negkey of every sum of exactly depth (at most 2) rows with nonzero
-    coefficients, grouped by first row, and offsets: the sums whose rows
-    all come at or after row s start at offsets[s]."""
+    """negkey of every sum of exactly depth rows with nonzero coefficients,
+    in lexicographic order of (row, coefficient) pairs, and offsets: the
+    sums whose rows all come at or after row s start at offsets[s].
+
+    The sums of depth rows that start at row a are its multiples plus each
+    sum of depth - 1 rows starting after a, so each depth is built from the
+    one before."""
     k = len(multiples)
-    if depth == 0:
-        return [words.negkey(words.zero)], [0] * (k + 1)
-    table: list[int] = []
-    offsets = []
-    for a in range(k):
-        offsets.append(len(table))
-        tails = [words.zero] if depth == 1 else [m for ms in multiples[a + 1:] for m in ms[1:]]
-        table += [words.negkey(words.add(h, t)) for h in multiples[a][1:] for t in tails]
-    offsets.append(len(table))
-    return table, offsets
+    sums, offsets = [words.zero], [0] * (k + 1)
+    for _ in range(depth):
+        grown, starts = [], []
+        for a in range(k):
+            starts.append(len(grown))
+            tails = sums[offsets[a + 1]:]
+            grown += [words.add(h, t) for h in multiples[a][1:] for t in tails]
+        starts.append(len(grown))
+        sums, offsets = grown, starts
+    return list(map(words.negkey, sums)), offsets
 
 
 def _prefixes(words, multiples: list[list], count: int, stop: int):
@@ -516,9 +535,14 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
     to that sum.  After DEFAULT_DISTANCE_BUDGET codewords the walk stops
     with kind "budget-exhausted", and value is then only an upper bound.
 
-    Level w takes prefixes of w - 2 rows depth first and weighs each
-    against a table of every pair of later rows (levels 1 and 2 take
-    prefixes of one row), so memory stays at the table.  The route is
+    Level w takes prefixes of w - 3 rows depth first and weighs each
+    against a table of every sum of three later rows (levels 1 to 4 take
+    prefixes of one row), so memory stays at the table.  When that table
+    would pass _SUFFIX_ENTRIES, or over fields whose words are one-hot
+    (q >= 4), it holds sums of two rows, and the prefixes have w - 2.
+    Prefixes and tables both list their rows in lexicographic order, so
+    the walk generates the same codewords in the same order at either
+    depth, and every result is the same.  The route is
     "brouwer-zimmermann" and count is None: the walk does not establish
     how many codewords have the minimum weight.
     """
@@ -532,13 +556,14 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
     done = [0] * len(mats)
     best, left = n, budget
     heaviest = n << words.shift
+    deepest = words.deepest if comb(k, 3) * (field.q - 1) ** 3 <= _SUFFIX_ENTRIES else 2
     for w in range(1, k + 1):
         for j, (multiples, r) in enumerate(mats):
             if w < k - r:
                 continue  # this matrix adds nothing to the bound yet
             while done[j] < w:
                 done[j] += 1
-                depth = min(2, done[j] - 1)
+                depth = min(deepest, done[j] - 1)
                 if depth not in tables[j]:
                     tables[j][depth] = _suffix_table(words, multiples, depth)
                 table, offsets = tables[j][depth]
@@ -601,6 +626,11 @@ def affine_invariance_probe(
     g -> u g + v (u nonzero), and test membership via the syndromes at the
     defining-set exponents.  Returns True iff every trial stays inside the code.
 
+    Codewords are summed through GF(q) tables, and coordinates move by
+    logarithms: u alpha^i + v is alpha^(log u + i) when v = 0, and
+    alpha^(log v + zech(log u - log v + i)) otherwise.  The draws from
+    random.Random(seed) are, in order, one coefficient per row, u and v.
+
     The default T is brute_T's, built from the definition.  defining_set
     overrides it, which is how a deliberately broken (non-descendant-closed)
     set is probed as a negative control.
@@ -609,29 +639,36 @@ def affine_invariance_probe(
         raise ParameterError("trials must be >= 1")
     T = brute_T(params) if defining_set is None else defining_set
     rows, _ = code_rows(field, T, extended=True)
-    base = field.base
+    q, n = field.q, field.n
+    sums, mul, _ = _field_tables(field)
     rng = random.Random(seed)
     # over GF(q) S(qs) = S(s)^q: one exponent in [0, n-1] per coset decides
     exponents = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
-    # coordinate order: index 0 is the zero element, index 1 + i is alpha^i
-    enc_of_pos = [0] + [field.exp(i) for i in range(field.n)]
-    pos_of_enc = [0] * field.order
-    for pos, enc in enumerate(enc_of_pos):
-        pos_of_enc[enc] = pos
+    # coordinate order: index 0 is the zero element, index 1 + i is alpha^i;
+    # zech[k] = log(1 + alpha^k), or -1 where that sum is zero
+    zech = [field.log(x) if x else -1 for x in (field.add(1, field.exp(k)) for k in range(n))]
+    powers = list(range(1, n + 1))
     for _ in range(trials):
-        cw = [0] * (field.n + 1)
+        cw = [0] * (n + 1)
         for row in rows:
-            coef = rng.randrange(field.q)
+            coef = rng.randrange(q)
             if coef:
-                for j, c in enumerate(row):
-                    if c:
-                        cw[j] = base.add(cw[j], base.mul(coef, c))
+                scaled = mul[coef]
+                cw = [sums[x][scaled[c]] for x, c in zip(cw, row)]
         u = rng.randrange(1, field.order)
         v = rng.randrange(field.order)
-        permuted = [0] * (field.n + 1)
-        for pos in range(field.n + 1):
-            target = field.add(field.mul(u, enc_of_pos[pos]), v)
-            permuted[pos_of_enc[target]] = cw[pos]
+        # index 0, the zero element, goes to v
+        lu = field.log(u)
+        if v:
+            lv = field.log(v)
+            shift = (lu - lv) % n
+            targets = [1 + lv] + [0 if z < 0 else 1 + (lv + z) % n
+                                  for z in zech[shift:] + zech[:shift]]
+        else:
+            targets = [0] + powers[lu:] + powers[:lu]
+        permuted = [0] * (n + 1)
+        for target, c in zip(targets, cw):
+            permuted[target] = c
         if any(syndrome(field, permuted, s) for s in exponents):
             return False
     return True

@@ -170,6 +170,16 @@ def test_corrupted_entry_table_raises(monkeypatch):
         class_sizes(CodeParams(2, 6, 1, 1, 1))
 
 
+def test_entry_table_hands_out_copies_of_its_memo():
+    p = CodeParams(2, 6, 1, 1, 1)
+    rows = counting._entry_table(p)
+    expect = [list(row) for row in rows]
+    rows[1][0] -= 1
+    assert counting._entry_table(p) == expect
+    class_sizes(p)  # a poisoned memo would leave B_{0,1} = -1 and raise
+    assert counting.count_matrix_entries(0, 1, p) == expect[1][0]
+
+
 def test_corrupted_inversion_fails_the_round_trip(monkeypatch):
     transform = counting._binomial_transform
 

@@ -252,6 +252,25 @@ def test_syndrome_all_ones_and_extension_position():
     assert syndrome(F, extended, 1) == syndrome(F, ones, 1)
     with pytest.raises(ParameterError):
         syndrome(F, [0] * 14, 1)
+    with pytest.raises(ResourceLimitError, match="no tables"):
+        syndrome(_digit_route(F), ones, 1)
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_syndrome_equals_the_sum_term_by_term(q, m):
+    # the log-domain sum (XOR at p = 2, Zech logarithms otherwise) against
+    # sum c_i alpha^(i s) added one term at a time
+    F = field_make(q, m)
+    rng = random.Random(q * m)
+    for length in (F.n, F.n + 1):
+        for _ in range(5):
+            word = [rng.choice([0, 0, *range(q)]) for _ in range(length)]
+            head, cyclic = (word[0], word[1:]) if length > F.n else (0, word)
+            for s in range(F.n):
+                total = head if s == 0 else 0
+                for i, c in enumerate(cyclic):
+                    total = F.add(total, F.mul(c, F.exp(i * s)))
+                assert syndrome(F, word, s) == total, (length, s)
 
 
 def test_polynomial_type():

@@ -1,6 +1,7 @@
 import ast
+import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -9,13 +10,15 @@ import pytest
 import cyclocode
 
 from cyclocode import oracle
-from cyclocode.cosets import DefiningSet, union_cosets
+from cyclocode.cosets import DefiningSet, leader, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
-from cyclocode.defsets import build_T, dual_set, dual_set_pattern
+from cyclocode.defsets import build_T, descendant_closure, dual_set, dual_set_pattern
 from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 from cyclocode.galois import field_make
 from cyclocode.oracle import (
+    _suffix_table,
     _table_rows,
+    _words,
     affine_invariance_probe,
     brute_T,
     brute_class_census,
@@ -187,6 +190,66 @@ def test_histogram_kernels_match_brute_force(q, m, t, a, b):
             assert (res.kind, res.value) == ("exact", min(expect)), res
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_suffix_table_lists_every_sum_of_depth_rows_in_order(q):
+    # the direct enumeration: every combination of depth rows times every
+    # nonzero coefficient vector, summed by field arithmetic and put in the
+    # walk's order, lexicographic in (row, coefficient) pairs
+    F = field_make(q, 2)
+    base = F.base
+    rng = random.Random(q)
+    rows = [[rng.randrange(q) for _ in range(10)] for _ in range(6)]
+    words = _words(F, 10)
+    multiples = [words.multiples(row) for row in rows]
+    for depth in range(4):
+        choices = sorted(
+            (pair for idx in combinations(range(len(rows)), depth)
+             for coefs in product(range(1, q), repeat=depth)
+             for pair in [tuple(zip(idx, coefs))]),
+        )
+        expect = []
+        for pair in choices:
+            word = [0] * 10
+            for i, c in pair:
+                word = [base.add(w, base.mul(c, x)) for w, x in zip(word, rows[i])]
+            expect.append(words.negkey(words.multiples(word)[1]))
+        table, offsets = _suffix_table(words, multiples, depth)
+        assert table == expect, depth
+        assert len(table) == comb(len(rows), depth) * (q - 1) ** depth
+        # offsets[s]: where the sums whose rows all come at or after s begin
+        firsts = [pair[0][0] if pair else len(rows) for pair in choices]
+        assert offsets == [sum(f < s for f in firsts) for s in range(len(rows) + 1)], depth
+
+
+def test_suffix_depth_cap_changes_no_result(monkeypatch):
+    # with the cap at 0 every level weighs pairs, never triples: the same
+    # codewords are walked in the same order, budget or none
+    cases = [(2, 6, 3, 1, 1, False), (2, 5, 2, 1, 1, True), (3, 3, 2, 2, 2, False)]
+    for q, m, t, a, b, extended in cases:
+        F = field_make(q, m)
+        _, dual = code_rows(F, build_T(CodeParams(q, m, t, a, b)), extended)
+        for budget in (None, 5000):
+            with monkeypatch.context() as mp:
+                if budget:
+                    mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
+                triples = minimum_weight(F, dual)
+                mp.setattr(oracle, "_SUFFIX_ENTRIES", 0)
+                pairs = minimum_weight(F, dual)
+            assert triples == pairs, (q, m, t, a, b, extended, budget)
+
+
+def test_brouwer_zimmermann_result_at_2_6_3_1_1():
+    # pinned from the walk on pair tables: the triple tables walk the same
+    # codewords, so kind, value and enumerated stay as they were
+    F = field_make(2, 6)
+    T = build_T(CodeParams(2, 6, 3, 1, 1))
+    got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    assert [(r.kind, r.value, r.enumerated, r.route) for r in got] == [
+        ("exact", 14, 380100, "brouwer-zimmermann"),
+        ("exact", 14, 491010, "brouwer-zimmermann"),
+    ]
+
+
 def test_gf2_and_gf3_kernels_span_several_blocks():
     # more rows than the table holds, so the high-row walk takes several steps
     for q, m, t in [(2, 4, 2), (3, 3, 1)]:
@@ -291,6 +354,34 @@ def test_affine_invariance_probe_detects_broken_set():
     p = CodeParams(2, 4, 2, 1, 1)
     broken = union_cosets([0, 3], 2, 4)
     assert not affine_invariance_probe(F, p, trials=100, seed=1, defining_set=broken)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_affine_invariance_probe_on_every_dropped_coset(q):
+    # negative controls: drop one nonzero coset from T at every point with
+    # q^m <= 64.  The probe must reject each set whose descendant closure
+    # breaks (index n, the extension's own position, aside) and accept each
+    # one that stays closed, whose code is still affine-invariant.
+    rejected = 0
+    m = 1
+    while q**m <= 64:
+        F = field_make(q, m)
+        n = q**m - 1
+        for t in range(m):
+            for a in range(1, q):
+                for b in range(1, a + 1):
+                    p = CodeParams(q, m, t, a, b)
+                    T = brute_T(p)
+                    for lead in sorted({leader(s, q, m) for s in T if 0 < s < n}):
+                        D = DefiningSet.from_members(
+                            q, m, [s for s in T if s in (0, n) or leader(s, q, m) != lead])
+                        cyclic = D.difference(DefiningSet.from_members(q, m, [n]))
+                        closed = descendant_closure(cyclic) == cyclic
+                        ok = affine_invariance_probe(F, p, trials=10, seed=0, defining_set=D)
+                        assert ok == closed, (p.astuple(), lead)
+                        rejected += not ok
+        m += 1
+    assert rejected
 
 
 def test_brute_max_prefix_examples():
