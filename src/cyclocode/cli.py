@@ -415,7 +415,8 @@ def _verify_point(params: CodeParams, seed: int) -> list[tuple[str, str]]:
         record("dimension: closed form vs generator degree", rep.dim == bd,
                f"{params.astuple()}: closed {rep.dim} != degree-based {bd}")
         if params.index_size <= 128:
-            ok = oracle.affine_invariance_probe(field, params, trials=10, seed=seed)
+            ok = oracle.affine_invariance_probe(field, params, trials=10, seed=seed,
+                                                defining_set=bT)
             record("affine invariance probe", ok,
                    f"{params.astuple()}: a permuted codeword left the code")
     return out

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import xor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cosets import DefiningSet, coset_of
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
@@ -43,6 +43,7 @@ __all__ = [
     "minimal_polynomial",
     "generator_polynomial",
     "syndrome",
+    "syndromes",
 ]
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
@@ -504,27 +505,37 @@ def generator_polynomial(field: FieldContext, D: "DefiningSet | Iterable[int]") 
 
 
 def syndrome(field: FieldContext, codeword: Sequence[int], s: int) -> int:
-    """Evaluation sum(c_g g^s) over the code's support.
+    """Evaluation sum(c_g g^s) over the code's support: the one syndrome
+    of syndromes(field, codeword, [s]).
 
     A length-n codeword is cyclic, coordinate i belonging to alpha^i.  A
     length-(n+1) codeword is extended: coordinate 0 is the zero-element
     position, contributing c_0 only at s = 0 (convention 0^0 = 1), and
     coordinate 1 + i belongs to alpha^i.
+    """
+    return next(syndromes(field, codeword, (s,)))
 
-    On a field with tables the sum is taken in the log domain: the term at
-    coordinate i is alpha^(log c + i s), and the terms are added by XOR when
-    p = 2, else by Zech logarithms, alpha^x + alpha^y = alpha^(x + zech(y - x)).
-    A field without tables (order above TABLE_CAP) raises ResourceLimitError.
+
+def syndromes(
+    field: FieldContext, codeword: Sequence[int], exponents: Iterable[int]
+) -> Iterator[int]:
+    """The syndrome of codeword at each exponent in turn, lazily, so a
+    caller that stops at the first nonzero one skips the rest.  Coordinates
+    are read as in syndrome.
+
+    The word and the field's tables are checked, and the log of each
+    nonzero coordinate taken, once for all the exponents.  The sum at s is
+    taken in the log domain: the term at coordinate i is alpha^(log c + i s),
+    and the terms are added by XOR when p = 2, else by Zech logarithms,
+    alpha^x + alpha^y = alpha^(x + zech(y - x)).  An exponent outside
+    [0, n-1] raises ParameterError when it is reached; a field without
+    tables (order above TABLE_CAP) raises ResourceLimitError.
     """
     n = field.n
-    if not 0 <= s <= n - 1:
-        raise ParameterError(f"exponent {s} out of range [0, {n - 1}]")
     if len(codeword) == n:
-        cyclic = codeword
-        head = 0
+        cyclic, head = codeword, 0
     elif len(codeword) == n + 1:
-        cyclic = codeword[1:]
-        head = codeword[0] if s == 0 else 0
+        cyclic, head = codeword[1:], codeword[0]
     else:
         raise ParameterError(
             f"codeword length {len(codeword)} is neither n = {n} nor n + 1"
@@ -535,16 +546,21 @@ def syndrome(field: FieldContext, codeword: Sequence[int], s: int) -> int:
             f"domain, on fields of order <= TABLE_CAP = {TABLE_CAP}"
         )
     log, exp, zech = field._log, field._exp, field._zech
-    logs = [(log[c] + i * s) % n for i, c in enumerate(cyclic) if c]
-    if head:
-        logs.append(log[head])
-    if field.p == 2:
-        return reduce(xor, map(exp.__getitem__, logs), 0)
-    acc = -1  # log of the running sum, -1 while it is zero
-    for e in logs:
-        if acc < 0:
-            acc = e
-        else:
-            z = zech[(e - acc) % n]
-            acc = -1 if z < 0 else (acc + z) % n
-    return 0 if acc < 0 else exp[acc]
+    terms = [(i, log[c]) for i, c in enumerate(cyclic) if c]
+    for s in exponents:
+        if not 0 <= s <= n - 1:
+            raise ParameterError(f"exponent {s} out of range [0, {n - 1}]")
+        logs = [(lc + i * s) % n for i, lc in terms]
+        if head and s == 0:
+            logs.append(log[head])
+        if field.p == 2:
+            yield reduce(xor, map(exp.__getitem__, logs), 0)
+            continue
+        acc = -1  # log of the running sum, -1 while it is zero
+        for e in logs:
+            if acc < 0:
+                acc = e
+            else:
+                z = zech[(e - acc) % n]
+                acc = -1 if z < 0 else (acc + z) % n
+        yield 0 if acc < 0 else exp[acc]

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from .cosets import DefiningSet, _check_cap, leader
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
-from .galois import FieldContext, generator_polynomial, poly_divmod, syndrome
+from .galois import FieldContext, Polynomial, generator_polynomial, poly_divmod, syndromes
 from .qadic import profile_counts
 
 if TYPE_CHECKING:
@@ -136,13 +136,20 @@ def segment_class_sizes(params: CodeParams) -> dict[tuple[int, int], int]:
     return {kl: v for kl, v in sorted(sizes.items()) if kl != (0, 0)}
 
 
+@lru_cache(maxsize=8)
+def _generator(field: FieldContext, D: DefiningSet) -> Polynomial:
+    """g(x) of the cyclic code whose defining set is D minus {0, n}, built
+    once per (field, D) for the few most recent pairs, so that a point's
+    dimension check and its probe share one product of minimal polynomials."""
+    if (field.q, field.m) != (D.q, D.m):
+        raise ParameterError("field and defining set disagree on (q, m)")
+    return generator_polynomial(field, [s for s in D if 0 < s < D.n])
+
+
 def brute_dimension(field: FieldContext, D: DefiningSet) -> int:
     """n minus the generator-polynomial degree for the cyclic code whose
     defining set is D with the extension index 0 (and n, if present) removed."""
-    if (field.q, field.m) != (D.q, D.m):
-        raise ParameterError("field and defining set disagree on (q, m)")
-    cyclic_part = [s for s in D if 0 < s < D.n]
-    return field.n - generator_polynomial(field, cyclic_part).degree
+    return field.n - _generator(field, D).degree
 
 
 @dataclass(frozen=True)
@@ -175,38 +182,41 @@ def code_rows(
     """Generator rows (primal, dual) of the cyclic code whose defining set is
     D minus {0, n}, or with extended=True of its length-(n+1) extension.
 
-    The primal rows are shifts of g(x), the dual rows shifts of the
-    reciprocal of h(x) = (x^n - 1) / g(x).  The extension puts the overall
-    parity at position 0, and (x, y) lies in its dual exactly when y - x*1
-    lies in the cyclic dual, so the extended dual is spanned by the all-ones
-    word and the cyclic dual rows behind a zero.
+    The primal rows are the shifts of g(x), which _generator builds once
+    per (field, D), and the dual rows the shifts of the reciprocal of
+    h(x) = (x^n - 1) / g(x).  The extension puts the overall parity at
+    position 0, and (x, y) lies in its dual exactly when y - x*1 lies in the
+    cyclic dual, so the extended dual is spanned by the all-ones word and
+    the cyclic dual rows behind a zero.
     """
-    if (field.q, field.m) != (D.q, D.m):
-        raise ParameterError("field and defining set disagree on (q, m)")
     base, n = field.base, field.n
-    g = list(generator_polynomial(field, [s for s in D if 0 < s < D.n]).coeffs)
+    g = list(_generator(field, D).coeffs)
     xn1 = (base.neg(1),) + (0,) * (n - 1) + (1,)
     h, rem = poly_divmod(base, xn1, g)
     if rem:
         raise ParameterError("generator polynomial does not divide x^n - 1")
-    hstar = list(reversed(h))
-    primal = [[0] * i + g + [0] * (n - len(g) - i) for i in range(n - len(g) + 1)]
-    dual = [[0] * i + hstar + [0] * (n - len(hstar) - i) for i in range(len(g) - 1)]
+    primal, dual = _shifts(g, n), _shifts(list(reversed(h)), n)
     if extended:
         primal = _extend_rows(field, primal)
         dual = [[1] * (n + 1)] + [[0] + r for r in dual]
     return primal, dual
 
 
+def _shifts(poly: list[int], n: int) -> list[list[int]]:
+    """The length-n rows x^i poly(x) for every i that keeps the degree below n."""
+    return [[0] * i + poly + [0] * (n - len(poly) - i) for i in range(n - len(poly) + 1)]
+
+
 def _extend_rows(field: FieldContext, rows: list[list[int]]) -> list[list[int]]:
-    """Prepend the overall parity coordinate: position 0 holds minus the sum."""
-    base = field.base
+    """Prepend the overall parity coordinate: position 0 holds minus the sum,
+    taken through the GF(q) tables."""
+    sums, _, neg = _field_tables(field)
     out = []
     for r in rows:
         total = 0
         for c in r:
-            total = base.add(total, c)
-        out.append([base.neg(total)] + r)
+            total = sums[total][c]
+        out.append([neg[total]] + r)
     return out
 
 
@@ -626,19 +636,24 @@ def affine_invariance_probe(
     g -> u g + v (u nonzero), and test membership via the syndromes at the
     defining-set exponents.  Returns True iff every trial stays inside the code.
 
-    Codewords are summed through GF(q) tables, and coordinates move by
-    logarithms: u alpha^i + v is alpha^(log u + i) when v = 0, and
-    alpha^(log v + zech(log u - log v + i)) otherwise.  The draws from
-    random.Random(seed) are, in order, one coefficient per row, u and v.
+    A codeword is a random combination of the primal rows of the extended
+    code, the shifts of g(x) behind their parity coordinate; the dual rows
+    are never built.  Codewords are summed through GF(q) tables, and
+    coordinates move by logarithms: u alpha^i + v is alpha^(log u + i) when
+    v = 0, and alpha^(log v + zech(log u - log v + i)) otherwise.  The draws
+    from random.Random(seed) are, in order, one coefficient per row, u and v.
+    galois.syndromes evaluates the moved word and stops at the first
+    nonzero syndrome.
 
-    The default T is brute_T's, built from the definition.  defining_set
-    overrides it, which is how a deliberately broken (non-descendant-closed)
-    set is probed as a negative control.
+    The default T is brute_T(params), built from the definition; a caller
+    that has built it already passes it as defining_set.  defining_set also
+    overrides it with a deliberately broken (non-descendant-closed) set,
+    which is how the probe is given negative controls.
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     T = brute_T(params) if defining_set is None else defining_set
-    rows, _ = code_rows(field, T, extended=True)
+    rows = _extend_rows(field, _shifts(list(_generator(field, T).coeffs), field.n))
     q, n = field.q, field.n
     sums, mul, _ = _field_tables(field)
     rng = random.Random(seed)
@@ -669,7 +684,7 @@ def affine_invariance_probe(
         permuted = [0] * (n + 1)
         for target, c in zip(targets, cw):
             permuted[target] = c
-        if any(syndrome(field, permuted, s) for s in exponents):
+        if any(syndromes(field, permuted, exponents)):
             return False
     return True
 

@@ -19,6 +19,7 @@ from cyclocode.galois import (
     poly_divmod,
     poly_mul,
     syndrome,
+    syndromes,
 )
 
 
@@ -271,6 +272,51 @@ def test_syndrome_equals_the_sum_term_by_term(q, m):
                 for i, c in enumerate(cyclic):
                     total = F.add(total, F.mul(c, F.exp(i * s)))
                 assert syndrome(F, word, s) == total, (length, s)
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (3, 3), (4, 2), (5, 2), (9, 2)])
+def test_syndromes_equal_the_sum_term_by_term(q, m):
+    # one pass over the word serves every exponent, in the order given and
+    # repeats included; the head coordinate of an extended word is nonzero,
+    # so exponent 0 must count it and every other exponent must not
+    F = field_make(q, m)
+    rng = random.Random(100 + q * m)
+    exponents = [0, *rng.sample(range(F.n), F.n), 0, 1]
+    for length in (F.n, F.n + 1):
+        for _ in range(4):
+            word = [rng.choice([0, 0, *range(q)]) for _ in range(length)]
+            if length > F.n:
+                word[0] = rng.randrange(1, q)
+            head, cyclic = (word[0], word[1:]) if length > F.n else (0, word)
+            expect = []
+            for s in exponents:
+                total = head if s == 0 else 0
+                for i, c in enumerate(cyclic):
+                    total = F.add(total, F.mul(c, F.exp(i * s)))
+                expect.append(total)
+            assert list(syndromes(F, word, exponents)) == expect, length
+            assert [syndrome(F, word, s) for s in exponents] == expect, length
+
+
+def test_syndromes_reject_bad_exponents_and_untabled_fields():
+    F = field_make(3, 2)
+    word = [1, 2] * 4
+    for bad in (-1, F.n):
+        with pytest.raises(ParameterError, match="out of range"):
+            list(syndromes(F, word, [1, bad]))
+        with pytest.raises(ParameterError, match="out of range"):
+            syndrome(F, word, bad)
+    # exponents are read lazily: the syndromes before a bad one still arrive
+    it = syndromes(F, word, [2, F.n])
+    assert next(it) == syndrome(F, word, 2)
+    with pytest.raises(ParameterError):
+        next(it)
+    # the word and the tables are checked before any exponent is read
+    with pytest.raises(ParameterError, match="neither n"):
+        next(syndromes(F, word[1:], []))
+    with pytest.raises(ResourceLimitError, match="no tables"):
+        next(syndromes(_digit_route(F), word, [1]))
+    assert list(syndromes(F, word, [])) == []
 
 
 def test_polynomial_type():

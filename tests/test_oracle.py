@@ -9,7 +9,7 @@ import pytest
 
 import cyclocode
 
-from cyclocode import oracle
+from cyclocode import cli, oracle
 from cyclocode.cosets import DefiningSet, leader, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
 from cyclocode.defsets import build_T, descendant_closure, dual_set, dual_set_pattern
@@ -382,6 +382,74 @@ def test_affine_invariance_probe_on_every_dropped_coset(q):
                         rejected += not ok
         m += 1
     assert rejected
+
+
+def test_affine_invariance_probe_rejects_mismatched_field():
+    F = field_make(2, 4)
+    with pytest.raises(ParameterError, match="disagree"):
+        affine_invariance_probe(F, CodeParams(2, 3, 1, 1, 1))
+    with pytest.raises(ParameterError, match="disagree"):
+        affine_invariance_probe(F, CodeParams(2, 4, 1, 1, 1),
+                                defining_set=DefiningSet.from_members(2, 3, [0, 1, 2, 4]))
+    with pytest.raises(ParameterError, match="disagree"):
+        brute_dimension(F, DefiningSet.from_members(2, 3, [1, 2, 4]))
+
+
+def test_probe_given_brute_T_answers_as_the_default():
+    for q, m, t in [(2, 4, 2), (3, 3, 1)]:
+        p = CodeParams(q, m, t, q - 1, 1)
+        F = field_make(q, m)
+        T = brute_T(p)
+        for seed in range(5):
+            for trials in (1, 10):
+                assert (affine_invariance_probe(F, p, trials=trials, seed=seed, defining_set=T)
+                        == affine_invariance_probe(F, p, trials=trials, seed=seed))
+
+
+def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
+    # the dimension check and the probe share one g(x), and the probe is
+    # handed the T that verify built from the definition
+    counts = Counter()
+
+    def counting(name):
+        original = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("generator_polynomial", "brute_T"):
+        monkeypatch.setattr(oracle, name, counting(name))
+    oracle._generator.cache_clear()
+    for point in [(2, 4, 1, 1, 1), (3, 3, 1, 2, 1), (4, 2, 0, 3, 2)]:
+        counts.clear()
+        checks = dict(cli._verify_point(CodeParams(*point), seed=0))
+        assert checks["affine invariance probe"] == "", point
+        assert counts == {"generator_polynomial": 1, "brute_T": 1}, point
+    # brute_dimension then code_rows on one (field, D): one product of
+    # minimal polynomials between them
+    oracle._generator.cache_clear()
+    counts.clear()
+    F, T = field_make(2, 5), build_T(CodeParams(2, 5, 2, 1, 1))
+    k = brute_dimension(F, T)
+    primal, _ = code_rows(F, T, extended=True)
+    assert len(primal) == k and counts["generator_polynomial"] == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_extend_rows_equals_field_arithmetic(q):
+    F = field_make(q, 2)
+    base = F.base
+    rng = random.Random(q)
+    rows = [[rng.randrange(q) for _ in range(F.n)] for _ in range(12)] + [[0] * F.n]
+    expect = []
+    for row in rows:
+        total = 0
+        for c in row:
+            total = base.add(total, c)
+        expect.append([base.neg(total)] + row)
+    assert oracle._extend_rows(F, rows) == expect
 
 
 def test_brute_max_prefix_examples():

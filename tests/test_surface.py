@@ -199,3 +199,36 @@ def test_oracles_do_not_import_the_fast_kernel():
             if Path(cyclocode.__file__).with_name(f"{target}.py").exists():
                 todo.append(target)
     assert {"oracle", "qadic", "cosets", "galois"} <= seen
+
+
+def _private_reads(source: str) -> list[str]:
+    """Every private attribute (one leading underscore, not a dunder) that
+    source reads off an object other than self, as an attribute or through
+    getattr with a constant name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            obj, name = node.value, node.attr
+            if isinstance(obj, ast.Name) and obj.id == "self":
+                continue
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            name = node.args[1].value
+        else:
+            continue
+        if name.startswith("_") and not name.startswith("__"):
+            out.append(f"line {node.lineno}: {name}")
+    return out
+
+
+def test_oracle_reads_no_private_field_state():
+    # the oracle is an independent route: it reaches a field only through
+    # the public FieldContext methods (add, mul, exp, log, ...), never the
+    # tables or digit-route helpers behind them
+    assert _private_reads(Path(cyclocode.__file__).with_name("oracle.py").read_text()) == []
+    # the check sees such a read where one is made
+    galois = Path(cyclocode.__file__).with_name("galois.py").read_text()
+    assert {"_log", "_exp", "_zech"} <= {r.split(": ")[1] for r in _private_reads(galois)}
+    assert _private_reads("x = field._wrap[c] + getattr(field.base, '_zech')[0]") == [
+        "line 1: _wrap", "line 1: _zech"]
