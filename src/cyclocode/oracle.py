@@ -11,7 +11,8 @@ the one cap on the codewords a distance search generates: the dual, or
 the primal code, whose distribution the MacWilliams identities turn into
 the dual's exactly.  When neither fits, the Brouwer-Zimmermann
 algorithm bounds the dual's minimum weight from below over successive
-information sets until the lightest codeword found meets the bound.  Every
+information sets until the lightest codeword found meets the bound; given
+the cyclic shift, which it checks, it walks one set per shift orbit.  Every
 walk weighs codewords by popcount: over GF(2) of bit masks, over other
 fields of one-hot words, a table of combinations of rows at a time.
 """
@@ -195,11 +196,10 @@ def code_rows(
     h, rem = poly_divmod(base, xn1, g)
     if rem:
         raise ParameterError("generator polynomial does not divide x^n - 1")
-    primal, dual = _shifts(g, n), _shifts(list(reversed(h)), n)
-    if extended:
-        primal = _extend_rows(field, primal)
-        dual = [[1] * (n + 1)] + [[0] + r for r in dual]
-    return primal, dual
+    dual = _shifts(list(reversed(h)), n)
+    if not extended:
+        return _shifts(g, n), dual
+    return _extend_rows(field, g, n), [[1] * (n + 1)] + [[0] + r for r in dual]
 
 
 def _shifts(poly: list[int], n: int) -> list[list[int]]:
@@ -207,17 +207,20 @@ def _shifts(poly: list[int], n: int) -> list[list[int]]:
     return [[0] * i + poly + [0] * (n - len(poly) - i) for i in range(n - len(poly) + 1)]
 
 
-def _extend_rows(field: FieldContext, rows: list[list[int]]) -> list[list[int]]:
-    """Prepend the overall parity coordinate: position 0 holds minus the sum,
-    taken through the GF(q) tables."""
+def _parity(field: FieldContext, word: list[int]) -> int:
+    """Minus the sum of the word's coordinates, taken through the GF(q) tables."""
     sums, _, neg = _field_tables(field)
-    out = []
-    for r in rows:
-        total = 0
-        for c in r:
-            total = sums[total][c]
-        out.append([neg[total]] + r)
-    return out
+    total = 0
+    for c in word:
+        total = sums[total][c]
+    return neg[total]
+
+
+def _extend_rows(field: FieldContext, g: list[int], n: int) -> list[list[int]]:
+    """The shifts of g behind the overall parity coordinate, position 0.
+    Every shift sums to g(1), so each row's parity is the one -g(1)."""
+    head = _parity(field, g)
+    return [[head] + r for r in _shifts(g, n)]
 
 
 # The walks tabulate every combination of as many low rows as fit this many
@@ -447,20 +450,27 @@ def macwilliams(q: int, length: int, A: Mapping[int, int]) -> dict[int, int]:
     return B
 
 
-def _information_sets(field: FieldContext, rows: list[list[int]]) -> list[tuple[list[list[int]], int]]:
+def _information_sets(
+    field: FieldContext, rows: list[list[int]], automorphism: list[int] | None = None
+) -> list[tuple[list[list[int]], int, list[int]]]:
     """Systematic generator matrices of the code spanned by rows, on
     successive information sets, each with r, its number of pivot columns
-    that no earlier set used.  Gauss-Jordan elimination over GF(q) takes
-    its pivots among the unused columns first, and the sets stop when no
-    unused column is left to pivot on."""
+    that no earlier set used, and its pivot columns, row by row.
+    Gauss-Jordan elimination over GF(q) takes its pivots among the unused
+    columns first, and the sets stop when no unused column is left to pivot
+    on.  Given an automorphism, the unused columns it moves come before the
+    unused ones it fixes, so the sets of a cyclic code, or of its extension
+    with the fixed parity coordinate, are consecutive blocks of the cyclic
+    coordinates: shifts of the first set."""
     k, n = len(rows), len(rows[0])
     sums, mul, neg = _field_tables(field)
     used = [False] * n
+    fixed = [False] * n if automorphism is None else [c == i for i, c in enumerate(automorphism)]
     out = []
     while True:
         mat = [list(r) for r in rows]
         pivots: list[int] = []
-        for col in sorted(range(n), key=used.__getitem__):
+        for col in sorted(range(n), key=lambda c: (used[c], fixed[c])):
             top = len(pivots)
             found = next((i for i in range(top, k) if mat[i][col]), None)
             if found is None:
@@ -480,9 +490,43 @@ def _information_sets(field: FieldContext, rows: list[list[int]]) -> list[tuple[
         r = sum(not used[c] for c in pivots)
         if not r:
             return out
-        out.append((mat, r))
+        out.append((mat, r, pivots))
         for c in pivots:
             used[c] = True
+
+
+def _covered_sets(
+    field: FieldContext, sets: list[tuple[list[list[int]], int, list[int]]], automorphism: list[int]
+) -> list[bool]:
+    """Which information sets are images of the first one under a power of
+    the automorphism, whose entry i is the position coordinate i moves to.
+
+    The permutation is checked, never trusted: each row of the first
+    systematic matrix, moved by it, must be the combination of that
+    matrix's rows whose coefficients it holds at the pivot columns.
+    Raises ParameterError unless automorphism permutes the n coordinates,
+    and ConsistencyError unless it maps the code onto itself."""
+    first, _, pivots = sets[0]
+    n = len(first[0])
+    if sorted(automorphism) != list(range(n)):
+        raise ParameterError(f"automorphism is not a permutation of the {n} coordinates")
+    sums, mul, _ = _field_tables(field)
+    for row in first:
+        moved = [0] * n
+        for i, c in zip(automorphism, row):
+            moved[i] = c
+        span = [0] * n
+        for p, other in zip(pivots, first):
+            if moved[p]:
+                scaled = mul[moved[p]]
+                span = [sums[x][scaled[y]] for x, y in zip(span, other)]
+        if span != moved:
+            raise ConsistencyError("the permutation does not map the code onto itself")
+    images, image = set(), frozenset(pivots)
+    while image not in images:
+        images.add(image)
+        image = frozenset(automorphism[c] for c in image)
+    return [j > 0 and frozenset(p) in images for j, (_, _, p) in enumerate(sets)]
 
 
 # minimum_weight weighs each prefix against a table of the sums of exactly
@@ -528,7 +572,9 @@ def _prefixes(words, multiples: list[list], count: int, stop: int):
     return grow(words.zero, 0, count, slice(1, 2))
 
 
-def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult:
+def minimum_weight(
+    field: FieldContext, rows: list[list[int]], automorphism: list[int] | None = None
+) -> DistanceResult:
     """Minimum nonzero weight of the code spanned by the linearly
     independent rows over GF(field.q), by the Brouwer-Zimmermann algorithm
     (Zimmermann 1996; Grassl 2006).
@@ -544,6 +590,16 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
     kind "exact".  A matrix joins the walk at the first level where it adds
     to that sum.  After DEFAULT_DISTANCE_BUDGET codewords the walk stops
     with kind "budget-exhausted", and value is then only an upper bound.
+
+    automorphism, when given, is a permutation of the code's coordinates
+    (entry i is the position coordinate i moves to).  _covered_sets checks
+    it against the first systematic matrix and raises ConsistencyError if it
+    does not map the code onto itself.  A set whose pivots are an
+    image of the first set's under a power of it is skipped: its level-w
+    words are images of the first set's, of the same weights, so its level
+    follows the first set's.  A skipped set still adds its term to the
+    bound, but generates no codeword, so it adds nothing to enumerated or
+    to the budget.  Without it every set is walked.
 
     Level w takes prefixes of w - 3 rows depth first and weighs each
     against a table of every sum of three later rows (levels 1 to 4 take
@@ -561,7 +617,10 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
     k, n = len(rows), len(rows[0])
     route, budget = "brouwer-zimmermann", DEFAULT_DISTANCE_BUDGET
     words = _words(field, n)
-    mats = [([words.multiples(row) for row in mat], r) for mat, r in _information_sets(field, rows)]
+    sets = _information_sets(field, rows, automorphism)
+    covered = [False] * len(sets) if automorphism is None else _covered_sets(field, sets, automorphism)
+    mats = [(None if skip else [words.multiples(row) for row in mat], r)
+            for (mat, r, _), skip in zip(sets, covered)]
     tables: list[dict] = [{} for _ in mats]
     done = [0] * len(mats)
     best, left = n, budget
@@ -571,6 +630,8 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
         for j, (multiples, r) in enumerate(mats):
             if w < k - r:
                 continue  # this matrix adds nothing to the bound yet
+            if multiples is None:
+                done[j] = done[0]  # its words are shifts of the first set's
             while done[j] < w:
                 done[j] += 1
                 depth = min(deepest, done[j] - 1)
@@ -606,12 +667,17 @@ def dual_min_distance(
     codewords fit, the dual is walked (route "dual-enumeration").  Otherwise
     minimum_weight runs Brouwer-Zimmermann on the dual rows (route
     "brouwer-zimmermann"); only this route can end "budget-exhausted", and
-    it leaves count None.
+    it leaves count None.  That walk is given the cyclic shift, which every
+    cyclic code and its extension admit by construction: i -> i+1 mod n,
+    and on the extension 0 -> 0 and 1+i -> 1+((i+1) mod n).  So it walks
+    one information set per shift orbit; the skipped sets count in the
+    bound but not in enumerated.  The affine group is not used: that
+    invariance is what verify tests, and the distance must not rest on it.
     """
     primal, dual = code_rows(field, D, extended)
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
-    q = field.q
+    q, n = field.q, field.n
     if len(primal) < len(dual) and q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
         B = macwilliams(q, len(dual[0]), {0: 1, **weight_distribution(field, primal)})
         del B[0]
@@ -620,9 +686,17 @@ def dual_min_distance(
         B = weight_distribution(field, dual)
         side, route = dual, "dual-enumeration"
     else:
-        return minimum_weight(field, dual)
+        shift = [(i + 1) % n for i in range(n)]
+        return minimum_weight(field, dual, [0] + [1 + i for i in shift] if extended else shift)
     value = min(B)
     return DistanceResult("exact", value, q ** len(side) - 1, route, B[value])
+
+
+@lru_cache(maxsize=32)
+def _zech(field: FieldContext) -> list[int]:
+    """zech[k] = log(1 + alpha^k), or -1 where that sum is zero, built once
+    per field from its public exp, log and add; callers only read it."""
+    return [field.log(x) if x else -1 for x in (field.add(1, field.exp(k)) for k in range(field.n))]
 
 
 def affine_invariance_probe(
@@ -638,12 +712,13 @@ def affine_invariance_probe(
 
     A codeword is a random combination of the primal rows of the extended
     code, the shifts of g(x) behind their parity coordinate; the dual rows
-    are never built.  Codewords are summed through GF(q) tables, and
-    coordinates move by logarithms: u alpha^i + v is alpha^(log u + i) when
-    v = 0, and alpha^(log v + zech(log u - log v + i)) otherwise.  The draws
-    from random.Random(seed) are, in order, one coefficient per row, u and v.
-    galois.syndromes evaluates the moved word and stops at the first
-    nonzero syndrome.
+    are never built.  Codewords are summed through GF(q) tables, each row
+    over its support only, and coordinates move by logarithms:
+    u alpha^i + v is alpha^(log u + i) when v = 0, and
+    alpha^(log v + zech(log u - log v + i)) otherwise, with the Zech list
+    built once per field.  The draws from random.Random(seed) are, in
+    order, one coefficient per row, u and v.  galois.syndromes evaluates the
+    moved word and stops at the first nonzero syndrome.
 
     The default T is brute_T(params), built from the definition; a caller
     that has built it already passes it as defining_set.  defining_set also
@@ -653,23 +728,27 @@ def affine_invariance_probe(
     if trials < 1:
         raise ParameterError("trials must be >= 1")
     T = brute_T(params) if defining_set is None else defining_set
-    rows = _extend_rows(field, _shifts(list(_generator(field, T).coeffs), field.n))
-    q, n = field.q, field.n
+    g = list(_generator(field, T).coeffs)
+    q, n, span = field.q, field.n, len(g)
     sums, mul, _ = _field_tables(field)
+    # row i is c g(x) x^i behind the parity c (-g(1)) that every row shares:
+    # zero outside position 0 and positions 1 + i .. i + span
+    parity = _parity(field, g)
+    scaled = [[mc[x] for x in g] for mc in mul]
+    heads = [mc[parity] for mc in mul]
     rng = random.Random(seed)
     # over GF(q) S(qs) = S(s)^q: one exponent in [0, n-1] per coset decides
     exponents = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
-    # coordinate order: index 0 is the zero element, index 1 + i is alpha^i;
-    # zech[k] = log(1 + alpha^k), or -1 where that sum is zero
-    zech = [field.log(x) if x else -1 for x in (field.add(1, field.exp(k)) for k in range(n))]
+    # coordinate order: index 0 is the zero element, index 1 + i is alpha^i
+    zech = _zech(field)
     powers = list(range(1, n + 1))
     for _ in range(trials):
         cw = [0] * (n + 1)
-        for row in rows:
+        for lo in range(1, n - span + 2):
             coef = rng.randrange(q)
             if coef:
-                scaled = mul[coef]
-                cw = [sums[x][scaled[c]] for x, c in zip(cw, row)]
+                cw[0] = sums[cw[0]][heads[coef]]
+                cw[lo:lo + span] = [sums[x][y] for x, y in zip(cw[lo:lo + span], scaled[coef])]
         u = rng.randrange(1, field.order)
         v = rng.randrange(field.order)
         # index 0, the zero element, goes to v

@@ -126,15 +126,17 @@ def test_dual_min_distance_budget(monkeypatch):
     assert (res.kind, res.value, res.route, res.enumerated) == ("exact", 2, "macwilliams", 1)
     # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100,
     # so Brouwer-Zimmermann runs on the dual: level 1 of both information
-    # sets (r = 8 and 7) and level 2 of the first establish d = 4
+    # sets (r = 8 and 7) and level 2 of the first establish d = 4.  The
+    # second set, columns 8..14 and 0, is a shift of the first, 0..7, so its
+    # level 1 generates nothing: 8 + 28 codewords, not 8 + 28 + 8
     T = build_T(CodeParams(2, 4, 2, 1, 1))
     res = dual_min_distance(F, T)
     assert (res.kind, res.value, res.route, res.count) == ("exact", 4, "brouwer-zimmermann", None)
-    assert res.enumerated == 8 + 28 + 8
+    assert res.enumerated == 8 + 28
     # a budget that ends inside that walk leaves only an upper bound
-    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 43)
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 35)
     res = dual_min_distance(F, T)
-    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 43)
+    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 35)
     assert res.value >= 4
     F3 = field_make(3, 3)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 50)
@@ -223,31 +225,99 @@ def test_suffix_table_lists_every_sum_of_depth_rows_in_order(q):
 
 def test_suffix_depth_cap_changes_no_result(monkeypatch):
     # with the cap at 0 every level weighs pairs, never triples: the same
-    # codewords are walked in the same order, budget or none
+    # codewords are walked in the same order, budget or none, and with the
+    # cyclic shift or without it
     cases = [(2, 6, 3, 1, 1, False), (2, 5, 2, 1, 1, True), (3, 3, 2, 2, 2, False)]
     for q, m, t, a, b, extended in cases:
         F = field_make(q, m)
         _, dual = code_rows(F, build_T(CodeParams(q, m, t, a, b)), extended)
-        for budget in (None, 5000):
-            with monkeypatch.context() as mp:
-                if budget:
-                    mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
-                triples = minimum_weight(F, dual)
-                mp.setattr(oracle, "_SUFFIX_ENTRIES", 0)
-                pairs = minimum_weight(F, dual)
-            assert triples == pairs, (q, m, t, a, b, extended, budget)
+        for automorphism in (None, _cyclic_shift(F.n, extended)):
+            for budget in (None, 5000):
+                with monkeypatch.context() as mp:
+                    if budget:
+                        mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
+                    triples = minimum_weight(F, dual, automorphism)
+                    mp.setattr(oracle, "_SUFFIX_ENTRIES", 0)
+                    pairs = minimum_weight(F, dual, automorphism)
+                assert triples == pairs, (q, m, t, a, b, extended, automorphism, budget)
 
 
 def test_brouwer_zimmermann_result_at_2_6_3_1_1():
-    # pinned from the walk on pair tables: the triple tables walk the same
-    # codewords, so kind, value and enumerated stay as they were
+    # the plain walk generates 380100 and 491010 codewords; given the cyclic
+    # shift, every information set after the first is a shift of it, so the
+    # walk generates half as many and finds the same d
     F = field_make(2, 6)
     T = build_T(CodeParams(2, 6, 3, 1, 1))
     got = [dual_min_distance(F, T, extended) for extended in (False, True)]
     assert [(r.kind, r.value, r.enumerated, r.route) for r in got] == [
-        ("exact", 14, 380100, "brouwer-zimmermann"),
-        ("exact", 14, 491010, "brouwer-zimmermann"),
+        ("exact", 14, 190050, "brouwer-zimmermann"),
+        ("exact", 14, 245505, "brouwer-zimmermann"),
     ]
+    _, dual = code_rows(F, T)
+    assert minimum_weight(F, dual).enumerated == 380100
+
+
+def _cyclic_shift(n, extended):
+    """i -> i+1 mod n, or on the extension 0 -> 0 and 1+i -> 1+((i+1) mod n)."""
+    shift = [(i + 1) % n for i in range(n)]
+    return [0] + [1 + i for i in shift] if extended else shift
+
+
+def test_walk_with_the_cyclic_shift_matches_the_plain_walk_and_the_distribution():
+    # every dual with q <= 5, q^m <= 64 and q^k <= 3 * 10^5, both codes
+    walks = fewer = 0
+    for q in (2, 3, 4, 5):
+        m = 1
+        while q**m <= 64:
+            F = field_make(q, m)
+            for t in range(m):
+                for a in range(1, q):
+                    for b in range(1, a + 1):
+                        T = build_T(CodeParams(q, m, t, a, b))
+                        for extended in (False, True):
+                            _, dual = code_rows(F, T, extended)
+                            if not dual or q ** len(dual) > 3 * 10**5:
+                                continue
+                            plain = minimum_weight(F, dual)
+                            fast = minimum_weight(F, dual, _cyclic_shift(F.n, extended))
+                            d = min(weight_distribution(F, dual))
+                            point = (q, m, t, a, b, extended)
+                            assert (fast.kind, fast.value) == (plain.kind, plain.value) == ("exact", d), point
+                            assert fast.enumerated <= plain.enumerated, point
+                            walks += 1
+                            fewer += fast.enumerated < plain.enumerated
+            m += 1
+    assert walks > 100 and fewer > walks // 2
+
+
+def test_walk_checks_the_automorphism(monkeypatch):
+    F = field_make(2, 4)
+    T = build_T(CodeParams(2, 4, 2, 1, 1))
+    _, dual = code_rows(F, T)
+    shift = _cyclic_shift(F.n, False)
+    # the cyclic shift with two images swapped does not map the code onto itself
+    swapped = [shift[1], shift[0]] + shift[2:]
+    with pytest.raises(ConsistencyError, match="onto itself"):
+        minimum_weight(F, dual, swapped)
+    with pytest.raises(ParameterError, match="not a permutation"):
+        minimum_weight(F, dual, [0] * F.n)
+    # a budget short of the walk ends it with an upper bound, having
+    # generated exactly the budget
+    full = minimum_weight(F, dual, shift)
+    assert (full.kind, full.value, full.enumerated) == ("exact", 4, 36)
+    for budget in (1, full.enumerated - 1):
+        with monkeypatch.context() as mp:
+            mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
+            res = minimum_weight(F, dual, shift)
+        assert (res.kind, res.enumerated) == ("budget-exhausted", budget) and res.value >= 4
+    # on the extension the parity coordinate 0 is fixed, so the second set,
+    # columns 10..15, 0, 1, 2, is no shift of the first, 1..9: both are walked
+    _, ext = code_rows(F, T, extended=True)
+    aut = _cyclic_shift(F.n, True)
+    assert [p for _, _, p in oracle._information_sets(F, ext, aut)] == [
+        list(range(1, 10)), [10, 11, 12, 13, 14, 15, 0, 1, 2]]
+    res = minimum_weight(F, ext, aut)
+    assert res == minimum_weight(F, ext) and (res.kind, res.value, res.enumerated) == ("exact", 4, 90)
 
 
 def test_gf2_and_gf3_kernels_span_several_blocks():
@@ -439,17 +509,20 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_extend_rows_equals_field_arithmetic(q):
+    # each shift of g behind minus its own sum, taken row by row
     F = field_make(q, 2)
     base = F.base
     rng = random.Random(q)
-    rows = [[rng.randrange(q) for _ in range(F.n)] for _ in range(12)] + [[0] * F.n]
-    expect = []
-    for row in rows:
-        total = 0
-        for c in row:
-            total = base.add(total, c)
-        expect.append([base.neg(total)] + row)
-    assert oracle._extend_rows(F, rows) == expect
+    for length in [1, 2, F.n // 2, F.n] * 3:
+        g = [rng.randrange(q) for _ in range(length - 1)] + [rng.randrange(1, q)]
+        expect = []
+        for i in range(F.n - length + 1):
+            row = [0] * i + g + [0] * (F.n - length - i)
+            total = 0
+            for c in row:
+                total = base.add(total, c)
+            expect.append([base.neg(total)] + row)
+        assert oracle._extend_rows(F, g, F.n) == expect, g
 
 
 def test_brute_max_prefix_examples():
