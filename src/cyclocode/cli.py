@@ -130,8 +130,11 @@ def emit(args, meta: dict, rows: list[dict]) -> None:
     else:
         out = render_text(meta, rows, args.no_timestamp)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(out)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(out)
 
@@ -423,6 +426,8 @@ def _verify_point(params: CodeParams, seed: int) -> list[tuple[str, str]]:
 
 
 def cmd_verify(args) -> int:
+    if args.max_n < 2:
+        raise ParameterError(f"--max-n {args.max_n} < 2 admits no point to check")
     points: list[CodeParams] = []
     for q in SUPPORTED_Q:
         m = 1
@@ -519,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--max-n", type=int, required=True,
-                   help="check every parameter set with q^m <= this")
+                   help="check every parameter set with q^m <= this (at least 2)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for randomized probes (default 0)")
     _add_common(p)

@@ -9,12 +9,13 @@ Dual minimum distances come from an exhaustive weight distribution of
 whichever side has fewer codewords when one fits DEFAULT_DISTANCE_BUDGET,
 the one cap on the codewords a distance search generates: the dual, or
 the primal code, whose distribution the MacWilliams identities turn into
-the dual's exactly.  When neither fits, the Brouwer-Zimmermann
-algorithm bounds the dual's minimum weight from below over successive
-information sets until the lightest codeword found meets the bound; given
-the cyclic shift, which it checks, it walks one set per shift orbit.  Every
-walk weighs codewords by popcount: over GF(2) of bit masks, over other
-fields of one-hot words, a table of combinations of rows at a time.
+the dual's exactly.  When neither fits, Chen's cyclic Brouwer-Zimmermann
+walk bounds the dual's minimum weight from below, ceil(n(w+1)/k) after
+level w, on one window of k consecutive coordinates, until the lightest
+codeword found meets the bound; it takes cyclic codes and their
+extensions only, and checks the shift.  Every walk weighs codewords by
+popcount: over GF(2) of bit masks, over other fields of one-hot words, a
+table of combinations of rows at a time.
 """
 
 from __future__ import annotations
@@ -159,12 +160,13 @@ class DistanceResult:
 
     kind is "exact" when the value is established: every nonzero codeword
     of the side walked was covered, or the Brouwer-Zimmermann lower bound
-    met the lightest codeword found.  "budget-exhausted" reports the
-    smallest weight seen, which is only an upper bound on the true minimum.
-    route names the method: "dual-enumeration" walks the dual itself,
-    "macwilliams" walks the primal code and transforms its weight
-    distribution, and "brouwer-zimmermann" runs minimum_weight on the dual
-    rows.  enumerated counts the codewords generated, never more than
+    ceil(n(w+1)/k) after level w met the lightest codeword found.
+    "budget-exhausted" reports the smallest weight seen, which is only an
+    upper bound on the true minimum.  route names the method:
+    "dual-enumeration" walks the dual itself, "macwilliams" walks the
+    primal code and transforms its weight distribution, and
+    "brouwer-zimmermann" runs Chen's cyclic walk, minimum_weight, on the
+    dual rows.  enumerated counts the codewords generated, never more than
     DEFAULT_DISTANCE_BUDGET: q^k - 1 of the side walked on the two
     exhaustive routes.  count is the number of codewords of weight value
     there, and None on "brouwer-zimmermann", which does not establish it.
@@ -450,88 +452,51 @@ def macwilliams(q: int, length: int, A: Mapping[int, int]) -> dict[int, int]:
     return B
 
 
-def _information_sets(
-    field: FieldContext, rows: list[list[int]], automorphism: list[int] | None = None
-) -> list[tuple[list[list[int]], int, list[int]]]:
-    """Systematic generator matrices of the code spanned by rows, on
-    successive information sets, each with r, its number of pivot columns
-    that no earlier set used, and its pivot columns, row by row.
-    Gauss-Jordan elimination over GF(q) takes its pivots among the unused
-    columns first, and the sets stop when no unused column is left to pivot
-    on.  Given an automorphism, the unused columns it moves come before the
-    unused ones it fixes, so the sets of a cyclic code, or of its extension
-    with the fixed parity coordinate, are consecutive blocks of the cyclic
-    coordinates: shifts of the first set."""
-    k, n = len(rows), len(rows[0])
+def _systematic(field: FieldContext, rows: list[list[int]], first: int) -> list[list[int]]:
+    """The generator matrix of the code spanned by rows that is systematic
+    on the window of its k = len(rows) columns from first: Gauss-Jordan
+    elimination over GF(q), row i pivoting on column first + i.  Any k
+    consecutive coordinates of a cyclic [n, k] code are an information set,
+    so a missing pivot means that the rows are dependent."""
+    k = len(rows)
     sums, mul, neg = _field_tables(field)
-    used = [False] * n
-    fixed = [False] * n if automorphism is None else [c == i for i, c in enumerate(automorphism)]
-    out = []
-    while True:
-        mat = [list(r) for r in rows]
-        pivots: list[int] = []
-        for col in sorted(range(n), key=lambda c: (used[c], fixed[c])):
-            top = len(pivots)
-            found = next((i for i in range(top, k) if mat[i][col]), None)
-            if found is None:
-                continue
-            mat[top], mat[found] = mat[found], mat[top]
-            lead = mul[field.base.inv(mat[top][col])]
-            pivot = mat[top] = [lead[x] for x in mat[top]]
-            for i, row in enumerate(mat):
-                if i != top and row[col]:
-                    f = mul[neg[row[col]]]
-                    mat[i] = [sums[x][f[y]] for x, y in zip(row, pivot)]
-            pivots.append(col)
-            if len(pivots) == k:
-                break
-        if len(pivots) < k:
-            raise ConsistencyError(f"rank {len(pivots)} < {k}: the rows are dependent")
-        r = sum(not used[c] for c in pivots)
-        if not r:
-            return out
-        out.append((mat, r, pivots))
-        for c in pivots:
-            used[c] = True
+    mat = [list(r) for r in rows]
+    for top in range(k):
+        col = first + top
+        found = next((i for i in range(top, k) if mat[i][col]), None)
+        if found is None:
+            raise ConsistencyError(f"rank {top} < {k} on the window: the rows are dependent")
+        mat[top], mat[found] = mat[found], mat[top]
+        lead = mul[field.base.inv(mat[top][col])]
+        pivot = mat[top] = [lead[x] for x in mat[top]]
+        for i, row in enumerate(mat):
+            if i != top and row[col]:
+                f = mul[neg[row[col]]]
+                mat[i] = [sums[x][f[y]] for x, y in zip(row, pivot)]
+    return mat
 
 
-def _covered_sets(
-    field: FieldContext, sets: list[tuple[list[list[int]], int, list[int]]], automorphism: list[int]
-) -> list[bool]:
-    """Which information sets are images of the first one under a power of
-    the automorphism, whose entry i is the position coordinate i moves to.
-
-    The permutation is checked, never trusted: each row of the first
-    systematic matrix, moved by it, must be the combination of that
-    matrix's rows whose coefficients it holds at the pivot columns.
-    Raises ParameterError unless automorphism permutes the n coordinates,
-    and ConsistencyError unless it maps the code onto itself."""
-    first, _, pivots = sets[0]
-    n = len(first[0])
-    if sorted(automorphism) != list(range(n)):
-        raise ParameterError(f"automorphism is not a permutation of the {n} coordinates")
+def _check_shift(field: FieldContext, mat: list[list[int]], first: int) -> None:
+    """Raises ConsistencyError unless the cyclic shift i -> i+1 of the
+    coordinates from first on, fixing those before it, maps the code of the
+    systematic matrix onto itself.  The shift is checked, never trusted:
+    each row, moved, must be the combination of the rows whose coefficients
+    it holds in the window."""
     sums, mul, _ = _field_tables(field)
-    for row in first:
-        moved = [0] * n
-        for i, c in zip(automorphism, row):
-            moved[i] = c
-        span = [0] * n
-        for p, other in zip(pivots, first):
-            if moved[p]:
-                scaled = mul[moved[p]]
+    for row in mat:
+        moved = row[:first] + row[-1:] + row[first:-1]
+        span = [0] * len(row)
+        for c, other in zip(moved[first:first + len(mat)], mat):
+            if c:
+                scaled = mul[c]
                 span = [sums[x][scaled[y]] for x, y in zip(span, other)]
         if span != moved:
-            raise ConsistencyError("the permutation does not map the code onto itself")
-    images, image = set(), frozenset(pivots)
-    while image not in images:
-        images.add(image)
-        image = frozenset(automorphism[c] for c in image)
-    return [j > 0 and frozenset(p) in images for j, (_, _, p) in enumerate(sets)]
+            raise ConsistencyError("the cyclic shift does not map the code onto itself")
 
 
-# minimum_weight weighs each prefix against a table of the sums of exactly
-# three later rows while that table holds at most this many entries, and of
-# two otherwise.  The cap bounds memory only: both tables walk the same words.
+# minimum_weight weighs each prefix against a table of the sums of as many
+# later rows as keep it at most this many entries.  The cap bounds memory
+# only: every depth walks the same words.
 _SUFFIX_ENTRIES = 1 << 16
 
 
@@ -572,83 +537,69 @@ def _prefixes(words, multiples: list[list], count: int, stop: int):
     return grow(words.zero, 0, count, slice(1, 2))
 
 
-def minimum_weight(
-    field: FieldContext, rows: list[list[int]], automorphism: list[int] | None = None
-) -> DistanceResult:
-    """Minimum nonzero weight of the code spanned by the linearly
-    independent rows over GF(field.q), by the Brouwer-Zimmermann algorithm
-    (Zimmermann 1996; Grassl 2006).
+def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult:
+    """Minimum nonzero weight of the cyclic code spanned by the linearly
+    independent rows over GF(field.q), by Chen's cyclic variant of the
+    Brouwer-Zimmermann algorithm (Chen 1970; Zimmermann 1996; Grassl 2006).
 
-    Each systematic generator matrix of _information_sets walks level
-    w = 1, 2, ...: every combination of exactly w of its rows, with the
-    leading coefficient 1.  A codeword not yet generated has more than w
-    nonzeros on the information set of every matrix whose level w is
-    done, so more than w - (k - r) on that set's r new columns, which no
-    two sets share.  Its weight is therefore at least
-    sum_j max(0, w_j + 1 - (k - r_j)) over the levels w_j done, and the
-    walk stops as soon as the lightest codeword generated is that light:
-    kind "exact".  A matrix joins the walk at the first level where it adds
-    to that sum.  After DEFAULT_DISTANCE_BUDGET codewords the walk stops
+    Rows of length n = field.n span a cyclic code; rows of length n + 1 span
+    its extension, with the parity at coordinate 0, as code_rows builds it.
+    Any other length, or k > n rows, raises ParameterError.  One systematic
+    matrix on the window of the k cyclic coordinates [0, k), or [1, k + 1)
+    on the extension, walks level w = 1, 2, ...: every combination of
+    exactly w of its rows, with the leading coefficient 1.  _check_shift
+    checks that the shift maps the code onto itself, and raises
+    ConsistencyError if not.  Summed over the n shifts of a codeword, each
+    of its cyclic nonzeros falls in the window exactly k times; so a
+    codeword none of whose shifts was generated by level w has more than w
+    nonzeros in every shifted window, and weighs at least ceil(n(w+1)/k).
+    The walk stops as soon as the lightest codeword generated is that
+    light: kind "exact".  After DEFAULT_DISTANCE_BUDGET codewords it stops
     with kind "budget-exhausted", and value is then only an upper bound.
 
-    automorphism, when given, is a permutation of the code's coordinates
-    (entry i is the position coordinate i moves to).  _covered_sets checks
-    it against the first systematic matrix and raises ConsistencyError if it
-    does not map the code onto itself.  A set whose pivots are an
-    image of the first set's under a power of it is skipped: its level-w
-    words are images of the first set's, of the same weights, so its level
-    follows the first set's.  A skipped set still adds its term to the
-    bound, but generates no codeword, so it adds nothing to enumerated or
-    to the budget.  Without it every set is walked.
-
-    Level w takes prefixes of w - 3 rows depth first and weighs each
-    against a table of every sum of three later rows (levels 1 to 4 take
-    prefixes of one row), so memory stays at the table.  When that table
-    would pass _SUFFIX_ENTRIES, or over fields whose words are one-hot
-    (q >= 4), it holds sums of two rows, and the prefixes have w - 2.
+    Level w takes prefixes of w - depth rows depth first and weighs each
+    against a table of every sum of depth later rows, so memory stays at
+    the table.  depth is w - 1 up to the largest depth at most
+    words.deepest whose table, comb(k, depth) (q-1)^depth entries, and
+    every shallower one fit _SUFFIX_ENTRIES: three rows over GF(2) and
+    GF(3), two over the one-hot fields, down to one row, or none.
     Prefixes and tables both list their rows in lexicographic order, so
-    the walk generates the same codewords in the same order at either
-    depth, and every result is the same.  The route is
-    "brouwer-zimmermann" and count is None: the walk does not establish
-    how many codewords have the minimum weight.
+    the walk generates the same codewords in the same order at any depth,
+    and every result is the same.  The route is "brouwer-zimmermann" and
+    count is None: the walk does not establish how many codewords have the
+    minimum weight.
     """
     if not rows:
         raise ParameterError("no rows: the code has no nonzero codeword")
-    k, n = len(rows), len(rows[0])
+    k, n, length = len(rows), field.n, len(rows[0])
+    first = length - n  # 0 on a cyclic code, 1 on its extension
+    if first not in (0, 1) or k > n:
+        raise ParameterError(f"{k} rows of length {length} span no cyclic code of length {n}"
+                             " or extension of one")
+    mat = _systematic(field, rows, first)
+    _check_shift(field, mat, first)
+    words = _words(field, length)
+    multiples = [words.multiples(row) for row in mat]
+    deepest = 0
+    while (deepest < words.deepest
+           and comb(k, deepest + 1) * (field.q - 1) ** (deepest + 1) <= _SUFFIX_ENTRIES):
+        deepest += 1
     route, budget = "brouwer-zimmermann", DEFAULT_DISTANCE_BUDGET
-    words = _words(field, n)
-    sets = _information_sets(field, rows, automorphism)
-    covered = [False] * len(sets) if automorphism is None else _covered_sets(field, sets, automorphism)
-    mats = [(None if skip else [words.multiples(row) for row in mat], r)
-            for (mat, r, _), skip in zip(sets, covered)]
-    tables: list[dict] = [{} for _ in mats]
-    done = [0] * len(mats)
-    best, left = n, budget
-    heaviest = n << words.shift
-    deepest = words.deepest if comb(k, 3) * (field.q - 1) ** 3 <= _SUFFIX_ENTRIES else 2
+    best, left = length, budget
+    heaviest = length << words.shift
     for w in range(1, k + 1):
-        for j, (multiples, r) in enumerate(mats):
-            if w < k - r:
-                continue  # this matrix adds nothing to the bound yet
-            if multiples is None:
-                done[j] = done[0]  # its words are shifts of the first set's
-            while done[j] < w:
-                done[j] += 1
-                depth = min(deepest, done[j] - 1)
-                if depth not in tables[j]:
-                    tables[j][depth] = _suffix_table(words, multiples, depth)
-                table, offsets = tables[j][depth]
-                for acc, after in _prefixes(words, multiples, done[j] - depth, k - depth):
-                    start, key = offsets[after], words.key(acc)
-                    weights = map(int.bit_count, map(key.__xor__, table[start:start + left]))
-                    best = min(best, min(weights, default=heaviest) >> words.shift)
-                    if start + left < len(table):  # the budget ends inside this block
-                        return DistanceResult("budget-exhausted", best, budget, route, None)
-                    left -= len(table) - start
-            bound = sum(max(0, d + 1 - (k - r)) for d, (_, r) in zip(done, mats))
-            if best <= bound:
-                return DistanceResult("exact", best, budget - left, route, None)
-    # the first matrix has walked every level: every codeword was generated
+        depth = min(deepest, w - 1)
+        if depth == w - 1:  # one row deeper than the level before
+            table, offsets = _suffix_table(words, multiples, depth)
+        for acc, after in _prefixes(words, multiples, w - depth, k - depth):
+            start, key = offsets[after], words.key(acc)
+            weights = map(int.bit_count, map(key.__xor__, table[start:start + left]))
+            best = min(best, min(weights, default=heaviest) >> words.shift)
+            if start + left < len(table):  # the budget ends inside this block
+                return DistanceResult("budget-exhausted", best, budget, route, None)
+            left -= len(table) - start
+        if best <= -(-n * (w + 1) // k):
+            break
     return DistanceResult("exact", best, budget - left, route, None)
 
 
@@ -665,19 +616,16 @@ def dual_min_distance(
     they are enumerated and the MacWilliams identities give the dual's
     distribution (route "macwilliams").  Otherwise, when the dual's nonzero
     codewords fit, the dual is walked (route "dual-enumeration").  Otherwise
-    minimum_weight runs Brouwer-Zimmermann on the dual rows (route
-    "brouwer-zimmermann"); only this route can end "budget-exhausted", and
-    it leaves count None.  That walk is given the cyclic shift, which every
-    cyclic code and its extension admit by construction: i -> i+1 mod n,
-    and on the extension 0 -> 0 and 1+i -> 1+((i+1) mod n).  So it walks
-    one information set per shift orbit; the skipped sets count in the
-    bound but not in enumerated.  The affine group is not used: that
-    invariance is what verify tests, and the distance must not rest on it.
+    minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on the dual
+    rows (route "brouwer-zimmermann"); only this route can end
+    "budget-exhausted", and it leaves count None.  That walk uses the cyclic
+    shift, which it checks; the affine group is not used: that invariance
+    is what verify tests, and the distance must not rest on it.
     """
     primal, dual = code_rows(field, D, extended)
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
-    q, n = field.q, field.n
+    q = field.q
     if len(primal) < len(dual) and q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
         B = macwilliams(q, len(dual[0]), {0: 1, **weight_distribution(field, primal)})
         del B[0]
@@ -686,8 +634,7 @@ def dual_min_distance(
         B = weight_distribution(field, dual)
         side, route = dual, "dual-enumeration"
     else:
-        shift = [(i + 1) % n for i in range(n)]
-        return minimum_weight(field, dual, [0] + [1 + i for i in shift] if extended else shift)
+        return minimum_weight(field, dual)
     value = min(B)
     return DistanceResult("exact", value, q ** len(side) - 1, route, B[value])
 

@@ -146,6 +146,26 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("t,b,delta,bound")
 
 
+def test_unwritable_out_exits_2_without_traceback(tmp_path):
+    src = str(Path(cyclocode.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclocode.cli", "dim", "--q", "2", "--m", "4", "--t", "2",
+         "--a", "1", "--b", "1", "--out", str(tmp_path / "missing" / "x.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("parameter error: cannot write")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_n", ["-1", "0", "1"])
+def test_verify_rejects_a_max_n_that_checks_nothing(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--max-n", max_n)
+    assert code == 2 and out == ""
+    assert err.startswith("parameter error:") and "--max-n" in err
+
+
 def test_parse_grid():
     points = parse_grid("q=2..5;m=2;t=0;a=*;b<=a")
     assert all(p.m == 2 and p.t == 0 for p in points)

@@ -125,22 +125,30 @@ def test_dual_min_distance_budget(monkeypatch):
     res = dual_min_distance(F, T)
     assert (res.kind, res.value, res.route, res.enumerated) == ("exact", 2, "macwilliams", 1)
     # (2,4,2,1,1): 127 primal and 255 dual nonzero codewords, both over 100,
-    # so Brouwer-Zimmermann runs on the dual: level 1 of both information
-    # sets (r = 8 and 7) and level 2 of the first establish d = 4.  The
-    # second set, columns 8..14 and 0, is a shift of the first, 0..7, so its
-    # level 1 generates nothing: 8 + 28 codewords, not 8 + 28 + 8
+    # so Brouwer-Zimmermann runs on the dual.  Level 1 of the [15, 8] cyclic
+    # dual, 8 codewords, finds weight 4 and proves ceil(15 * 2 / 8) = 4; the
+    # [16, 9] extended dual needs its 9 codewords for ceil(15 * 2 / 9) = 4
     T = build_T(CodeParams(2, 4, 2, 1, 1))
-    res = dual_min_distance(F, T)
-    assert (res.kind, res.value, res.route, res.count) == ("exact", 4, "brouwer-zimmermann", None)
-    assert res.enumerated == 8 + 28
+    got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    assert [(r.kind, r.value, r.route, r.count, r.enumerated) for r in got] == [
+        ("exact", 4, "brouwer-zimmermann", None, 8),
+        ("exact", 4, "brouwer-zimmermann", None, 9),
+    ]
     # a budget that ends inside that walk leaves only an upper bound
-    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 35)
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 7)
     res = dual_min_distance(F, T)
-    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 35)
+    assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 7)
     assert res.value >= 4
+    # (3,3,2,2,2): the [26, 6] cyclic dual, d = 15, stops after level 3,
+    # 6 + 30 + 80 codewords: ceil(26 * 3 / 6) = 13 < 15 <= ceil(26 * 4 / 6)
     F3 = field_make(3, 3)
+    T3 = build_T(CodeParams(3, 3, 2, 2, 2))
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 200)
+    res = dual_min_distance(F3, T3)
+    assert (res.kind, res.value, res.route, res.enumerated) == (
+        "exact", 15, "brouwer-zimmermann", 116)
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 50)
-    res = dual_min_distance(F3, build_T(CodeParams(3, 3, 2, 2, 2)))
+    res = dual_min_distance(F3, T3)
     assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 50)
     assert res.value >= 15
 
@@ -224,48 +232,56 @@ def test_suffix_table_lists_every_sum_of_depth_rows_in_order(q):
 
 
 def test_suffix_depth_cap_changes_no_result(monkeypatch):
-    # with the cap at 0 every level weighs pairs, never triples: the same
-    # codewords are walked in the same order, budget or none, and with the
-    # cyclic shift or without it
-    cases = [(2, 6, 3, 1, 1, False), (2, 5, 2, 1, 1, True), (3, 3, 2, 2, 2, False)]
+    # caps that allow triples, pairs, one row and no row: every depth walks
+    # the same codewords in the same order, budget or none, and no table
+    # passes the cap but the one-entry table of no rows
+    cases = [(2, 6, 3, 1, 1, False), (2, 5, 2, 1, 1, True), (3, 3, 2, 2, 2, False),
+             (5, 2, 1, 4, 4, False)]
+    reached: dict[int, set[int]] = {}
+
+    def capped(words, multiples, depth):
+        table, offsets = _suffix_table(words, multiples, depth)
+        assert depth == 0 or len(table) <= oracle._SUFFIX_ENTRIES, (depth, len(table))
+        reached[cap_depth].add(depth)
+        return table, offsets
+
+    monkeypatch.setattr(oracle, "_suffix_table", capped)
     for q, m, t, a, b, extended in cases:
         F = field_make(q, m)
         _, dual = code_rows(F, build_T(CodeParams(q, m, t, a, b)), extended)
-        for automorphism in (None, _cyclic_shift(F.n, extended)):
-            for budget in (None, 5000):
+        k = len(dual)
+        caps = {3: oracle._SUFFIX_ENTRIES, 2: comb(k, 2) * (q - 1) ** 2, 1: k * (q - 1), 0: 0}
+        for budget in (None, 500):
+            results = []
+            for cap_depth, cap in caps.items():
+                reached.setdefault(cap_depth, set())
                 with monkeypatch.context() as mp:
                     if budget:
                         mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
-                    triples = minimum_weight(F, dual, automorphism)
-                    mp.setattr(oracle, "_SUFFIX_ENTRIES", 0)
-                    pairs = minimum_weight(F, dual, automorphism)
-                assert triples == pairs, (q, m, t, a, b, extended, automorphism, budget)
+                    mp.setattr(oracle, "_SUFFIX_ENTRIES", cap)
+                    results.append(minimum_weight(F, dual))
+            assert len(set(results)) == 1, (q, m, t, a, b, extended, budget, results)
+    # each cap holds every walk to its depth, and some walk reaches it
+    assert reached == {3: {0, 1, 2, 3}, 2: {0, 1, 2}, 1: {0, 1}, 0: {0}}
 
 
 def test_brouwer_zimmermann_result_at_2_6_3_1_1():
-    # the plain walk generates 380100 and 491010 codewords; given the cyclic
-    # shift, every information set after the first is a shift of it, so the
-    # walk generates half as many and finds the same d
+    # k = 24 on the cyclic dual, 25 on the extended one, n = 63: level 4
+    # proves ceil(63 * 5 / 24) = 14 and ceil(63 * 5 / 25) = 13 < 14, so the
+    # extended walk needs level 5 to prove ceil(63 * 6 / 25) = 16 > 14
     F = field_make(2, 6)
     T = build_T(CodeParams(2, 6, 3, 1, 1))
     got = [dual_min_distance(F, T, extended) for extended in (False, True)]
     assert [(r.kind, r.value, r.enumerated, r.route) for r in got] == [
-        ("exact", 14, 190050, "brouwer-zimmermann"),
-        ("exact", 14, 245505, "brouwer-zimmermann"),
+        ("exact", 14, 12950, "brouwer-zimmermann"),
+        ("exact", 14, 68405, "brouwer-zimmermann"),
     ]
-    _, dual = code_rows(F, T)
-    assert minimum_weight(F, dual).enumerated == 380100
 
 
-def _cyclic_shift(n, extended):
-    """i -> i+1 mod n, or on the extension 0 -> 0 and 1+i -> 1+((i+1) mod n)."""
-    shift = [(i + 1) % n for i in range(n)]
-    return [0] + [1 + i for i in shift] if extended else shift
-
-
-def test_walk_with_the_cyclic_shift_matches_the_plain_walk_and_the_distribution():
-    # every dual with q <= 5, q^m <= 64 and q^k <= 3 * 10^5, both codes
-    walks = fewer = 0
+def test_walk_matches_the_distribution():
+    # every dual with q <= 5, q^m <= 64 and q^k <= 3 * 10^5, both codes:
+    # GF(2) and GF(3) words, and one-hot words at q = 4 and 5
+    walks = 0
     for q in (2, 3, 4, 5):
         m = 1
         while q**m <= 64:
@@ -278,46 +294,29 @@ def test_walk_with_the_cyclic_shift_matches_the_plain_walk_and_the_distribution(
                             _, dual = code_rows(F, T, extended)
                             if not dual or q ** len(dual) > 3 * 10**5:
                                 continue
-                            plain = minimum_weight(F, dual)
-                            fast = minimum_weight(F, dual, _cyclic_shift(F.n, extended))
+                            res = minimum_weight(F, dual)
                             d = min(weight_distribution(F, dual))
                             point = (q, m, t, a, b, extended)
-                            assert (fast.kind, fast.value) == (plain.kind, plain.value) == ("exact", d), point
-                            assert fast.enumerated <= plain.enumerated, point
+                            assert (res.kind, res.value) == ("exact", d), (point, res)
+                            assert res.enumerated < q ** len(dual), point
                             walks += 1
-                            fewer += fast.enumerated < plain.enumerated
             m += 1
-    assert walks > 100 and fewer > walks // 2
+    assert walks > 100
 
 
-def test_walk_checks_the_automorphism(monkeypatch):
+def test_walk_checks_the_shift():
     F = field_make(2, 4)
     T = build_T(CodeParams(2, 4, 2, 1, 1))
     _, dual = code_rows(F, T)
-    shift = _cyclic_shift(F.n, False)
-    # the cyclic shift with two images swapped does not map the code onto itself
-    swapped = [shift[1], shift[0]] + shift[2:]
+    # two columns swapped: the window is the same information set, but the
+    # cyclic shift no longer maps the code onto itself
+    swapped = [[r[1], r[0]] + r[2:] for r in dual]
     with pytest.raises(ConsistencyError, match="onto itself"):
-        minimum_weight(F, dual, swapped)
-    with pytest.raises(ParameterError, match="not a permutation"):
-        minimum_weight(F, dual, [0] * F.n)
-    # a budget short of the walk ends it with an upper bound, having
-    # generated exactly the budget
-    full = minimum_weight(F, dual, shift)
-    assert (full.kind, full.value, full.enumerated) == ("exact", 4, 36)
-    for budget in (1, full.enumerated - 1):
-        with monkeypatch.context() as mp:
-            mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
-            res = minimum_weight(F, dual, shift)
-        assert (res.kind, res.enumerated) == ("budget-exhausted", budget) and res.value >= 4
-    # on the extension the parity coordinate 0 is fixed, so the second set,
-    # columns 10..15, 0, 1, 2, is no shift of the first, 1..9: both are walked
-    _, ext = code_rows(F, T, extended=True)
-    aut = _cyclic_shift(F.n, True)
-    assert [p for _, _, p in oracle._information_sets(F, ext, aut)] == [
-        list(range(1, 10)), [10, 11, 12, 13, 14, 15, 0, 1, 2]]
-    res = minimum_weight(F, ext, aut)
-    assert res == minimum_weight(F, ext) and (res.kind, res.value, res.enumerated) == ("exact", 4, 90)
+        minimum_weight(F, swapped)
+    with pytest.raises(ParameterError, match="no cyclic code"):
+        minimum_weight(F, [r[:-1] for r in dual])
+    with pytest.raises(ConsistencyError, match="dependent"):
+        minimum_weight(F, dual[:-1] + [dual[0]])
 
 
 def test_gf2_and_gf3_kernels_span_several_blocks():
@@ -346,18 +345,19 @@ def test_minimum_weight_budget_and_bad_rows(monkeypatch):
     full = minimum_weight(F, dual)
     assert (full.kind, full.value, full.count) == ("exact", 4, None)
     # every budget short of that walk ends it with an upper bound only
-    for budget in (1, 8, full.enumerated - 1):
+    assert full.enumerated == 8
+    for budget in (1, 4, full.enumerated - 1):
         with monkeypatch.context() as mp:
             mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", budget)
             res = minimum_weight(F, dual)
         assert (res.kind, res.enumerated) == ("budget-exhausted", budget) and res.value >= 4
     # over GF(3) only words with leading coefficient 1 are generated: level 1
-    # of the two information sets of this [8, 4] dual, 4 words each, proves
-    # weight >= 2 + 2 and finds d = 4
+    # of this [8, 4] dual, 4 words, proves weight >= ceil(8 * 2 / 4) = 4 and
+    # finds d = 4
     F3 = field_make(3, 2)
     _, dual3 = code_rows(F3, build_T(CodeParams(3, 2, 1, 2, 2)))
     res = minimum_weight(F3, dual3)
-    assert (res.kind, res.value, res.enumerated) == ("exact", 4, 8)
+    assert (res.kind, res.value, res.enumerated) == ("exact", 4, 4)
     with pytest.raises(ParameterError):
         minimum_weight(F, [])
     with pytest.raises(ConsistencyError, match="dependent"):
