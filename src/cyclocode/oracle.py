@@ -20,7 +20,6 @@ table of combinations of rows at a time.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -619,8 +618,9 @@ def dual_min_distance(
     minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on the dual
     rows (route "brouwer-zimmermann"); only this route can end
     "budget-exhausted", and it leaves count None.  That walk uses the cyclic
-    shift, which it checks; the affine group is not used: that invariance
-    is what verify tests, and the distance must not rest on it.
+    shift, which it checks; the affine group is not used: verify decides
+    that invariance exactly, by affine_invariance_probe, and the distance
+    must not rest on it.
     """
     primal, dual = code_rows(field, D, extended)
     if not dual:
@@ -649,68 +649,44 @@ def _zech(field: FieldContext) -> list[int]:
 def affine_invariance_probe(
     field: FieldContext,
     params: CodeParams,
-    trials: int = 100,
-    seed: int = 0,
+    trials: int = 10,
     defining_set: DefiningSet | None = None,
 ) -> bool:
-    """Sample random extended codewords and random coordinate maps
-    g -> u g + v (u nonzero), and test membership via the syndromes at the
-    defining-set exponents.  Returns True iff every trial stays inside the code.
+    """Whether the extended code of T is invariant under the affine group
+    AGL(1, q^m), decided exactly: True iff each of its k generator rows,
+    moved by x -> x + 1, stays in the code.
 
-    A codeword is a random combination of the primal rows of the extended
-    code, the shifts of g(x) behind their parity coordinate; the dual rows
-    are never built.  Codewords are summed through GF(q) tables, each row
-    over its support only, and coordinates move by logarithms:
-    u alpha^i + v is alpha^(log u + i) when v = 0, and
-    alpha^(log v + zech(log u - log v + i)) otherwise, with the Zech list
-    built once per field.  The draws from random.Random(seed) are, in
-    order, one coefficient per row, u and v.  galois.syndromes evaluates the
-    moved word and stops at the first nonzero syndrome.
+    AGL(1, q^m) is generated by x -> alpha x and x -> x + 1.  The first is
+    the cyclic shift, which fixes the zero-element coordinate; it maps the
+    code onto itself because g(x) divides x^n - 1.  The code is linear, so
+    it is closed under x -> x + 1 once its rows are.  The rows are the
+    shifts of g(x) behind their parity coordinate -g(1), and a row moves by
+    the Zech list, built once per field: coordinate 0, the zero element,
+    goes to 1, and coordinate 1 + i, alpha^i, goes to 1 + zech(i), or to 0
+    where 1 + alpha^i = 0.  A word lies in the code exactly when its
+    syndromes vanish at T's exponents below n, and over GF(q)
+    S(qs) = S(s)^q, so one leader per coset decides; galois.syndromes stops
+    at the first nonzero one.  The verdict agrees with the p-adic criterion
+    of Kasami, Lin & Peterson (1967) and Delsarte (1970).
+
+    trials is accepted and ignored: the check draws nothing.  It stays
+    because traced benchmark runs bind the probe's arguments by name.
 
     The default T is brute_T(params), built from the definition; a caller
     that has built it already passes it as defining_set.  defining_set also
     overrides it with a deliberately broken (non-descendant-closed) set,
-    which is how the probe is given negative controls.
+    which is how the check is given negative controls.
     """
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
     T = brute_T(params) if defining_set is None else defining_set
-    g = list(_generator(field, T).coeffs)
-    q, n, span = field.q, field.n, len(g)
-    sums, mul, _ = _field_tables(field)
-    # row i is c g(x) x^i behind the parity c (-g(1)) that every row shares:
-    # zero outside position 0 and positions 1 + i .. i + span
-    parity = _parity(field, g)
-    scaled = [[mc[x] for x in g] for mc in mul]
-    heads = [mc[parity] for mc in mul]
-    rng = random.Random(seed)
-    # over GF(q) S(qs) = S(s)^q: one exponent in [0, n-1] per coset decides
-    exponents = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
-    # coordinate order: index 0 is the zero element, index 1 + i is alpha^i
-    zech = _zech(field)
-    powers = list(range(1, n + 1))
-    for _ in range(trials):
-        cw = [0] * (n + 1)
-        for lo in range(1, n - span + 2):
-            coef = rng.randrange(q)
-            if coef:
-                cw[0] = sums[cw[0]][heads[coef]]
-                cw[lo:lo + span] = [sums[x][y] for x, y in zip(cw[lo:lo + span], scaled[coef])]
-        u = rng.randrange(1, field.order)
-        v = rng.randrange(field.order)
-        # index 0, the zero element, goes to v
-        lu = field.log(u)
-        if v:
-            lv = field.log(v)
-            shift = (lu - lv) % n
-            targets = [1 + lv] + [0 if z < 0 else 1 + (lv + z) % n
-                                  for z in zech[shift:] + zech[:shift]]
-        else:
-            targets = [0] + powers[lu:] + powers[:lu]
-        permuted = [0] * (n + 1)
-        for target, c in zip(targets, cw):
-            permuted[target] = c
-        if any(syndromes(field, permuted, exponents)):
+    n = field.n
+    rows = _extend_rows(field, list(_generator(field, T).coeffs), n)
+    leaders = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
+    targets = [1] + [0 if z < 0 else 1 + z for z in _zech(field)]
+    for row in rows:
+        moved = [0] * (n + 1)
+        for target, c in zip(targets, row):
+            moved[target] = c
+        if any(syndromes(field, moved, leaders)):
             return False
     return True
 

@@ -492,7 +492,7 @@ def test_criterion_10_affine_invariance(counting_sweep):
     for tup in probe_instances:
         p = CodeParams(*tup)
         field = field_make(p.q, p.m)
-        assert affine_invariance_probe(field, p, trials=100, seed=0), tup
+        assert affine_invariance_probe(field, p), tup
 
     # negative control: dropping one descendant coset must be caught
     from cyclocode.cosets import union_cosets
@@ -501,9 +501,7 @@ def test_criterion_10_affine_invariance(counting_sweep):
     p = CodeParams(2, 4, 2, 1, 1)
     broken = union_cosets([0, 3], 2, 4)  # the coset of 1 is missing
     assert descendant_closure(broken) != broken
-    assert not affine_invariance_probe(
-        field, p, trials=100, seed=0, defining_set=broken
-    )
+    assert not affine_invariance_probe(field, p, defining_set=broken)
 
 
 # --------------------------------------------------------------------------

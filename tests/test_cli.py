@@ -121,6 +121,19 @@ def test_verify_small(capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_verify_does_not_depend_on_the_seed(capsys):
+    # no check draws anything: --seed only reaches the report's meta
+    docs = []
+    for seed in ("0", "7"):
+        code, out, err = run(capsys, "verify", "--max-n", "16", "--seed", seed,
+                             "--format", "json", "--no-timestamp")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["seed"] == int(seed)
+        docs.append([doc[key] for key in ("rows", "points", "failures")])
+    assert docs[0] == docs[1]
+
+
 def test_parameter_error_exit_code(capsys):
     code, _, err = run(capsys, "dim", "--q", "6", "--m", "3", "--t", "1",
                        "--a", "2", "--b", "1")
@@ -225,7 +238,8 @@ def test_bad_grid_value_exits_2_without_traceback():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("q,m,s", [(-3, 2, 1), (1, 2, 0), (2, 0, 0), (2, -1, 0)])
+@pytest.mark.parametrize("q,m,s", [(-3, 2, 1), (1, 2, 0), (2, 0, 0), (2, -1, 0),
+                                   (6, 2, 1)])
 def test_coset_rejects_impossible_q_and_m(q, m, s):
     src = str(Path(cyclocode.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
