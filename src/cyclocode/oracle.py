@@ -9,13 +9,18 @@ Dual minimum distances come from an exhaustive weight distribution of
 whichever side has fewer codewords when one fits DEFAULT_DISTANCE_BUDGET,
 the one cap on the codewords a distance search generates: the dual, or
 the primal code, whose distribution the MacWilliams identities turn into
-the dual's exactly.  When neither fits, Chen's cyclic Brouwer-Zimmermann
-walk bounds the dual's minimum weight from below, ceil(n(w+1)/k) after
-level w, on one window of k consecutive coordinates, until the lightest
-codeword found meets the bound; it takes cyclic codes and their
-extensions only, and checks the shift.  Every walk weighs codewords by
-popcount: over GF(2) of bit masks, over other fields of one-hot words, a
-table of combinations of rows at a time.
+the dual's exactly.  That side W is walked modulo the cyclic shift
+(MacWilliams & Sloane 1977, ch. 8; Chen 1970): a nonzero alpha^s of W
+with gcd(s, n) = 1 spans a minimal ideal M_s whose n nonzero words are one
+orbit of the shift, so W = W' + M_s gives A(W) = A(W') + n A(e + W'), two
+walks of q^(k-m) words; W without such a nonzero is walked whole.  When
+neither side fits, Chen's cyclic Brouwer-Zimmermann walk bounds the
+dual's minimum weight from below, ceil(n(w+1)/k) after level w, on one
+window of k consecutive coordinates, until the lightest codeword found
+meets the bound; it takes cyclic codes and their extensions only, and
+checks the shift.  Every walk weighs codewords by popcount: over GF(2) of
+bit masks, over other fields of one-hot words, a table of combinations of
+rows at a time.
 """
 
 from __future__ import annotations
@@ -24,13 +29,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
+from math import comb, gcd
 from operator import xor
 from typing import TYPE_CHECKING, Mapping
 
-from .cosets import DefiningSet, _check_cap, leader
+from .cosets import DefiningSet, _check_cap, coset_of, leader
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
-from .galois import FieldContext, Polynomial, generator_polynomial, poly_divmod, syndromes
+from .galois import (FieldContext, Polynomial, generator_polynomial, minimal_polynomial,
+                     poly_divmod, poly_mul, syndromes)
 from .qadic import profile_counts
 
 if TYPE_CHECKING:
@@ -166,8 +172,11 @@ class DistanceResult:
     primal code and transforms its weight distribution, and
     "brouwer-zimmermann" runs Chen's cyclic walk, minimum_weight, on the
     dual rows.  enumerated counts the codewords generated, never more than
-    DEFAULT_DISTANCE_BUDGET: q^k - 1 of the side walked on the two
-    exhaustive routes.  count is the number of codewords of weight value
+    DEFAULT_DISTANCE_BUDGET.  On the two exhaustive routes the k-dimensional
+    side walked is covered in full either way.  Walked modulo the shift it
+    generates 2 q^(k-m) - 1 codewords: W' and the coset e + W', less the
+    zero word.  Walked whole, where no nonzero alpha^s has gcd(s, n) = 1,
+    it generates q^k - 1.  count is the number of codewords of weight value
     there, and None on "brouwer-zimmermann", which does not establish it.
     """
 
@@ -191,16 +200,50 @@ def code_rows(
     cyclic dual, so the extended dual is spanned by the all-ones word and
     the cyclic dual rows behind a zero.
     """
+    return tuple(_rows(field, poly, form) for poly, form, _ in _sides(field, D, extended))
+
+
+def _xn1(field: FieldContext) -> tuple[int, ...]:
+    """x^n - 1 over GF(q), lowest degree first."""
+    return (field.base.neg(1),) + (0,) * (field.n - 1) + (1,)
+
+
+def _sides(
+    field: FieldContext, D: DefiningSet, extended: bool
+) -> tuple[tuple[list[int], str, list[int]], ...]:
+    """The primal and the dual side of code_rows as (cyclic generator, form,
+    nonzeros).  form says how _rows lays out the shifts of the generator:
+    "cyclic" as they are, "parity" behind their overall parity (the
+    extended primal), "ones" behind a zero under the all-ones word (the
+    extended dual).  The nonzeros are the exponents s in [0, n) of the
+    cyclic part's nonzeros alpha^s: those outside D minus {0, n} for the
+    primal, and n - s for each s in D minus {0, n} for the dual, whose
+    generator is the reciprocal of the primal's check polynomial."""
     base, n = field.base, field.n
     g = list(_generator(field, D).coeffs)
-    xn1 = (base.neg(1),) + (0,) * (n - 1) + (1,)
-    h, rem = poly_divmod(base, xn1, g)
+    h, rem = poly_divmod(base, _xn1(field), g)
     if rem:
         raise ParameterError("generator polynomial does not divide x^n - 1")
-    dual = _shifts(list(reversed(h)), n)
-    if not extended:
-        return _shifts(g, n), dual
-    return _extend_rows(field, g, n), [[1] * (n + 1)] + [[0] + r for r in dual]
+    zeros = [s for s in D if 0 < s < n]
+    return ((g, "parity" if extended else "cyclic", sorted(set(range(n)) - set(zeros))),
+            (list(reversed(h)), "ones" if extended else "cyclic", sorted(n - s for s in zeros)))
+
+
+def _rows(field: FieldContext, poly: list[int], form: str) -> list[list[int]]:
+    """The generator rows of a side of code_rows from its cyclic generator
+    poly and its form, as _sides names them."""
+    n = field.n
+    if form == "parity":
+        return _extend_rows(field, poly, n)
+    rows = _shifts(poly, n)
+    return [[1] * (n + 1)] + [[0] + r for r in rows] if form == "ones" else rows
+
+
+def _word(field: FieldContext, word: list[int], form: str) -> list[int]:
+    """A word of a side's cyclic part laid out as _rows lays out its rows."""
+    if form == "parity":
+        return [_parity(field, word)] + word
+    return [0] + word if form == "ones" else word
 
 
 def _shifts(poly: list[int], n: int) -> list[list[int]]:
@@ -373,14 +416,14 @@ def _odometer(deltas: list[list], add, zero):
         yield cw
 
 
-def _histogram(field: FieldContext, rows: list[list[int]]) -> Counter:
-    """Weights of all q^k codewords, the zero word included: a table holds
-    negkey of every combination of the low rows, and the odometer walks the
-    high rows, one key a block.  Moving a digit from encoding c to the next
-    adds (next - c) times its row, so every GF(q) multiple is reached even
-    when q is not prime."""
+def _histogram(field: FieldContext, rows: list[list[int]], start: list[int]) -> Counter:
+    """Weights of all q^k words start + c, c a codeword, the zero codeword
+    included: a table holds negkey of every combination of the low rows,
+    and the odometer walks the high rows from start, one key a block.
+    Moving a digit from encoding c to the next adds (next - c) times its
+    row, so every GF(q) multiple is reached even when q is not prime."""
     q, sub = field.q, field.base.sub
-    words = _words(field, len(rows[0]) if rows else 0)
+    words = _words(field, len(start))
     multiples = [words.multiples(row) for row in rows]
     low = _table_rows(q, len(rows))
     table = [words.zero]
@@ -389,8 +432,9 @@ def _histogram(field: FieldContext, rows: list[list[int]]) -> Counter:
     table = list(map(words.negkey, table))
     steps = [sub((c + 1) % q, c) for c in range(q)]
     deltas = [[ms[s] for s in steps] for ms in multiples[low:]]
+    first = words.multiples(start)[1]  # 1 times start, in the word class
     hist: Counter = Counter()
-    for cw in map(words.key, _odometer(deltas, words.add, words.zero)):
+    for cw in map(words.key, _odometer(deltas, words.add, first)):
         hist.update(map(int.bit_count, map(cw.__xor__, table)))
     if words.shift:
         hist = Counter({w >> words.shift: c for w, c in hist.items()})
@@ -399,19 +443,96 @@ def _histogram(field: FieldContext, rows: list[list[int]]) -> Counter:
 
 def weight_distribution(field: FieldContext, rows: list[list[int]]) -> dict[int, int]:
     """Weight histogram of all q^k - 1 nonzero codewords spanned by the k
-    linearly independent rows over GF(field.q).
+    linearly independent rows over GF(field.q), by one walk of the whole
+    code.
 
     Raises ResourceLimitError when q^k - 1 exceeds DEFAULT_DISTANCE_BUDGET.
     """
     codewords = field.q ** len(rows) - 1
     if codewords > DEFAULT_DISTANCE_BUDGET:
         raise ResourceLimitError(f"{codewords} codewords exceed the cap {DEFAULT_DISTANCE_BUDGET}")
-    hist = _histogram(field, rows)
+    hist = _histogram(field, rows, [0] * (len(rows[0]) if rows else 0))
     # the zero word is the walk's first and, the rows being independent, only
     if hist[0] != 1:
         raise ConsistencyError(f"{hist[0]} zero codewords: the rows are dependent")
     del hist[0]
     return dict(hist)
+
+
+def _orbit_split(field: FieldContext, poly: list[int], s: int) -> tuple[list[int], list[int]]:
+    """(G f, (x^n - 1) / f) for the cyclic code W generated by poly = G and
+    the minimal polynomial f of alpha^s: the generator of W' = W with the
+    coset of s moved into its zeros, and a nonzero word e of the minimal
+    ideal M_s with nonzeros that coset, so that W = W' + M_s.
+
+    Raises ConsistencyError unless gcd(s, n) = 1 and the coset has m
+    members, so that alpha^s is primitive and the shift, multiplication by
+    it on M_s, moves e through all n nonzero words of M_s; or unless G
+    divides x^n - 1 and f divides the check polynomial (x^n - 1) / G, both
+    remainders tested, so that M_s lies in W and meets W' in zero."""
+    base, n = field.base, field.n
+    size = len(coset_of(s, field.q, field.m).elements)
+    if gcd(s, n) != 1 or size != field.m:
+        raise ConsistencyError(f"the coset of {s} has {size} members and gcd(s, n) = "
+                               f"{gcd(s, n)}: it is not primitive")
+    f = minimal_polynomial(field, s).coeffs
+    check, rem = poly_divmod(base, _xn1(field), poly)
+    if rem:
+        raise ConsistencyError("the generator does not divide x^n - 1")
+    _, rem = poly_divmod(base, check, f)
+    if rem:
+        raise ConsistencyError(f"the minimal polynomial of alpha^{s} does not divide "
+                               "the check polynomial")
+    e, _ = poly_divmod(base, _xn1(field), f)
+    return list(poly_mul(base, poly, f)), list(e) + [0] * (n - len(e))
+
+
+def _orbit_distribution(
+    field: FieldContext, rows: list[list[int]], e: list[int], k: int
+) -> Counter:
+    """Full weight distribution (weight 0 included) of the k-dimensional
+    code W = W' + M_s that _orbit_split splits, from the rows of W' and e:
+    A(W) = A(W') + n A(e + W').  The shift maps W' onto itself, keeps
+    weights and moves e through every nonzero word of M_s, so each coset
+    e' + W' with e' in M_s minus 0 weighs as e + W' does.  Two walks of
+    q^(k - m) words each, by one kernel: W' from the zero word and the
+    coset from e.
+
+    Raises ConsistencyError unless the walk of W' meets exactly one zero
+    word (its rows are independent), the coset walk none (e is not in W'),
+    and sum A = q^k."""
+    n = field.n
+    A = _histogram(field, rows, [0] * len(e))
+    if A[0] != 1:
+        raise ConsistencyError(f"{A[0]} zero codewords: the rows are dependent")
+    coset = _histogram(field, rows, e)
+    if coset[0]:
+        raise ConsistencyError(f"{coset[0]} zero words in the coset: e lies in the code")
+    for w, c in coset.items():
+        A[w] += n * c
+    if sum(A.values()) != field.q ** k:
+        raise ConsistencyError(f"the orbit distribution sums to {sum(A.values())}, "
+                               f"not {field.q}^{k}")
+    return A
+
+
+def _side_distribution(
+    field: FieldContext, rows: list[list[int]], side: tuple[list[int], str, list[int]]
+) -> tuple[dict[int, int], int]:
+    """(full weight distribution, codewords generated) of the side of
+    _sides whose rows are these.  With s the least nonzero exponent
+    coprime to n, the side is walked modulo the shift, by _orbit_split and
+    _orbit_distribution: 2 q^(k - m) - 1 codewords.  With none, as for the
+    repetition code, weight_distribution walks all q^k - 1."""
+    poly, form, nonzeros = side
+    q, k = field.q, len(rows)
+    s = next((s for s in nonzeros if gcd(s, field.n) == 1), None)
+    if s is None:
+        return {0: 1, **weight_distribution(field, rows)}, q**k - 1
+    rest_poly, e = _orbit_split(field, poly, s)
+    rest = _rows(field, rest_poly, form)
+    A = _orbit_distribution(field, rest, _word(field, e, form), k)
+    return dict(A), 2 * q ** len(rest) - 1
 
 
 def macwilliams(q: int, length: int, A: Mapping[int, int]) -> dict[int, int]:
@@ -612,31 +733,42 @@ def dual_min_distance(
     D; with extended=True it is the length-(n+1) extension (defining set
     including 0).  When the primal code has strictly fewer codewords than
     the dual and all q^k - 1 of its nonzero ones fit DEFAULT_DISTANCE_BUDGET,
-    they are enumerated and the MacWilliams identities give the dual's
-    distribution (route "macwilliams").  Otherwise, when the dual's nonzero
-    codewords fit, the dual is walked (route "dual-enumeration").  Otherwise
-    minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on the dual
-    rows (route "brouwer-zimmermann"); only this route can end
-    "budget-exhausted", and it leaves count None.  That walk uses the cyclic
-    shift, which it checks; the affine group is not used: verify decides
+    its weight distribution is taken and the MacWilliams identities give the
+    dual's (route "macwilliams").  Otherwise, when the dual's nonzero
+    codewords fit, the dual's is taken (route "dual-enumeration"), and its
+    transform must be a distribution of q^k_primal words with one zero
+    word.  Either side's distribution comes from _side_distribution: walked
+    modulo the shift through the least primitive nonzero coset, or whole
+    when there is none.  The gate stays q^k - 1 of the whole side, so the
+    orbit walk changes how much is generated, never which route runs.
+    Otherwise minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on
+    the dual rows (route "brouwer-zimmermann"); only this route can end
+    "budget-exhausted", and it leaves count None.  The walks use the cyclic
+    shift, which they check; the affine group is not used: verify decides
     that invariance exactly, by affine_invariance_probe, and the distance
     must not rest on it.
     """
-    primal, dual = code_rows(field, D, extended)
+    sides = _sides(field, D, extended)
+    primal, dual = (_rows(field, poly, form) for poly, form, _ in sides)
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
-    q = field.q
+    q, length = field.q, len(dual[0])
     if len(primal) < len(dual) and q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
-        B = macwilliams(q, len(dual[0]), {0: 1, **weight_distribution(field, primal)})
-        del B[0]
-        side, route = primal, "macwilliams"
+        A, walked = _side_distribution(field, primal, sides[0])
+        B = macwilliams(q, length, A)
+        route = "macwilliams"
     elif q ** len(dual) - 1 <= DEFAULT_DISTANCE_BUDGET:
-        B = weight_distribution(field, dual)
-        side, route = dual, "dual-enumeration"
+        B, walked = _side_distribution(field, dual, sides[1])
+        A = macwilliams(q, length, B)
+        if A.get(0) != 1 or sum(A.values()) != q ** len(primal):
+            raise ConsistencyError(f"the transform has {A.get(0, 0)} zero words and "
+                                   f"{sum(A.values())} words, not 1 and {q}^{len(primal)}")
+        route = "dual-enumeration"
     else:
         return minimum_weight(field, dual)
+    del B[0]
     value = min(B)
-    return DistanceResult("exact", value, q ** len(side) - 1, route, B[value])
+    return DistanceResult("exact", value, walked, route, B[value])
 
 
 @lru_cache(maxsize=32)
@@ -666,8 +798,10 @@ def affine_invariance_probe(
     where 1 + alpha^i = 0.  A word lies in the code exactly when its
     syndromes vanish at T's exponents below n, and over GF(q)
     S(qs) = S(s)^q, so one leader per coset decides; galois.syndromes stops
-    at the first nonzero one.  The verdict agrees with the p-adic criterion
-    of Kasami, Lin & Peterson (1967) and Delsarte (1970).
+    at the first nonzero one.  The syndrome at 0 is the sum of the
+    coordinates, which the move keeps and which is 0 on every row, so only
+    the leaders 0 < s < n are asked for.  The verdict agrees with the
+    p-adic criterion of Kasami, Lin & Peterson (1967) and Delsarte (1970).
 
     trials is accepted and ignored: the check draws nothing.  It stays
     because traced benchmark runs bind the probe's arguments by name.
@@ -680,7 +814,7 @@ def affine_invariance_probe(
     T = brute_T(params) if defining_set is None else defining_set
     n = field.n
     rows = _extend_rows(field, list(_generator(field, T).coeffs), n)
-    leaders = sorted({leader(s, T.q, T.m) for s in T if s < T.n})
+    leaders = sorted({leader(s, T.q, T.m) for s in T if 0 < s < T.n})
     targets = [1] + [0 if z < 0 else 1 + z for z in _zech(field)]
     for row in rows:
         moved = [0] * (n + 1)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd
 
 import pytest
 
@@ -415,21 +416,32 @@ def exact_dual_distances() -> dict[tuple[int, ...], DualDistances]:
 
 def _exact_value(tup: tuple[int, ...], dd: DualDistances, extended: bool) -> int:
     """The distance, once the enumeration is shown to be exhaustive over
-    all q^k - 1 nonzero codewords of the side its route names: the
-    k-dimensional dual, or the smaller primal code whose weight distribution
-    the MacWilliams identities turn into the dual's."""
+    the side its route names: the k-dimensional dual, or the smaller primal
+    code whose weight distribution the MacWilliams identities turn into the
+    dual's.  A side whose cyclic part has a nonzero alpha^s with
+    gcd(s, n) = 1 is walked modulo the shift, 2 q^(k - m) codewords less
+    the zero word; any other side whole, q^k - 1.  Which applies is read
+    off T here, and weight_distribution on that side must total q^k - 1."""
     res = dd.extended if extended else dd.cyclic
     k_dual = dd.k_extended if extended else dd.k_cyclic
+    q, m = tup[0], tup[1]
+    n = q**m - 1
+    field, T = field_make(q, m), build_T(CodeParams(*tup))
+    zeros = [s for s in T if 0 < s < n]
+    primal, dual = code_rows(field, T, extended)
     if res.route == "macwilliams":
-        k = dd.k_primal
+        k, side, nonzeros = dd.k_primal, primal, set(range(n)) - set(zeros)
         assert k < k_dual, (tup, extended, k)
     else:
         assert res.route == "dual-enumeration", (tup, res.route)
-        k = k_dual
-    codewords = tup[0] ** k - 1
+        k, side, nonzeros = k_dual, dual, {n - s for s in zeros}
+    assert len(side) == k, (tup, extended)
+    assert sum(weight_distribution(field, side).values()) == q**k - 1, (tup, extended)
+    orbit = any(gcd(s, n) == 1 for s in nonzeros)
+    codewords = 2 * q ** (k - m) - 1 if orbit else q**k - 1
     assert res.kind == "exact" and res.enumerated == codewords, (
         f"{tup}: kind={res.kind}, route={res.route}, enumerated={res.enumerated}, "
-        f"q^k-1={codewords}"
+        f"expected {codewords}"
     )
     return res.value
 

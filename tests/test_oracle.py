@@ -2,7 +2,7 @@ import ast
 import random
 from collections import Counter
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -100,7 +100,8 @@ def test_brute_dimension_examples():
 def test_dual_min_distance_examples():
     F = field_make(2, 4)
     # repetition code: dual is the even-weight code, read off the primal's
-    # single nonzero codeword by the MacWilliams identities
+    # single nonzero codeword by the MacWilliams identities.  Its one
+    # nonzero, alpha^0, is not primitive, so the whole code is walked
     res = dual_min_distance(F, build_T(CodeParams(2, 4, 1, 1, 1)))
     assert (res.kind, res.value, res.route) == ("exact", 2, "macwilliams")
     assert res.enumerated == 2**1 - 1
@@ -111,10 +112,15 @@ def test_dual_min_distance_examples():
     assert (res.kind, res.value) == ("exact", 4)
     ext = dual_min_distance(F, T, extended=True)
     assert (ext.kind, ext.value) == ("exact", 4)
-    # (2,4,3,1,1): dual dimension 4 against primal 11, so the dual is walked
+    # the primal [15, 7] walked modulo the shift: 2 * 2^(7 - 4) - 1 codewords
+    assert (res.route, res.enumerated, ext.route, ext.enumerated) == (
+        "macwilliams", 15, "macwilliams", 15)
+    # (2,4,3,1,1): dual dimension 4 against primal 11, so the dual is walked.
+    # It is the simplex code, one minimal ideal: W' = 0, and the n shifts of
+    # e are its 15 nonzero words, all of weight 8
     res = dual_min_distance(F, build_T(CodeParams(2, 4, 3, 1, 1)))
     assert (res.kind, res.value, res.route) == ("exact", 8, "dual-enumeration")
-    assert res.enumerated == 2**4 - 1 and res.count == 15  # the simplex code
+    assert res.enumerated == 2 * 2**0 - 1 and res.count == 15
 
 
 def test_dual_min_distance_budget(monkeypatch):
@@ -157,9 +163,154 @@ def test_dual_min_distance_nonbinary():
     F = field_make(3, 3)
     T = build_T(CodeParams(3, 3, 2, 2, 2))  # |T*| = 6
     res = dual_min_distance(F, T)
-    assert res.kind == "exact" and res.enumerated == 3**6 - 1
+    # the [26, 6] dual walked modulo the shift: 2 * 3^(6 - 3) - 1 codewords
+    assert (res.kind, res.route, res.enumerated) == ("exact", "dual-enumeration", 2 * 3**3 - 1)
     ext = dual_min_distance(F, T, extended=True)
     assert ext.kind == "exact" and ext.value == res.value
+
+
+def _orbit_sides(q, top, words):
+    """(field, point, extended, which, rows, side) for every side of
+    code_rows at q^m <= top and b <= a whose q^k is at most words."""
+    m = 1
+    while q**m <= top:
+        F = field_make(q, m)
+        for t in range(m):
+            for a in range(1, q):
+                for b in range(1, a + 1):
+                    T = build_T(CodeParams(q, m, t, a, b))
+                    for extended in (False, True):
+                        sides = oracle._sides(F, T, extended)
+                        for which, side in zip(("primal", "dual"), sides):
+                            rows = oracle._rows(F, side[0], side[1])
+                            if rows and q ** len(rows) <= words:
+                                yield F, (q, m, t, a, b), extended, which, rows, side
+        m += 1
+
+
+@pytest.mark.parametrize("q,top,orbit_sides", [
+    (2, 32, 32), (3, 27, 38), (4, 16, 37), (5, 25, 54), (7, 49, 101)])
+def test_orbit_distribution_equals_the_whole_walk(q, top, orbit_sides):
+    # GF(2) and GF(3) words, and one-hot words at q = 4, 5 and 7: walked
+    # modulo the shift, every side of both codes has the distribution of
+    # its whole walk, from 2 q^(k - m) - 1 codewords, or q^k - 1 where no
+    # nonzero is primitive, as at every side with k < m
+    orbits = 0
+    for F, point, extended, which, rows, side in _orbit_sides(q, top, 3**10):
+        A, walked = oracle._side_distribution(F, rows, side)
+        assert A == {0: 1, **weight_distribution(F, rows)}, (point, extended, which)
+        primitive = any(gcd(s, F.n) == 1 for s in side[2])
+        k = len(rows)
+        assert walked == (2 * q ** (k - F.m) - 1 if primitive else q**k - 1), (point, which)
+        orbits += primitive
+    assert orbits == orbit_sides
+
+
+def test_orbit_walk_falls_back_without_a_primitive_nonzero(monkeypatch):
+    F = field_make(2, 4)
+    calls = Counter()
+    whole = oracle.weight_distribution
+
+    def counting(field, rows):
+        calls[len(rows)] += 1
+        return whole(field, rows)
+
+    monkeypatch.setattr(oracle, "weight_distribution", counting)
+    # the repetition code's one nonzero is alpha^0, and gcd(0, 15) = 15: the
+    # primal is walked whole, both codes
+    T = build_T(CodeParams(2, 4, 1, 1, 1))
+    got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    assert [(r.route, r.enumerated, r.count) for r in got] == [
+        ("macwilliams", 1, 105), ("macwilliams", 1, 120)]
+    assert calls == {1: 2}
+    # the [15, 7] primal has alpha^0 and the coset of 7 as nonzeros: orbit
+    calls.clear()
+    res = dual_min_distance(F, build_T(CodeParams(2, 4, 2, 1, 1)))
+    assert (res.route, res.enumerated) == ("macwilliams", 15) and not calls
+
+
+def _split_side(F, point, extended=False, which=1):
+    T = build_T(CodeParams(*point))
+    side = oracle._sides(F, T, extended)[which]
+    return side, oracle._rows(F, side[0], side[1])
+
+
+def test_orbit_split_refuses_a_coset_that_is_not_primitive():
+    F = field_make(2, 4)
+    (poly, _, nonzeros), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
+    # the [15, 7] primal: nonzeros alpha^0 and the cosets of 5 and 7
+    assert nonzeros == [0, 5, 7, 10, 11, 13, 14]
+    oracle._orbit_split(F, poly, 7)
+    # 5 has a coset of 2 and gcd 5; 0 has gcd 15
+    for s in (5, 0):
+        with pytest.raises(ConsistencyError, match="not primitive"):
+            oracle._orbit_split(F, poly, s)
+    # 3 has gcd 3, though its coset has m = 4 members
+    with pytest.raises(ConsistencyError, match="gcd\\(s, n\\) = 3"):
+        oracle._orbit_split(F, poly, 3)
+    # 1 is primitive but a zero of the code: f does not divide h
+    with pytest.raises(ConsistencyError, match="does not divide the check polynomial"):
+        oracle._orbit_split(F, poly, 1)
+    with pytest.raises(ConsistencyError, match="does not divide x\\^n - 1"):
+        oracle._orbit_split(F, poly + [1], 7)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_orbit_distribution_checks_its_walks(extended):
+    # the [26, 6] cyclic dual of (3,3,2,2,2), or its [27, 7] extension
+    F = field_make(3, 3)
+    (poly, form, nonzeros), rows = _split_side(F, (3, 3, 2, 2, 2), extended)
+    s = next(s for s in nonzeros if gcd(s, F.n) == 1)
+    rest_poly, e = oracle._orbit_split(F, poly, s)
+    rest, e = oracle._rows(F, rest_poly, form), oracle._word(F, e, form)
+    k = len(rows)
+    A = oracle._orbit_distribution(F, rest, e, k)
+    assert A == {0: 1, **weight_distribution(F, rows)}
+    # an e taken from inside W': the coset walk meets the zero word
+    inside = [F.base.add(x, y) for x, y in zip(rest[0], rest[-1])]
+    with pytest.raises(ConsistencyError, match="e lies in the code"):
+        oracle._orbit_distribution(F, rest, inside, k)
+    # dependent rows: the walk of W' meets the zero word twice
+    with pytest.raises(ConsistencyError, match="rows are dependent"):
+        oracle._orbit_distribution(F, rest + [rest[0]], e, k + 1)
+    # one row short of W': both walks pass, the total does not
+    with pytest.raises(ConsistencyError, match="sums to"):
+        oracle._orbit_distribution(F, rest[:-1], e, k)
+
+
+@pytest.mark.parametrize("point,extended,route", [
+    ((3, 3, 2, 2, 2), False, "dual-enumeration"),
+    ((2, 4, 2, 1, 1), True, "macwilliams"),
+])
+def test_a_wrong_coset_fails_the_macwilliams_check(monkeypatch, point, extended, route):
+    # e moved off M_s by one unit coordinate: the orbit identity then gives
+    # q^k words that are not a code's distribution, and the transform on
+    # either route refuses it
+    F = field_make(point[0], point[1])
+    T = build_T(CodeParams(*point))
+    assert dual_min_distance(F, T, extended).route == route
+    word = oracle._word
+
+    def moved(field, e, form):
+        out = word(field, e, form)
+        out[-1] = field.base.add(out[-1], 1)
+        return out
+
+    monkeypatch.setattr(oracle, "_word", moved)
+    with pytest.raises(ConsistencyError, match="MacWilliams sum"):
+        dual_min_distance(F, T, extended)
+
+
+def test_dual_route_transform_must_give_the_primal_size(monkeypatch):
+    # a distribution of one row fewer is a true code's, so the transform
+    # divides, but it totals 3^21, not the [26, 20] primal's 3^20 words
+    F = field_make(3, 3)
+    T = build_T(CodeParams(3, 3, 2, 2, 2))
+    _, dual = code_rows(F, T)
+    short = {0: 1, **weight_distribution(F, dual[:-1])}
+    monkeypatch.setattr(oracle, "_side_distribution", lambda field, rows, side: (short, 0))
+    with pytest.raises(ConsistencyError, match="not 1 and 3\\^20"):
+        dual_min_distance(F, T)
 
 
 def _brute_weights(field, rows):
@@ -489,6 +640,43 @@ def test_affine_invariance_probe_follows_the_p_adic_criterion(q, p, top, traps):
             point.astuple(), sorted(D))
         trapped += closed and not _q_adically_closed(D)
     assert trapped == traps
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_every_extended_row_sums_to_zero(q):
+    # the parity -g(1) cancels each shift's sum g(1), so the syndrome at
+    # exponent 0, the sum of the coordinates, is 0 on every row
+    m = 1
+    while q**m <= 81:
+        F = field_make(q, m)
+        for t in range(m):
+            for a in range(1, q):
+                rows, _ = code_rows(F, build_T(CodeParams(q, m, t, a, 1)), extended=True)
+                for row in rows:
+                    total = 0
+                    for c in row:
+                        total = F.base.add(total, c)
+                    assert total == 0, (q, m, t, a, row)
+        m += 1
+
+
+def test_affine_invariance_probe_never_asks_for_exponent_zero(monkeypatch):
+    asked = Counter()
+    real = oracle.syndromes
+
+    def recording(field, word, exponents):
+        exponents = list(exponents)
+        asked.update(exponents)
+        return real(field, word, exponents)
+
+    monkeypatch.setattr(oracle, "syndromes", recording)
+    verdicts = Counter()
+    for q in (2, 3, 4):
+        for F, p, D in _dropped_cosets(q, 16):
+            verdicts[affine_invariance_probe(F, p, defining_set=D)] += 1
+            verdicts[affine_invariance_probe(F, p)] += 1
+    assert verdicts[True] and verdicts[False] and asked
+    assert 0 not in asked
 
 
 def test_affine_invariance_probe_rejects_mismatched_field():
