@@ -369,6 +369,9 @@ def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
     means pass."""
     out: list[tuple[str, str]] = []
     q, m, t, a, b = params.astuple()
+    # the reflection check (b <= a) and the prefix scan (m >= 2) share it;
+    # every point of verify's grid runs at least one of them
+    Tperp = defsets.dual_set_pattern(params)
 
     def record(name: str, ok: bool, detail: str = "") -> None:
         out.append((name, "" if ok else detail or "mismatch"))
@@ -392,7 +395,7 @@ def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
                defsets.descendant_closure(T) == T,
                f"{params.astuple()}: T is not descendant-closed")
         record("dual set: pattern vs reflection",
-               defsets.dual_set_pattern(params) == defsets.dual_set(T),
+               Tperp == defsets.dual_set(T),
                f"{params.astuple()}: dual pattern build differs from reflection")
         if a == q - 1 and not params.is_degenerate:
             bch = defsets.bch_set(q, m, params.designed_distance)
@@ -401,7 +404,7 @@ def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
                    f"{params.astuple()}: T minus 0 differs from the BCH set")
     if m >= 2 and not params.is_degenerate:
         vf = bounds.max_zero_prefix(params)
-        vb = oracle.brute_max_prefix(defsets.dual_set_pattern(params))
+        vb = oracle.brute_max_prefix(Tperp)
         record("zero prefix: formula vs scan", vf == vb,
                f"{params.astuple()}: formula {vf} != scan {vb}")
         cert = bounds.build_certificate(params)

@@ -18,17 +18,19 @@ shift plus one add), since alpha is the class of x.  A FieldContext built
 directly has no tables and runs the digit route, which is what the tests
 compare the table route against.
 
-Moduli come from a fixed built-in table: for each supported (q, m) the
-lexicographically smallest monic degree-m polynomial over GF(q) (ordered by
-the base-q encoding of its non-leading coefficients) for which the class of
-x has full multiplicative order q^m - 1.  The table is frozen in source so
-fields are identical across runs and platforms.
+Moduli come from a rule, not a table: for each supported (q, m) the least
+monic degree-m polynomial over GF(q), ordered by the base-q encoding of its
+non-leading coefficients, for which the class of x has full multiplicative
+order q^m - 1 (Lidl & Niederreiter, Finite Fields, ch. 3).
+_least_primitive finds it by trying the candidates in that order, so fields
+are identical across runs and platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from itertools import product
 from operator import xor
 from typing import Iterable, Iterator, Sequence
 
@@ -46,99 +48,16 @@ __all__ = [
     "syndromes",
 ]
 
-SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
+# q -> the largest m for which field_make builds GF(q^m); every m from 1
+# up to it is supported, and no other q.
+_MAX_DEGREE = {2: 20, 3: 12, 4: 10, 5: 10, 7: 7, 8: 6, 9: 6, 11: 5, 13: 5, 16: 4, 25: 4, 27: 4}
+
+SUPPORTED_Q = tuple(_MAX_DEGREE)
 
 MAX_FIELD_ORDER = 1 << 32
 
 # field_make builds exp/log/Zech tables for every level of order at most this.
 TABLE_CAP = 1 << 20
-
-# (q, m) -> defining polynomial of GF(q^m) over GF(q), coefficients lowest
-# degree first (base-field encodings), monic, x primitive.  GF(p^e) as the
-# base field of GF(q^m), q = p^e, is built from the (p, e) entry.
-_EXT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
-    (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
-    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 14): (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 15): (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 16): (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 17): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 18): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 19): (1, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 20): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 2): (2, 1, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (1, 2, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 0, 1, 0, 0, 0, 0, 1),
-    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
-    (3, 10): (2, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (3, 11): (1, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 12): (2, 2, 2, 1, 2, 0, 0, 0, 0, 0, 0, 0, 1),
-    (4, 2): (2, 1, 1),
-    (4, 3): (2, 1, 1, 1),
-    (4, 4): (3, 2, 1, 0, 1),
-    (4, 5): (2, 1, 0, 0, 0, 1),
-    (4, 6): (2, 1, 1, 0, 0, 0, 1),
-    (4, 7): (3, 2, 1, 0, 0, 0, 0, 1),
-    (4, 8): (2, 1, 0, 1, 0, 0, 0, 0, 1),
-    (4, 9): (2, 1, 1, 0, 0, 0, 0, 0, 0, 1),
-    (4, 10): (3, 0, 2, 1, 0, 0, 0, 0, 0, 0, 1),
-    (5, 2): (2, 1, 1),
-    (5, 3): (2, 3, 0, 1),
-    (5, 4): (2, 2, 1, 0, 1),
-    (5, 5): (2, 4, 0, 0, 0, 1),
-    (5, 6): (2, 1, 0, 0, 0, 0, 1),
-    (5, 7): (2, 3, 0, 0, 0, 0, 0, 1),
-    (5, 8): (3, 2, 1, 0, 0, 0, 0, 0, 1),
-    (5, 9): (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
-    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    (7, 2): (3, 1, 1),
-    (7, 3): (2, 3, 0, 1),
-    (7, 4): (5, 3, 1, 0, 1),
-    (7, 5): (4, 1, 0, 0, 0, 1),
-    (7, 6): (5, 1, 3, 0, 0, 0, 1),
-    (7, 7): (2, 6, 0, 0, 0, 0, 0, 1),
-    (8, 2): (3, 1, 1),
-    (8, 3): (2, 1, 0, 1),
-    (8, 4): (3, 1, 0, 0, 1),
-    (8, 5): (3, 1, 1, 0, 0, 1),
-    (8, 6): (2, 1, 0, 0, 0, 0, 1),
-    (9, 2): (4, 1, 1),
-    (9, 3): (3, 1, 0, 1),
-    (9, 4): (3, 1, 0, 0, 1),
-    (9, 5): (4, 0, 1, 0, 0, 1),
-    (9, 6): (6, 3, 1, 0, 0, 0, 1),
-    (11, 2): (7, 1, 1),
-    (11, 3): (4, 1, 0, 1),
-    (11, 4): (2, 1, 0, 0, 1),
-    (11, 5): (4, 1, 1, 0, 0, 1),
-    (13, 2): (2, 1, 1),
-    (13, 3): (6, 1, 0, 1),
-    (13, 4): (2, 1, 1, 0, 1),
-    (13, 5): (2, 4, 0, 0, 0, 1),
-    (16, 2): (9, 1, 1),
-    (16, 3): (9, 1, 0, 1),
-    (16, 4): (4, 2, 1, 0, 1),
-    (25, 2): (5, 1, 1),
-    (25, 3): (10, 1, 0, 1),
-    (25, 4): (5, 1, 0, 0, 1),
-    (27, 2): (10, 1, 1),
-    (27, 3): (9, 2, 0, 1),
-    (27, 4): (10, 1, 0, 0, 1),
-}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -381,11 +300,12 @@ class FieldContext:
             if self.n == 1:
                 return 1
             raise ConsistencyError(f"no generator found in GF({self.q})")
-        # the table guarantees the class of x is primitive
+        # alpha is the class of x, so the modulus must make it primitive;
+        # _least_primitive relies on this check to reject a candidate
         x = self.q
         if self._order_of(x) != self.n:
             raise ConsistencyError(
-                f"built-in modulus for ({self.q}, {self.m}) is not primitive"
+                f"x is not primitive modulo {self.modulus} over GF({self.q})"
             )
         return x
 
@@ -419,8 +339,9 @@ class FieldContext:
 
 
 def has_builtin_modulus(q: int, m: int) -> bool:
-    """True when field_make(q, m) can be satisfied from the built-in table."""
-    return q in SUPPORTED_Q and (m == 1 or (q, m) in _EXT_MODULI)
+    """True when field_make(q, m) builds GF(q^m): q is supported and
+    1 <= m <= its largest degree."""
+    return q in SUPPORTED_Q and 1 <= m <= _MAX_DEGREE[q]
 
 
 def _tabled(field: FieldContext) -> FieldContext:
@@ -430,19 +351,35 @@ def _tabled(field: FieldContext) -> FieldContext:
     return field
 
 
+def _least_primitive(base: FieldContext, m: int) -> FieldContext:
+    """GF(q^m) over base = GF(q), m >= 2, without tables, on the least
+    modulus for which x is primitive.  The candidates f_0 + ... +
+    f_(m-1) x^(m-1) + x^m are tried in ascending base-q encoding, f_0
+    fastest, and the constructor's _find_alpha rejects each whose x is not."""
+    for high_first in product(range(base.order), repeat=m):
+        try:
+            return FieldContext(base.p, base, m, (*reversed(high_first), 1))
+        except ConsistencyError:
+            continue
+    raise ConsistencyError(f"no monic degree-{m} polynomial over GF({base.order}) has x primitive")
+
+
 @lru_cache(maxsize=None)
 def _build(q: int, m: int) -> FieldContext:
     """GF(q^m) over GF(q); fields are immutable, so each one is built once
     per process.  GF(q) is the prime field (base None) when q is prime and
-    _build(p, e) when q = p^e.  For m = 1 the modulus x - 1 is a placeholder."""
+    _build(p, e) when q = p^e.  For m = 1 the modulus x - 1 is a placeholder;
+    for m >= 2 _least_primitive finds it."""
     ((p, e),) = factorize(q).items()
     base = _build(p, e) if e > 1 else _tabled(FieldContext(p, None, 1, (p - 1, 1)))
-    modulus = (p - 1, 1) if m == 1 else _EXT_MODULI[(q, m)]
-    return _tabled(FieldContext(p, base, m, modulus))
+    if m == 1:
+        return _tabled(FieldContext(p, base, 1, (p - 1, 1)))
+    return _tabled(_least_primitive(base, m))
 
 
 def field_make(q: int, m: int) -> FieldContext:
-    """Deterministic GF(q^m): modulus from the built-in table, alpha the
+    """Deterministic GF(q^m) for q in SUPPORTED_Q and m up to q's largest
+    degree: the modulus is the least one for which x is primitive, alpha the
     smallest-valued generator (the class of x for m >= 2)."""
     if q not in SUPPORTED_Q:
         raise ParameterError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
@@ -450,7 +387,7 @@ def field_make(q: int, m: int) -> FieldContext:
         raise ParameterError(f"extension degree must be >= 1, got {m}")
     if q**m > MAX_FIELD_ORDER:
         raise ResourceLimitError(f"field order {q**m} exceeds {MAX_FIELD_ORDER}")
-    if m > 1 and (q, m) not in _EXT_MODULI:
+    if m > _MAX_DEGREE[q]:
         raise ParameterError(f"no built-in defining polynomial for GF({q}^{m})")
     return _build(q, m)
 

@@ -735,11 +735,12 @@ def dual_min_distance(
     the dual and all q^k - 1 of its nonzero ones fit DEFAULT_DISTANCE_BUDGET,
     its weight distribution is taken and the MacWilliams identities give the
     dual's (route "macwilliams").  Otherwise, when the dual's nonzero
-    codewords fit, the dual's is taken (route "dual-enumeration"), and its
-    transform must be a distribution of q^k_primal words with one zero
-    word.  Either side's distribution comes from _side_distribution: walked
-    modulo the shift through the least primitive nonzero coset, or whole
-    when there is none.  The gate stays q^k - 1 of the whole side, so the
+    codewords fit, the dual's is taken (route "dual-enumeration").  So the
+    smaller side is walked, and on either route its transform must give
+    the other side's q^k words with one zero word.  The walked side's
+    distribution comes from _side_distribution: walked modulo the shift
+    through the least primitive nonzero coset, or whole when there is
+    none.  The gate stays q^k - 1 of the whole side, so the
     orbit walk changes how much is generated, never which route runs.
     Otherwise minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on
     the dual rows (route "brouwer-zimmermann"); only this route can end
@@ -749,26 +750,26 @@ def dual_min_distance(
     must not rest on it.
     """
     sides = _sides(field, D, extended)
-    primal, dual = (_rows(field, poly, form) for poly, form, _ in sides)
+    rows = [_rows(field, poly, form) for poly, form, _ in sides]
+    primal, dual = rows
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
     q, length = field.q, len(dual[0])
-    if len(primal) < len(dual) and q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
-        A, walked = _side_distribution(field, primal, sides[0])
-        B = macwilliams(q, length, A)
-        route = "macwilliams"
-    elif q ** len(dual) - 1 <= DEFAULT_DISTANCE_BUDGET:
-        B, walked = _side_distribution(field, dual, sides[1])
-        A = macwilliams(q, length, B)
-        if A.get(0) != 1 or sum(A.values()) != q ** len(primal):
-            raise ConsistencyError(f"the transform has {A.get(0, 0)} zero words and "
-                                   f"{sum(A.values())} words, not 1 and {q}^{len(primal)}")
-        route = "dual-enumeration"
-    else:
+    # walk the primal (0) when it is strictly smaller, else the dual (1)
+    side = 0 if len(primal) < len(dual) else 1
+    if q ** len(rows[side]) - 1 > DEFAULT_DISTANCE_BUDGET:
         return minimum_weight(field, dual)
+    walked_dist, walked = _side_distribution(field, rows[side], sides[side])
+    other = macwilliams(q, length, walked_dist)
+    k = len(rows[1 - side])
+    if other.get(0) != 1 or sum(other.values()) != q**k:
+        raise ConsistencyError(f"the transform has {other.get(0, 0)} zero words and "
+                               f"{sum(other.values())} words, not 1 and {q}^{k}")
+    B = (other, walked_dist)[side]
     del B[0]
     value = min(B)
-    return DistanceResult("exact", value, walked, route, B[value])
+    return DistanceResult("exact", value, walked, ("macwilliams", "dual-enumeration")[side],
+                          B[value])
 
 
 @lru_cache(maxsize=32)

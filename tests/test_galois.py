@@ -6,11 +6,12 @@ import pytest
 from cyclocode.cosets import coset_of, union_cosets
 from cyclocode.errors import CyclocodeError, ParameterError, ResourceLimitError
 from cyclocode.galois import (
-    _EXT_MODULI,
+    _MAX_DEGREE,
     SUPPORTED_Q,
     TABLE_CAP,
     FieldContext,
     Polynomial,
+    _least_primitive,
     factorize,
     field_make,
     generator_polynomial,
@@ -78,20 +79,59 @@ def _digit_route(F: FieldContext) -> FieldContext:
     return FieldContext(F.p, None if F.base is None else _digit_route(F.base), F.m, F.modulus)
 
 
+# every supported (q, m) with m >= 2
+EXTENSIONS = [(q, m) for q, top in _MAX_DEGREE.items() for m in range(2, top + 1)]
+
+
 def test_every_builtin_modulus_is_primitive():
     # alpha = class of x must have order exactly q^m - 1
-    for (q, m), modulus in sorted(_EXT_MODULI.items()):
+    for q, m in EXTENSIONS:
         base = field_make(q, 1).base  # GF(q), with tables
-        F = FieldContext(base.p, base, m, modulus)  # no tables: the digit route
+        F = _least_primitive(base, m)  # no tables: the digit route
+        assert F._exp is None and F.alpha == q, (q, m)
         n = F.n
         assert F.pow(F.alpha, n) == 1, (q, m)
         for r in factorize(n):
             assert F.pow(F.alpha, n // r) != 1, (q, m, r)
 
 
-# GF(q) itself for every q, and every built-in field of at most 2^12 elements.
+def _order_of_x(base: FieldContext, f: tuple[int, ...]) -> int | None:
+    """The order of x modulo f, walking x^i one multiplication by x at a
+    time until a power repeats; None when the repeat is not 1, so that x
+    is no unit modulo f."""
+    seen, r = set(), (1,)
+    while r not in seen:
+        seen.add(r)
+        r = poly_divmod(base, (0, *r), f)[1]
+    return len(seen) if r == (1,) else None
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_modulus_is_the_least_with_x_primitive(q):
+    # the rule itself, without _order_of: every candidate below the chosen
+    # modulus, in ascending base-q encoding of f_0 ... f_(m-1), f_0 fastest,
+    # leaves x short of order q^m - 1, and the chosen one gives it that order
+    base = field_make(q, 1).base
+    for m in range(2, _MAX_DEGREE[q] + 1):
+        if q**m > 1 << 12:
+            break
+        f = field_make(q, m).modulus
+        chosen = sum(c * q**i for i, c in enumerate(f[:m]))
+        for code in range(chosen):
+            candidate = (*(code // q**i % q for i in range(m)), 1)
+            assert _order_of_x(base, candidate) != q**m - 1, (q, m, candidate)
+        assert _order_of_x(base, f) == q**m - 1, (q, m)
+
+
+def test_pinned_moduli():
+    # GF(16)'s x^4 + x + 1 is pinned in test_field_make_gf16
+    assert field_make(4, 2).modulus == (2, 1, 1)
+    assert field_make(5, 10).modulus == (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1)  # Table 2's field
+
+
+# GF(q) itself for every q, and every supported field of at most 2^12 elements.
 ROUTE_FIELDS = sorted(
-    {(q, 1) for q in SUPPORTED_Q} | {(q, m) for q, m in _EXT_MODULI if q**m <= 1 << 12}
+    {(q, 1) for q in SUPPORTED_Q} | {(q, m) for q, m in EXTENSIONS if q**m <= 1 << 12}
 )
 
 
@@ -348,7 +388,11 @@ def test_poly_divmod_round_trip():
 
 
 def test_supported_q_and_builtin_coverage():
-    assert {q for q, _ in _EXT_MODULI} <= set(SUPPORTED_Q)
+    assert SUPPORTED_Q == tuple(_MAX_DEGREE)
+    # every m from 1 up to each q's largest degree, and nothing else
+    tops = {2: 20, 3: 12, 4: 10, 5: 10, 7: 7, 8: 6, 9: 6, 11: 5, 13: 5, 16: 4, 25: 4, 27: 4}
+    built = {(q, m) for q in SUPPORTED_Q for m in range(-1, 33) if has_builtin_modulus(q, m)}
+    assert built == {(q, m) for q, top in tops.items() for m in range(1, top + 1)}
     assert has_builtin_modulus(2, 16)
     assert has_builtin_modulus(5, 1)
     assert not has_builtin_modulus(2, 40)

@@ -313,6 +313,19 @@ def test_dual_route_transform_must_give_the_primal_size(monkeypatch):
         dual_min_distance(F, T)
 
 
+def test_primal_route_transform_must_give_the_dual_size(monkeypatch):
+    # the mirror on the macwilliams route: a [15, 6] distribution transforms
+    # cleanly but totals 2^9 words, not the [15, 8] dual's 2^8
+    F = field_make(2, 4)
+    T = build_T(CodeParams(2, 4, 2, 1, 1))
+    assert dual_min_distance(F, T).route == "macwilliams"
+    primal, _ = code_rows(F, T)
+    short = {0: 1, **weight_distribution(F, primal[:-1])}
+    monkeypatch.setattr(oracle, "_side_distribution", lambda field, rows, side: (short, 0))
+    with pytest.raises(ConsistencyError, match="not 1 and 2\\^8"):
+        dual_min_distance(F, T)
+
+
 def _brute_weights(field, rows):
     """The weight of every combination of rows, one coefficient vector at a
     time, in message order (row 0's coefficient fastest): the reference for
@@ -727,6 +740,20 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
     k = brute_dimension(F, T)
     primal, _ = code_rows(F, T, extended=True)
     assert len(primal) == k and counts["generator_polynomial"] == 1
+
+
+def test_verify_point_builds_one_dual_set(monkeypatch):
+    # the reflection check and the prefix scan read one dual set, at points
+    # that run both (b <= a, m >= 2) and at points that run one of them
+    calls = []
+    original = cli.defsets.dual_set_pattern
+    monkeypatch.setattr(cli.defsets, "dual_set_pattern",
+                        lambda params: calls.append(params) or original(params))
+    for point in [(2, 4, 1, 1, 1), (3, 3, 1, 2, 1), (3, 3, 1, 1, 2), (3, 1, 0, 2, 1)]:
+        calls.clear()
+        checks = dict(cli._verify_point(CodeParams(*point)))
+        assert all(detail == "" for detail in checks.values()), point
+        assert calls == [CodeParams(*point)], point
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
