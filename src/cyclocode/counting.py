@@ -11,9 +11,11 @@ exact pattern-occurrence counts (k, ell), counting a relaxed family in
 closed form, and inverting a two-parameter binomial transform.
 
 The relaxed counts A_{r,s} fill one table over the down-set of admissible
-pairs.  The inversion is separable, a Taylor shift by -1 along each row and
-then along each column, so it takes O(P m) additions for P admissible pairs
-and no binomial coefficient; |T| is the table's alternating sum.
+pairs.  Each entry is a power product in a and b times a pattern-word count
+that depends on the shape (m, t) alone, tabled once per shape.  The
+inversion is separable, a Taylor shift by -1 along each row and then along
+each column, so it takes O(P m) additions for P admissible pairs and no
+binomial coefficient; |T| is the table's alternating sum.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _is_prime_power(n: int) -> bool:
+    """Memoized: every CodeParams, normalized copies too, re-validates q."""
     if n < 2:
         return False
     p = 2
@@ -186,7 +190,26 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     internal error.
     """
     _check_admissible(k, ell, m, t)
-    return _pattern_words(k, ell, m, t, list(map(factorial, range(m + 1))))
+    return _pattern_rows(m, t)[ell][k]
+
+
+@lru_cache(maxsize=None)
+def _pattern_rows(m: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """rows[s][r] = the pattern-word count W_{r,s} over the down-set
+    r(t+1) + s(t+2) <= m, with W_{0,0} = 0: the shape of the A table.
+
+    W depends on the shape (m, t) alone, so every q, a and b of one shape
+    shares this table; like galois._build the memo is unbounded, one entry
+    per shape used."""
+    fact = list(map(factorial, range(m + 1)))
+    rows = tuple(
+        tuple(
+            _pattern_words(r, s, m, t, fact)
+            for r in range((m - s * (t + 2)) // (t + 1) + 1)
+        )
+        for s in range(m // (t + 2) + 1)
+    )
+    return ((0,) + rows[0][1:],) + rows[1:]
 
 
 def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
@@ -203,20 +226,25 @@ def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
     """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
     A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1).
 
-    Built once per normalized point from one factorial list and the powers
-    of b, a - b and a + 1; the memo holds the last few points."""
+    Built once per normalized point from the shape's pattern-word rows,
+    running powers of b along a row and of a - b down the rows, and one
+    list of the powers of a + 1; the memo holds the last few points."""
     m, t, a, b = p.m, p.t, p.a, p.b
-    fact = list(map(factorial, range(m + 1)))
-    pow_b, pow_ab, pow_a1 = ([x**i for i in range(m + 1)] for x in (b, a - b, a + 1))
-    rows = tuple(
-        tuple(
-            pow_b[r] * pow_ab[s] * pow_a1[m - r * (t + 1) - s * (t + 2)]
-            * _pattern_words(r, s, m, t, fact)
-            for r in range((m - s * (t + 2)) // (t + 1) + 1)
-        )
-        for s in range(m // (t + 2) + 1)
-    )
-    return ((0,) + rows[0][1:],) + rows[1:]
+    pow_a1 = [1]
+    for _ in range(m):
+        pow_a1.append(pow_a1[-1] * (a + 1))
+    rows = []
+    lead = 1  # (a - b)^s
+    for s, words in enumerate(_pattern_rows(m, t)):
+        row = []
+        weight, e = lead, m - s * (t + 2)  # b^r (a - b)^s and m - r(t+1) - s(t+2)
+        for w in words:
+            row.append(weight * pow_a1[e] * w)
+            weight *= b
+            e -= t + 1
+        rows.append(tuple(row))
+        lead *= a - b
+    return tuple(rows)
 
 
 def _entry_table(p: CodeParams) -> list[list[int]]:
@@ -301,8 +329,5 @@ def closed_size_T(params: CodeParams) -> int:
     """
     params.require_counting_regime()
     p = params.normalized()
-    return 1 - sum(
-        (-1) ** (r + s) * entry
-        for s, row in enumerate(_entry_rows(p))
-        for r, entry in enumerate(row)
-    )
+    alt = [sum(row[::2]) - sum(row[1::2]) for row in _entry_rows(p)]
+    return 1 - sum(alt[::2]) + sum(alt[1::2])

@@ -19,6 +19,8 @@ def _cyclic_run_lengths(flags: list[bool], m: int) -> list[int]:
     """run[i] = number of consecutive True flags cyclically starting at i, capped at m."""
     if all(flags):
         return [m] * m
+    if not any(flags):
+        return [0] * m
     run = [0] * (2 * m + 1)
     for j in range(2 * m - 1, -1, -1):
         run[j] = run[j + 1] + 1 if flags[j % m] else 0

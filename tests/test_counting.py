@@ -110,6 +110,48 @@ def test_count_pattern_words_rejects_inadmissible():
         count_pattern_words(3, 0, 4, 1)  # 3*2 > 4
 
 
+def test_pattern_words_keep_the_non_integral_check():
+    fact = [1, 1, 2, 8, 24]  # 3! corrupted: W_{1,0}(4, 1) would be 16 / 3
+    with pytest.raises(ConsistencyError, match="non-integral word count"):
+        counting._pattern_words(1, 0, 4, 1, fact)
+
+
+def test_entries_are_weights_times_pattern_words():
+    for q in (2, 3, 4, 5):
+        for m in range(1, 8):
+            for t in range(m):
+                for a in range(1, q):
+                    for b in range(1, a + 1):
+                        p = CodeParams(q, m, t, a, b)
+                        for r, s in admissible_pairs(m, t):
+                            e = m - r * (t + 1) - s * (t + 2)
+                            weight = b**r * (a - b) ** s * (a + 1) ** e
+                            assert count_matrix_entries(r, s, p) == (
+                                weight * count_pattern_words(r, s, m, t)
+                            ), (p, r, s)
+
+
+def test_pattern_rows_are_shared_by_every_q_a_and_b(monkeypatch):
+    rows_of = counting._pattern_rows
+    handed_out = []
+
+    def recording(m, t):
+        handed_out.append(rows_of(m, t))
+        return handed_out[-1]
+
+    monkeypatch.setattr(counting, "_pattern_rows", recording)
+    # the same shape (6, 1): q differs, then a and b differ
+    for p in (CodeParams(3, 6, 1, 2, 1), CodeParams(5, 6, 1, 2, 1), CodeParams(5, 6, 1, 4, 3)):
+        counting._entry_rows.__wrapped__(p)  # past the per-point memo
+    first = handed_out[0]
+    assert len(handed_out) == 3 and all(rows is first for rows in handed_out)
+    assert rows_of(6, 2) is not first
+    assert type(first) is tuple and all(type(row) is tuple for row in first)
+    assert first[0][0] == 0
+    shape = [(k, ell) for ell, row in enumerate(first) for k in range(len(row))]
+    assert shape[1:] == admissible_pairs(6, 1)
+
+
 def test_count_matrix_entries_worked_example():
     p = CodeParams(3, 4, 1, 2, 1)
     assert count_matrix_entries(1, 0, p) == 36

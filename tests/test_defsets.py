@@ -3,6 +3,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclocode import defsets
 from cyclocode.bounds import max_zero_prefix
 from cyclocode.cosets import DEFAULT_INDEX_CAP, DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, closed_size_T
@@ -14,7 +15,12 @@ from cyclocode.defsets import (
     dual_set,
     dual_set_pattern,
 )
-from cyclocode.errors import ParameterError, ResourceLimitError, ZeroCodeError
+from cyclocode.errors import (
+    ConsistencyError,
+    ParameterError,
+    ResourceLimitError,
+    ZeroCodeError,
+)
 from cyclocode.oracle import brute_T, brute_max_prefix
 from cyclocode.qadic import matches_dual_exclusion
 
@@ -153,6 +159,19 @@ def test_dimension_examples():
 def test_dimension_rejects_zero_code():
     with pytest.raises(ZeroCodeError):
         dimension(CodeParams(3, 3, 0, 2, 2))
+
+
+def test_dimension_rejects_n_in_T(monkeypatch):
+    words = []
+
+    def n_in_T(digits, m, a, b, t):
+        words.append(list(digits))
+        return 1, 0, True
+
+    monkeypatch.setattr(defsets, "profile_counts", n_in_T)
+    with pytest.raises(ConsistencyError, match="n = 80 unexpectedly belongs to T"):
+        dimension(CodeParams(3, 4, 1, 2, 1))
+    assert words == [[2, 2, 2, 2]]  # the word of n, all digits q-1
 
 
 def test_dimension_matches_materialized_sets():

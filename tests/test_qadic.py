@@ -27,6 +27,33 @@ def test_pattern_profile_occupancy_invariant():
                 assert k * (t + 1) + ell * (t + 2) <= m
 
 
+def naive_profile(digits, m, a, b, t):
+    """(k, ell, digits_ok) straight from the definition, one head at a time."""
+
+    def zeros_after(i, count):
+        return all(digits[(i + j) % m] == 0 for j in range(1, count + 1))
+
+    k = sum(1 for i, h in enumerate(digits) if 1 <= h <= b and zeros_after(i, t))
+    ell = sum(1 for i, h in enumerate(digits) if b < h <= a and zeros_after(i, t + 1))
+    return k, ell, all(h <= a for h in digits)
+
+
+@pytest.mark.parametrize("q, m_max", [(2, 6), (3, 4), (4, 3), (5, 2)])
+def test_pattern_profile_matches_the_definition(q, m_max):
+    for m in range(1, m_max + 1):
+        words = [digits_of(s, q, m) for s in range(q**m)]
+        # the zero-free words take the no-zero-run shortcut, the zero word
+        # the all-zero one
+        assert [q - 1] * m in words and [0] * m in words
+        for digits in words:
+            for t in range(m):
+                for a in range(1, q):
+                    for b in range(1, a + 1):
+                        assert profile_counts(digits, m, a, b, t) == naive_profile(
+                            digits, m, a, b, t
+                        ), (digits, a, b, t)
+
+
 def test_matches_dual_exclusion_rejects_bad_input():
     with pytest.raises(ParameterError):
         matches_dual_exclusion(0, 3, 4, 3, 1, 1)  # a > q-1
