@@ -41,7 +41,7 @@ from itertools import product
 
 from .counting import CodeParams
 from .defsets import _dual_floors
-from .errors import ParameterError
+from .errors import ConsistencyError
 
 __all__ = [
     "CASE_LABELS",
@@ -161,7 +161,7 @@ def _case_axes(params: CodeParams, case_id: str) -> tuple[int, list[tuple[int, i
         return q**t, [(1, q - 1)]
     if case_id == "case11":
         return 1, []
-    raise ParameterError(f"unknown case {case_id!r}")
+    raise ConsistencyError(f"unknown case {case_id!r}")
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def build_certificate(params: CodeParams) -> BoundCertificate:
         sum(x) for x in product(*[range(0, stride * count, stride) for stride, count in axes])
     )[1:]
     if len(values) != size or values[0] != s_min or values[-1] != s_max:
-        raise ParameterError("internal: axis enumeration mismatch")
+        raise ConsistencyError("internal: axis enumeration mismatch")
     return BoundCertificate(
         case_id, v, z, tuple(values), size, s_min, s_max, v + size + 1
     )

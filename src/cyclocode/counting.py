@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import factorial
-from operator import add, sub
+from operator import add, ne, sub
 
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
 
@@ -247,11 +247,6 @@ def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _entry_table(p: CodeParams) -> list[list[int]]:
-    """The A table of _entry_rows as fresh lists, which the caller may change."""
-    return [list(row) for row in _entry_rows(p)]
-
-
 def _binomial_transform(rows: list[list[int]], op) -> list[list[int]]:
     """The table x_{r,s} taken to sum_{(r',s')} (+-1)^{r'+s'-r-s} C(r',r)
     C(s',s) x_{r',s'}, as a new table of the same shape: with op = sub a
@@ -290,7 +285,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     """
     params.require_counting_regime()
     p = params.normalized()
-    a_rows = _entry_table(p)
+    a_rows = _entry_rows(p)
     b_rows = _binomial_transform(a_rows, sub)
     sizes = {
         (k, ell): size for ell, row in enumerate(b_rows) for k, size in enumerate(row)
@@ -303,7 +298,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
             )
     forward = _binomial_transform(b_rows, add)
     forward[0][0] = a_rows[0][0]  # B_{0,0} is no class size
-    if forward != a_rows:
+    if any(map(ne, map(tuple, forward), a_rows)):
         r, s = next((r, s) for s, row in enumerate(forward)
                     for r, x in enumerate(row) if x != a_rows[s][r])
         raise ConsistencyError(

@@ -5,7 +5,9 @@ T and its dual are built by two deliberately independent routes:
 - the bit-sliced kernel here.  "Digit i of s lies in [lo, hi]" is a periodic
   bit pattern over all s in [0, q^m), so build_T and dual_set_pattern
   evaluate their digit-pattern characterizations over the whole index range
-  at once, as ANDs and ORs of q^m-bit masks held in Python ints.  bounds
+  at once, as ANDs and ORs of q^m-bit masks held in Python ints, and
+  descendant_closure decrements a digit of every member at once, as a
+  masked shift of the set's own mask.  bounds
   reads the dual pattern's digit floors from here, and finds excluded
   values in certificate intervals from them without building a mask;
 - the per-value oracles.  The oracle module rebuilds T straight from the
@@ -19,7 +21,6 @@ again giving two independent routes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .cosets import DefiningSet, _check_cap, union_cosets
@@ -97,25 +98,17 @@ def build_T(params: CodeParams) -> DefiningSet:
 def descendant_closure(D: DefiningSet) -> DefiningSet:
     """All values whose word is digitwise <= the word of some member of D.
 
-    Computed by breadth-first digit decrements: the covering relation of the
-    digitwise partial order is "decrease one digit by one", so repeated
-    single-digit decrements reach exactly the descendants.
+    One sweep over the digits on the bit mask: q - 1 rounds of moving every
+    member with digit i nonzero down by q^i close the set under decrements
+    of digit i, and a set closed so stays closed when another digit is
+    decremented, since that leaves digit i as it was.
     """
-    q, m = D.q, D.m
-    powers = [q**i for i in range(m)]
-    seen = set(D)
-    queue = deque(seen)
-    while queue:
-        s = queue.popleft()
-        rest = s
-        for i in range(m):
-            rest, digit = divmod(rest, q)
-            if digit:
-                child = s - powers[i]
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-    return DefiningSet.from_members(q, m, seen)
+    q, m, bits = D.q, D.m, D._bits
+    for i in range(m):
+        nonzero, step = _digit_mask(q, m, i, 1, q - 1), q**i
+        for _ in range(q - 1):
+            bits |= (bits & nonzero) >> step
+    return DefiningSet(q, m, bits)
 
 
 def dual_set(D: DefiningSet) -> DefiningSet:

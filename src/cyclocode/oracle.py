@@ -31,7 +31,7 @@ from functools import lru_cache
 from itertools import product
 from math import comb, gcd
 from operator import xor
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cosets import DefiningSet, _check_cap, coset_of, leader
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
@@ -194,13 +194,14 @@ def code_rows(
     D minus {0, n}, or with extended=True of its length-(n+1) extension.
 
     The primal rows are the shifts of g(x), which _generator builds once
-    per (field, D), and the dual rows the shifts of the reciprocal of
+    per (field, D), and the dual rows the shifts of the reciprocal h*(x) of
     h(x) = (x^n - 1) / g(x).  The extension puts the overall parity at
-    position 0, and (x, y) lies in its dual exactly when y - x*1 lies in the
-    cyclic dual, so the extended dual is spanned by the all-ones word and
-    the cyclic dual rows behind a zero.
+    position 0, and the extended dual is itself an extended cyclic code: the
+    parity extension of the cyclic dual plus the all-ones word, whose
+    generator is h*(x) / (x - 1).  So both sides are laid out alike, each
+    row behind its parity.
     """
-    return tuple(_rows(field, poly, form) for poly, form, _ in _sides(field, D, extended))
+    return tuple(_rows(field, poly, extended) for poly, _ in _sides(field, D, extended))
 
 
 def _xn1(field: FieldContext) -> tuple[int, ...]:
@@ -208,42 +209,53 @@ def _xn1(field: FieldContext) -> tuple[int, ...]:
     return (field.base.neg(1),) + (0,) * (field.n - 1) + (1,)
 
 
+def _divide(
+    field: FieldContext, num: Sequence[int], den: Sequence[int], failure: str
+) -> list[int]:
+    """num / den over GF(q); raises ConsistencyError with the failure
+    message unless the remainder is zero."""
+    quotient, rem = poly_divmod(field.base, num, den)
+    if rem:
+        raise ConsistencyError(failure)
+    return list(quotient)
+
+
 def _sides(
     field: FieldContext, D: DefiningSet, extended: bool
-) -> tuple[tuple[list[int], str, list[int]], ...]:
-    """The primal and the dual side of code_rows as (cyclic generator, form,
-    nonzeros).  form says how _rows lays out the shifts of the generator:
-    "cyclic" as they are, "parity" behind their overall parity (the
-    extended primal), "ones" behind a zero under the all-ones word (the
-    extended dual).  The nonzeros are the exponents s in [0, n) of the
-    cyclic part's nonzeros alpha^s: those outside D minus {0, n} for the
-    primal, and n - s for each s in D minus {0, n} for the dual, whose
-    generator is the reciprocal of the primal's check polynomial."""
-    base, n = field.base, field.n
-    g = list(_generator(field, D).coeffs)
-    h, rem = poly_divmod(base, _xn1(field), g)
-    if rem:
-        raise ParameterError("generator polynomial does not divide x^n - 1")
-    zeros = [s for s in D if 0 < s < n]
-    return ((g, "parity" if extended else "cyclic", sorted(set(range(n)) - set(zeros))),
-            (list(reversed(h)), "ones" if extended else "cyclic", sorted(n - s for s in zeros)))
-
-
-def _rows(field: FieldContext, poly: list[int], form: str) -> list[list[int]]:
-    """The generator rows of a side of code_rows from its cyclic generator
-    poly and its form, as _sides names them."""
+) -> tuple[tuple[list[int], list[int]], ...]:
+    """The primal and the dual side of code_rows as (cyclic generator,
+    nonzeros), the nonzeros being the exponents s in [0, n) of the cyclic
+    part's nonzeros alpha^s: those outside D minus {0, n} for the primal,
+    and n - s for each s in D minus {0, n} for the dual, whose generator is
+    the reciprocal h* of the primal's check polynomial.  The extended dual's
+    cyclic part is the cyclic dual plus the all-ones word: its generator is
+    h*(x) / (x - 1), and 0 joins its nonzeros."""
     n = field.n
-    if form == "parity":
-        return _extend_rows(field, poly, n)
-    rows = _shifts(poly, n)
-    return [[1] * (n + 1)] + [[0] + r for r in rows] if form == "ones" else rows
+    g = list(_generator(field, D).coeffs)
+    h = _divide(field, _xn1(field), g, "the generator does not divide x^n - 1")
+    zeros = [s for s in D if 0 < s < n]
+    dual, nonzeros = h[::-1], sorted(n - s for s in zeros)
+    if extended:
+        dual = _divide(field, dual, [field.base.neg(1), 1],
+                       "x - 1 does not divide the reciprocal check polynomial")
+        nonzeros = [0] + nonzeros
+    return (g, sorted(set(range(n)) - set(zeros))), (dual, nonzeros)
 
 
-def _word(field: FieldContext, word: list[int], form: str) -> list[int]:
+def _rows(field: FieldContext, poly: list[int], extended: bool) -> list[list[int]]:
+    """The length-n shifts of the cyclic generator poly, with extended=True
+    each behind its overall parity, position 0.  Every shift sums to
+    poly(1), so each row's parity is the one -poly(1)."""
+    rows = _shifts(poly, field.n)
+    if not extended:
+        return rows
+    head = _parity(field, poly)
+    return [[head] + r for r in rows]
+
+
+def _word(field: FieldContext, word: list[int], extended: bool) -> list[int]:
     """A word of a side's cyclic part laid out as _rows lays out its rows."""
-    if form == "parity":
-        return [_parity(field, word)] + word
-    return [0] + word if form == "ones" else word
+    return [_parity(field, word)] + word if extended else word
 
 
 def _shifts(poly: list[int], n: int) -> list[list[int]]:
@@ -258,13 +270,6 @@ def _parity(field: FieldContext, word: list[int]) -> int:
     for c in word:
         total = sums[total][c]
     return neg[total]
-
-
-def _extend_rows(field: FieldContext, g: list[int], n: int) -> list[list[int]]:
-    """The shifts of g behind the overall parity coordinate, position 0.
-    Every shift sums to g(1), so each row's parity is the one -g(1)."""
-    head = _parity(field, g)
-    return [[head] + r for r in _shifts(g, n)]
 
 
 # The walks tabulate every combination of as many low rows as fit this many
@@ -470,21 +475,17 @@ def _orbit_split(field: FieldContext, poly: list[int], s: int) -> tuple[list[int
     it on M_s, moves e through all n nonzero words of M_s; or unless G
     divides x^n - 1 and f divides the check polynomial (x^n - 1) / G, both
     remainders tested, so that M_s lies in W and meets W' in zero."""
-    base, n = field.base, field.n
+    n = field.n
     size = len(coset_of(s, field.q, field.m).elements)
     if gcd(s, n) != 1 or size != field.m:
         raise ConsistencyError(f"the coset of {s} has {size} members and gcd(s, n) = "
                                f"{gcd(s, n)}: it is not primitive")
     f = minimal_polynomial(field, s).coeffs
-    check, rem = poly_divmod(base, _xn1(field), poly)
-    if rem:
-        raise ConsistencyError("the generator does not divide x^n - 1")
-    _, rem = poly_divmod(base, check, f)
-    if rem:
-        raise ConsistencyError(f"the minimal polynomial of alpha^{s} does not divide "
-                               "the check polynomial")
-    e, _ = poly_divmod(base, _xn1(field), f)
-    return list(poly_mul(base, poly, f)), list(e) + [0] * (n - len(e))
+    check = _divide(field, _xn1(field), poly, "the generator does not divide x^n - 1")
+    _divide(field, check, f, f"the minimal polynomial of alpha^{s} does not divide "
+                             "the check polynomial")
+    e, _ = poly_divmod(field.base, _xn1(field), f)
+    return list(poly_mul(field.base, poly, f)), list(e) + [0] * (n - len(e))
 
 
 def _orbit_distribution(
@@ -517,21 +518,23 @@ def _orbit_distribution(
 
 
 def _side_distribution(
-    field: FieldContext, rows: list[list[int]], side: tuple[list[int], str, list[int]]
+    field: FieldContext, rows: list[list[int]], side: tuple[list[int], list[int]],
+    extended: bool
 ) -> tuple[dict[int, int], int]:
     """(full weight distribution, codewords generated) of the side of
-    _sides whose rows are these.  With s the least nonzero exponent
-    coprime to n, the side is walked modulo the shift, by _orbit_split and
-    _orbit_distribution: 2 q^(k - m) - 1 codewords.  With none, as for the
-    repetition code, weight_distribution walks all q^k - 1."""
-    poly, form, nonzeros = side
+    _sides whose rows, laid out by extended, are these.  With s the least
+    nonzero exponent coprime to n, the side is walked modulo the shift, by
+    _orbit_split and _orbit_distribution: 2 q^(k - m) - 1 codewords.  With
+    none, as for the repetition code, weight_distribution walks all
+    q^k - 1."""
+    poly, nonzeros = side
     q, k = field.q, len(rows)
     s = next((s for s in nonzeros if gcd(s, field.n) == 1), None)
     if s is None:
         return {0: 1, **weight_distribution(field, rows)}, q**k - 1
     rest_poly, e = _orbit_split(field, poly, s)
-    rest = _rows(field, rest_poly, form)
-    A = _orbit_distribution(field, rest, _word(field, e, form), k)
+    rest = _rows(field, rest_poly, extended)
+    A = _orbit_distribution(field, rest, _word(field, e, extended), k)
     return dict(A), 2 * q ** len(rest) - 1
 
 
@@ -731,17 +734,20 @@ def dual_min_distance(
 
     With extended=False the code is the cyclic one on [1, n-1] exponents of
     D; with extended=True it is the length-(n+1) extension (defining set
-    including 0).  When the primal code has strictly fewer codewords than
-    the dual and all q^k - 1 of its nonzero ones fit DEFAULT_DISTANCE_BUDGET,
-    its weight distribution is taken and the MacWilliams identities give the
-    dual's (route "macwilliams").  Otherwise, when the dual's nonzero
-    codewords fit, the dual's is taken (route "dual-enumeration").  So the
-    smaller side is walked, and on either route its transform must give
-    the other side's q^k words with one zero word.  The walked side's
-    distribution comes from _side_distribution: walked modulo the shift
-    through the least primitive nonzero coset, or whole when there is
-    none.  The gate stays q^k - 1 of the whole side, so the
-    orbit walk changes how much is generated, never which route runs.
+    including 0), and its dual is the parity extension of the cyclic dual
+    plus the all-ones word, so both sides are extended cyclic codes, laid
+    out alike by _sides and _rows.  When the primal code has strictly fewer
+    codewords than the dual and all q^k - 1 of its nonzero ones fit
+    DEFAULT_DISTANCE_BUDGET, its weight distribution is taken and the
+    MacWilliams identities give the dual's (route "macwilliams").
+    Otherwise, when the dual's nonzero codewords fit, the dual's is taken
+    (route "dual-enumeration").  So the smaller side is walked, and on
+    either route its transform must give the other side's q^k words with
+    one zero word.  The walked side's distribution comes from
+    _side_distribution: walked modulo the shift through the least
+    primitive nonzero coset, or whole when there is none.  The gate stays
+    q^k - 1 of the whole side, so the orbit walk changes how much is
+    generated, never which route runs.
     Otherwise minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on
     the dual rows (route "brouwer-zimmermann"); only this route can end
     "budget-exhausted", and it leaves count None.  The walks use the cyclic
@@ -750,7 +756,7 @@ def dual_min_distance(
     must not rest on it.
     """
     sides = _sides(field, D, extended)
-    rows = [_rows(field, poly, form) for poly, form, _ in sides]
+    rows = [_rows(field, poly, extended) for poly, _ in sides]
     primal, dual = rows
     if not dual:
         raise ParameterError("dual code is trivial; no nonzero codeword exists")
@@ -759,7 +765,7 @@ def dual_min_distance(
     side = 0 if len(primal) < len(dual) else 1
     if q ** len(rows[side]) - 1 > DEFAULT_DISTANCE_BUDGET:
         return minimum_weight(field, dual)
-    walked_dist, walked = _side_distribution(field, rows[side], sides[side])
+    walked_dist, walked = _side_distribution(field, rows[side], sides[side], extended)
     other = macwilliams(q, length, walked_dist)
     k = len(rows[1 - side])
     if other.get(0) != 1 or sum(other.values()) != q**k:
@@ -814,7 +820,7 @@ def affine_invariance_probe(
     """
     T = brute_T(params) if defining_set is None else defining_set
     n = field.n
-    rows = _extend_rows(field, list(_generator(field, T).coeffs), n)
+    rows = _rows(field, list(_generator(field, T).coeffs), True)
     leaders = sorted({leader(s, T.q, T.m) for s in T if 0 < s < T.n})
     targets = [1] + [0 if z < 0 else 1 + z for z in _zech(field)]
     for row in rows:

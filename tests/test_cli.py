@@ -11,6 +11,8 @@ import cyclocode
 from cyclocode import cli
 from cyclocode.cli import main, parse_grid
 from cyclocode.counting import CodeParams
+from cyclocode.defsets import build_T
+from cyclocode.galois import Polynomial, field_make
 from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 
 
@@ -338,6 +340,42 @@ def test_consistency_error_exit_code(monkeypatch, capsys):
                        "--a", "1", "--b", "1")
     assert code == 5
     assert err.startswith("consistency error:")
+
+
+def _exits_on_one_consistency_line(capsys, *argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 5
+    assert err.startswith("consistency error:") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_axis_enumeration_mismatch_exits_5(monkeypatch, capsys):
+    # one tuple short of the certificate's axis product: |S| disagrees
+    product = cli.bounds.product
+    monkeypatch.setattr(cli.bounds, "product", lambda *ranges: list(product(*ranges))[:-1])
+    _exits_on_one_consistency_line(capsys, "bound", "--q", "3", "--m", "4", "--t", "1",
+                                   "--a", "2", "--b", "1", "--certificate")
+
+
+def test_unknown_case_exits_5(monkeypatch, capsys):
+    # verify builds a certificate at every point with m >= 2
+    monkeypatch.setattr(cli.bounds, "classify_case", lambda params: "case99")
+    _exits_on_one_consistency_line(capsys, "verify", "--max-n", "4")
+
+
+def test_generator_off_x_n_minus_1_exits_5(monkeypatch, capsys):
+    # no command takes dual distances, so a stand-in for dim does; x^2 + 1
+    # = (x + 1)^2 does not divide the square-free x^15 - 1 over GF(2)
+    monkeypatch.setattr(cli.oracle, "_generator", lambda field, D: Polynomial((1, 0, 1)))
+
+    def distance(args):
+        params = cli._params_from_args(args)
+        cli.oracle.dual_min_distance(field_make(params.q, params.m), build_T(params))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_dim", distance)
+    _exits_on_one_consistency_line(capsys, "dim", "--q", "2", "--m", "4", "--t", "2",
+                                   "--a", "1", "--b", "1")
 
 
 def test_exit_codes_are_documented():

@@ -200,25 +200,28 @@ def test_forward_identity_round_trip():
 def test_corrupted_entry_table_raises(monkeypatch):
     # with a = b every A_{r,s} with s >= 1 is zero, so taking one from
     # A_{0,1} leaves B_{0,1} = -1
-    build = counting._entry_table
+    build = counting._entry_rows
 
     def corrupted(p):
-        rows = build(p)
+        rows = [list(row) for row in build(p)]
         rows[1][0] -= 1
-        return rows
+        return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(counting, "_entry_table", corrupted)
+    monkeypatch.setattr(counting, "_entry_rows", corrupted)
     with pytest.raises(ConsistencyError, match="negative class size"):
         class_sizes(CodeParams(2, 6, 1, 1, 1))
 
 
 def test_entry_table_hands_out_copies_of_its_memo():
+    # class_sizes reads the memo's rows as they are: they are tuples, so
+    # the transforms cannot change them, and they are the same afterwards
     p = CodeParams(2, 6, 1, 1, 1)
-    rows = counting._entry_table(p)
+    rows = counting._entry_rows(p)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     expect = [list(row) for row in rows]
-    rows[1][0] -= 1
-    assert counting._entry_table(p) == expect
     class_sizes(p)  # a poisoned memo would leave B_{0,1} = -1 and raise
+    assert counting._entry_rows(p) is rows
+    assert [list(row) for row in rows] == expect
     assert counting.count_matrix_entries(0, 1, p) == expect[1][0]
 
 

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -61,16 +62,24 @@ def test_descendant_closure_examples():
     assert descendant_closure(top_only) == DefiningSet.full(3, 3)
 
 
-def test_descendant_closure_matches_naive():
-    q, m = 3, 3
-    D = DefiningSet.from_members(q, m, [5, 21])
-    naive = {
-        s
-        for s in range(q**m)
-        for d in D
-        if all(d // q**i % q >= s // q**i % q for i in range(m))
-    }
-    assert descendant_closure(D).members() == sorted(naive)
+CLOSURE_SHAPES = [(q, m) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27)
+                  for m in range(1, 13) if q**m <= 4096]
+
+
+@pytest.mark.parametrize("q,m", CLOSURE_SHAPES, ids=[f"{q}-{m}" for q, m in CLOSURE_SHAPES])
+def test_descendant_closure_matches_naive(q, m):
+    # every value whose digits all lie at or under some member's
+    digits = [tuple(s // q**i % q for i in range(m)) for s in range(q**m)]
+    rng = random.Random(q * 100 + m)
+    samples = [[], [q**m - 1]] + [rng.sample(range(q**m), min(q**m, rng.randrange(1, 6)))
+                                  for _ in range(3)]
+    if (q, m) == (3, 3):
+        samples.append([5, 21])
+    for members in samples:
+        D = DefiningSet.from_members(q, m, members)
+        naive = [s for s, ds in enumerate(digits)
+                 if any(all(x <= y for x, y in zip(ds, digits[d])) for d in members)]
+        assert descendant_closure(D).members() == naive, members
 
 
 def test_dual_set_examples():

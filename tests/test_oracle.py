@@ -14,7 +14,7 @@ from cyclocode.cosets import DefiningSet, leader, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
 from cyclocode.defsets import build_T, descendant_closure, dual_set, dual_set_pattern
 from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
-from cyclocode.galois import field_make
+from cyclocode.galois import field_make, poly_divmod
 from cyclocode.oracle import (
     _suffix_table,
     _table_rows,
@@ -182,24 +182,26 @@ def _orbit_sides(q, top, words):
                     for extended in (False, True):
                         sides = oracle._sides(F, T, extended)
                         for which, side in zip(("primal", "dual"), sides):
-                            rows = oracle._rows(F, side[0], side[1])
+                            rows = oracle._rows(F, side[0], extended)
                             if rows and q ** len(rows) <= words:
                                 yield F, (q, m, t, a, b), extended, which, rows, side
         m += 1
 
 
 @pytest.mark.parametrize("q,top,orbit_sides", [
-    (2, 32, 32), (3, 27, 38), (4, 16, 37), (5, 25, 54), (7, 49, 101)])
+    (2, 32, 33), (3, 27, 38), (4, 16, 37), (5, 25, 54), (7, 49, 101)])
 def test_orbit_distribution_equals_the_whole_walk(q, top, orbit_sides):
     # GF(2) and GF(3) words, and one-hot words at q = 4, 5 and 7: walked
     # modulo the shift, every side of both codes has the distribution of
     # its whole walk, from 2 q^(k - m) - 1 codewords, or q^k - 1 where no
-    # nonzero is primitive, as at every side with k < m
+    # nonzero is primitive, as at every side with k < m.  At GF(2), n = 1
+    # and the extended dual's nonzero 0 has gcd(0, 1) = 1: that side counts
+    # as an orbit, and its count is the same either way, 2 q^(k-1) - 1
     orbits = 0
     for F, point, extended, which, rows, side in _orbit_sides(q, top, 3**10):
-        A, walked = oracle._side_distribution(F, rows, side)
+        A, walked = oracle._side_distribution(F, rows, side, extended)
         assert A == {0: 1, **weight_distribution(F, rows)}, (point, extended, which)
-        primitive = any(gcd(s, F.n) == 1 for s in side[2])
+        primitive = any(gcd(s, F.n) == 1 for s in side[1])
         k = len(rows)
         assert walked == (2 * q ** (k - F.m) - 1 if primitive else q**k - 1), (point, which)
         orbits += primitive
@@ -232,12 +234,12 @@ def test_orbit_walk_falls_back_without_a_primitive_nonzero(monkeypatch):
 def _split_side(F, point, extended=False, which=1):
     T = build_T(CodeParams(*point))
     side = oracle._sides(F, T, extended)[which]
-    return side, oracle._rows(F, side[0], side[1])
+    return side, oracle._rows(F, side[0], extended)
 
 
 def test_orbit_split_refuses_a_coset_that_is_not_primitive():
     F = field_make(2, 4)
-    (poly, _, nonzeros), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
+    (poly, nonzeros), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
     # the [15, 7] primal: nonzeros alpha^0 and the cosets of 5 and 7
     assert nonzeros == [0, 5, 7, 10, 11, 13, 14]
     oracle._orbit_split(F, poly, 7)
@@ -259,10 +261,10 @@ def test_orbit_split_refuses_a_coset_that_is_not_primitive():
 def test_orbit_distribution_checks_its_walks(extended):
     # the [26, 6] cyclic dual of (3,3,2,2,2), or its [27, 7] extension
     F = field_make(3, 3)
-    (poly, form, nonzeros), rows = _split_side(F, (3, 3, 2, 2, 2), extended)
+    (poly, nonzeros), rows = _split_side(F, (3, 3, 2, 2, 2), extended)
     s = next(s for s in nonzeros if gcd(s, F.n) == 1)
     rest_poly, e = oracle._orbit_split(F, poly, s)
-    rest, e = oracle._rows(F, rest_poly, form), oracle._word(F, e, form)
+    rest, e = oracle._rows(F, rest_poly, extended), oracle._word(F, e, extended)
     k = len(rows)
     A = oracle._orbit_distribution(F, rest, e, k)
     assert A == {0: 1, **weight_distribution(F, rows)}
@@ -291,8 +293,8 @@ def test_a_wrong_coset_fails_the_macwilliams_check(monkeypatch, point, extended,
     assert dual_min_distance(F, T, extended).route == route
     word = oracle._word
 
-    def moved(field, e, form):
-        out = word(field, e, form)
+    def moved(field, e, extended):
+        out = word(field, e, extended)
         out[-1] = field.base.add(out[-1], 1)
         return out
 
@@ -308,7 +310,8 @@ def test_dual_route_transform_must_give_the_primal_size(monkeypatch):
     T = build_T(CodeParams(3, 3, 2, 2, 2))
     _, dual = code_rows(F, T)
     short = {0: 1, **weight_distribution(F, dual[:-1])}
-    monkeypatch.setattr(oracle, "_side_distribution", lambda field, rows, side: (short, 0))
+    monkeypatch.setattr(oracle, "_side_distribution",
+                        lambda field, rows, side, extended: (short, 0))
     with pytest.raises(ConsistencyError, match="not 1 and 3\\^20"):
         dual_min_distance(F, T)
 
@@ -321,7 +324,8 @@ def test_primal_route_transform_must_give_the_dual_size(monkeypatch):
     assert dual_min_distance(F, T).route == "macwilliams"
     primal, _ = code_rows(F, T)
     short = {0: 1, **weight_distribution(F, primal[:-1])}
-    monkeypatch.setattr(oracle, "_side_distribution", lambda field, rows, side: (short, 0))
+    monkeypatch.setattr(oracle, "_side_distribution",
+                        lambda field, rows, side, extended: (short, 0))
     with pytest.raises(ConsistencyError, match="not 1 and 2\\^8"):
         dual_min_distance(F, T)
 
@@ -771,7 +775,37 @@ def test_extend_rows_equals_field_arithmetic(q):
             for c in row:
                 total = base.add(total, c)
             expect.append([base.neg(total)] + row)
-        assert oracle._extend_rows(F, g, F.n) == expect, g
+        assert oracle._rows(F, g, True) == expect, g
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_extended_dual_is_the_extended_code_of_the_dual_set(q):
+    # the extended dual's generator h*(x) / (x - 1), made monic, is g(x) of
+    # the dual defining set; and its rows span the code of the all-ones
+    # word over the shifts of h* behind a zero, the same systematic matrix
+    m = 1
+    while q**m <= 64:
+        F = field_make(q, m)
+        base = F.base
+        for t in range(m):
+            for a in range(1, q):
+                for b in range(1, a + 1):
+                    T = build_T(CodeParams(q, m, t, a, b))
+                    poly, nonzeros = oracle._sides(F, T, True)[1]
+                    lead = base.inv(poly[-1])
+                    monic = tuple(base.mul(lead, c) for c in poly)
+                    assert monic == oracle._generator(F, dual_set(T)).coeffs, (q, m, t, a, b)
+                    assert nonzeros[0] == 0
+                    xn1 = (base.neg(1),) + (0,) * (F.n - 1) + (1,)
+                    h, rem = poly_divmod(base, xn1, oracle._generator(F, T).coeffs)
+                    hstar, n, d = list(h[::-1]), F.n, len(h)
+                    assert not rem
+                    ones = [[1] * (n + 1)] + [[0] * (1 + i) + hstar + [0] * (n - d - i)
+                                              for i in range(n - d + 1)]
+                    rows = oracle._rows(F, poly, True)
+                    assert (oracle._systematic(F, rows, 1)
+                            == oracle._systematic(F, ones, 1)), (q, m, t, a, b)
+        m += 1
 
 
 def test_brute_max_prefix_examples():
