@@ -16,7 +16,7 @@ to be taken on faith.  It checks [0, v) and each translate as whole
 intervals: each rotation of the forbidden pattern is a box of digit floors
 (the floors the mask kernel in defsets builds the dual defining set from),
 and the least excluded value of an interval is the least successor over
-the m boxes, found in one pass over the digits of its start whatever v is.
+the m boxes, set up in O(m) and queried in O(m) steps whatever v is.
 A translate that wraps at q^m - 1 is split in two.  Every certificate with
 an explicit S is checked in full ("full" mode).  When S has more than
 DEFAULT_S_CAP elements it is only known in parametric form; then nothing
@@ -241,32 +241,31 @@ def _excluded_successor(params: CodeParams) -> Callable[[int], int]:
     digit lies below its floor.  A lower such digit gives a smaller member,
     so one pass over A's digits from the top narrows the mask of boxes that
     no digit has ruled out yet, and the answer comes from the boxes ruled
-    out last.  The tables hold O(m (m + q)) entries; a query takes O(m)
-    steps.
+    out last.  The set-up and each query take O(m) steps.
     """
-    q, m = params.q, params.m
-    floors = _dual_floors(params)
+    q, m, t, a, b = params.astuple()
     powers = [q**d for d in range(m + 1)]
-    below = []  # below[d][x]: the boxes whose floor at digit d exceeds x
-    lows = []  # lows[d][r]: the value of box r's floors on digits 0..d
-    low = [0] * m
-    for d in range(m):
-        floor = [floors[(d - r) % m] for r in range(m)]
-        below.append([sum(1 << r for r in range(m) if x < floor[r]) for x in range(q)])
-        low = [low[r] + floor[r] * powers[d] for r in range(m)]
-        lows.append(low)
+    # Box r's least member is box 0's rotated up r digits.  Digit d reads offset
+    # (d - r) mod m of box r: at digit 0 the t top offsets are boxes 1..t, y is
+    # box t + 1 and the x-run the rest, and at digit d these masks rotate d bits.
+    low = sum(f * p for f, p in zip(_dual_floors(params), powers))
+    mins = [low % powers[m - r] * powers[r] + low // powers[m - r] for r in range(m)]
+    tops, ys = (1 << t) - 1 << 1, 1 << (t + 1) % m
+    xs, xlo, ylo = (1 << m) - 1 ^ tops ^ ys, q - 1 - a, q - 1 - b
 
     def successor(value: int) -> int:
         alive = (1 << m) - 1
         for d in range(m - 1, -1, -1):
-            hit = alive & below[d][value // powers[d] % q]
+            x = value // powers[d] % q
+            hit = (tops if x < q - 1 else 0) | (xs if x < xlo else 0) | (ys if x < ylo else 0)
+            hit = alive & (hit << d | hit >> (m - d))
             if hit == alive:
-                best = powers[d + 1]
+                span = best = powers[d + 1]
                 while hit:
                     r = hit.bit_length() - 1
-                    best = min(best, lows[d][r])
+                    best = min(best, mins[r] % span)
                     hit ^= 1 << r
-                return value - value % powers[d + 1] + best
+                return value - value % span + best
             alive ^= hit
         return value
 

@@ -20,8 +20,8 @@ binomial coefficient; |T| is the table's alternating sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, ne, sub
 
@@ -125,9 +125,10 @@ class CodeParams:
     def normalized(self) -> "CodeParams":
         """With t = m-1 the word u has no a-digits, so a is immaterial;
         fix a = b to make results independent of the supplied a."""
-        if self.t == self.m - 1 and self.a != self.b:
-            return replace(self, a=self.b)
-        return self
+        return self._twin if self.t == self.m - 1 and self.a != self.b else self
+
+    # the a = b copy, built once per object in its __dict__, which eq and hash skip
+    _twin = cached_property(lambda self: CodeParams(self.q, self.m, self.t, self.b, self.b))
 
     def astuple(self) -> tuple[int, int, int, int, int]:
         return (self.q, self.m, self.t, self.a, self.b)

@@ -18,6 +18,7 @@ from cyclocode.bounds import (
 from cyclocode.counting import CodeParams
 from cyclocode.defsets import dual_set_pattern
 from cyclocode.errors import ParameterError, ZeroCodeError
+from cyclocode.galois import SUPPORTED_Q
 from cyclocode.oracle import brute_max_prefix
 from cyclocode.qadic import matches_dual_exclusion
 
@@ -390,6 +391,24 @@ def test_wrapping_translate_on_a_hand_built_exclusion_set(monkeypatch, long_v, l
         assert result.conditions[1] == ("prefix", False, "prefix value 2 is excluded")
         assert result.conditions[2] == ("translates", False, "residue of s=1, w=5 is excluded")
         assert result.checked == 3 + 6
+
+
+def test_successor_is_the_least_excluded_value_at_every_small_point():
+    # Every supported q and m >= 2 with q^m <= 128, every t, a and b
+    # independent: one backward scan per point with the per-value pattern
+    # test gives the least excluded value >= v for every v in [0, n].
+    points = values = 0
+    for p in _bound_grid(SUPPORTED_Q, 128):
+        q, m, t, a, b = p.astuple()
+        successor = bounds._excluded_successor(p)
+        least = None  # n is always excluded, so the scan sets it first
+        for v in range(p.n, -1, -1):
+            if matches_dual_exclusion(v, q, m, a, b, t):
+                least = v
+            assert successor(v) == least, (p, v)
+        points += 1
+        values += p.n + 1
+    assert (points, values) == (669, 55_498)
 
 
 @st.composite

@@ -37,7 +37,12 @@ def test_counting_regime_requires_b_le_a():
 
 def test_normalized_drops_a_when_t_is_max():
     p = CodeParams(5, 3, 2, 4, 2)
-    assert p.normalized().a == 2
+    twin = p.normalized()
+    assert twin == CodeParams(5, 3, 2, 2, 2) and p.normalized() is twin
+    counting._entry_rows.cache_clear()
+    class_sizes(p)
+    closed_size_T(CodeParams(5, 3, 2, 3, 2))  # an equal twin hits the memo
+    assert counting._entry_rows.cache_info()[:2] == (1, 1)
     # and the size is a-independent there: |T| = b*m + 1
     for a in range(2, 5):
         assert closed_size_T(CodeParams(5, 3, 2, a, 2)) == 2 * 3 + 1
