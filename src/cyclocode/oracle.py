@@ -143,11 +143,14 @@ def segment_class_sizes(params: CodeParams) -> dict[tuple[int, int], int]:
     return {kl: v for kl, v in sorted(sizes.items()) if kl != (0, 0)}
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=32)
 def _generator(field: FieldContext, D: DefiningSet) -> Polynomial:
-    """g(x) of the cyclic code whose defining set is D minus {0, n}, built
-    once per (field, D) for the few most recent pairs, so that a point's
-    dimension check and its probe share one product of minimal polynomials."""
+    """g(x) of the cyclic code whose defining set is D minus {0, n},
+    memoized by (field, D) for the 32 most recent pairs, so that a point's
+    dimension check and its probe share one product of minimal polynomials,
+    and so do points that share a T.  A verify grid repeats T only at
+    t = m - 1, where T depends on b alone, so its asks for one T are at most
+    q - 1 <= 26 distinct pairs apart, and 32 entries keep every repeat."""
     if (field.q, field.m) != (D.q, D.m):
         raise ParameterError("field and defining set disagree on (q, m)")
     return generator_polynomial(field, [s for s in D if 0 < s < D.n])
@@ -817,8 +820,20 @@ def affine_invariance_probe(
     that has built it already passes it as defining_set.  defining_set also
     overrides it with a deliberately broken (non-descendant-closed) set,
     which is how the check is given negative controls.
+
+    The verdict depends on (field, T) alone, so _probe_verdict memoizes it
+    by that pair for the 32 most recent pairs, the bound _generator keeps
+    and for the same reason: at t = m - 1 every a gives the same T, and a
+    verify grid asks for one T again within q - 1 <= 26 distinct pairs.  At
+    --max-n 16 the 370 probes compute 76 verdicts.
     """
-    T = brute_T(params) if defining_set is None else defining_set
+    return _probe_verdict(field, brute_T(params) if defining_set is None else defining_set)
+
+
+@lru_cache(maxsize=32)
+def _probe_verdict(field: FieldContext, T: DefiningSet) -> bool:
+    """affine_invariance_probe's exact syndrome check on the extended code
+    of T, memoized by (field, T)."""
     n = field.n
     rows = _rows(field, list(_generator(field, T).coeffs), True)
     leaders = sorted({leader(s, T.q, T.m) for s in T if 0 < s < T.n})

@@ -687,6 +687,8 @@ def test_affine_invariance_probe_never_asks_for_exponent_zero(monkeypatch):
         return real(field, word, exponents)
 
     monkeypatch.setattr(oracle, "syndromes", recording)
+    # a memoized verdict asks for no syndrome, so every check runs afresh
+    oracle._probe_verdict.cache_clear()
     verdicts = Counter()
     for q in (2, 3, 4):
         for F, p, D in _dropped_cosets(q, 16):
@@ -744,6 +746,46 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
     k = brute_dimension(F, T)
     primal, _ = code_rows(F, T, extended=True)
     assert len(primal) == k and counts["generator_polynomial"] == 1
+
+
+def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, capsys):
+    # at t = m - 1 every a gives the same T, so the 370 probes of
+    # verify --max-n 16 ask about 76 distinct (field, T) pairs; a repeat
+    # comes within q - 1 pairs, so both memos keep it, and each verdict and
+    # each g(x) is computed once (184 generators and 370 verdicts without)
+    built = []
+    original = oracle.generator_polynomial
+
+    def counting(field, exponents):
+        built.append((field.q, field.m))
+        return original(field, exponents)
+
+    monkeypatch.setattr(oracle, "generator_polynomial", counting)
+    asked = []
+    probe = oracle._probe_verdict
+
+    def recording(field, T):
+        asked.append((field, T))
+        return probe(field, T)
+
+    monkeypatch.setattr(oracle, "_probe_verdict", recording)
+    oracle._generator.cache_clear()
+    probe.cache_clear()
+    assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert len(asked) == 370
+    assert len(built) == 76
+    assert probe.cache_info().misses == 76
+    pairs = set(asked)
+    assert len(pairs) == 76
+    # a memoized answer is the exact check's, on every ask, and a set that
+    # is not descendant-closed is rejected from the memo as well
+    broken = union_cosets([0, 3], 2, 4)
+    pairs.add((field_make(2, 4), broken))
+    for field, T in pairs:
+        exact = probe.__wrapped__(field, T)
+        assert probe(field, T) == exact and probe(field, T) == exact, (field.q, field.m)
+    assert not probe(field_make(2, 4), broken)
 
 
 def test_verify_point_builds_one_dual_set(monkeypatch):
