@@ -16,6 +16,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from datetime import datetime, timezone
 from itertools import product
+from typing import Callable
 
 from . import bounds, counting, defsets, galois, oracle
 from .cosets import coset_of, union_cosets
@@ -373,44 +374,45 @@ def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
     # every point of verify's grid runs at least one of them
     Tperp = defsets.dual_set_pattern(params)
 
-    def record(name: str, ok: bool, detail: str = "") -> None:
-        out.append((name, "" if ok else detail or "mismatch"))
+    def record(name: str, ok: bool, detail: Callable[[], str]) -> None:
+        # the detail is formatted only for a failed check
+        out.append((name, "" if ok else detail()))
 
     if b <= a:
         T = defsets.build_T(params)
         bT = oracle.brute_T(params)
         record("defining-set: pattern vs definition", T == bT,
-               f"{params.astuple()}: pattern build differs from definitional build")
+               lambda: f"{params.astuple()}: pattern build differs from definitional build")
         closed = counting.closed_size_T(params)
         record("set size: closed form vs enumeration", closed == len(bT),
-               f"{params.astuple()}: closed {closed} != enumerated {len(bT)}")
+               lambda: f"{params.astuple()}: closed {closed} != enumerated {len(bT)}")
         sizes = counting.class_sizes(params)
         census = oracle.brute_class_census(params)
         ok = all(census.get(kl, 0) == v for kl, v in sizes.items()) and set(
             census
         ) <= set(sizes)
         record("class sizes: inversion vs census", ok,
-               f"{params.astuple()}: {sizes} vs {census}")
+               lambda: f"{params.astuple()}: {sizes} vs {census}")
         record("descendant closure fixed point",
                defsets.descendant_closure(T) == T,
-               f"{params.astuple()}: T is not descendant-closed")
+               lambda: f"{params.astuple()}: T is not descendant-closed")
         record("dual set: pattern vs reflection",
                Tperp == defsets.dual_set(T),
-               f"{params.astuple()}: dual pattern build differs from reflection")
+               lambda: f"{params.astuple()}: dual pattern build differs from reflection")
         if a == q - 1 and not params.is_degenerate:
             bch = defsets.bch_set(q, m, params.designed_distance)
             ok = T.difference(defsets.DefiningSet.from_members(q, m, [0])) == bch
             record("BCH identity", ok,
-                   f"{params.astuple()}: T minus 0 differs from the BCH set")
+                   lambda: f"{params.astuple()}: T minus 0 differs from the BCH set")
     if m >= 2 and not params.is_degenerate:
         vf = bounds.max_zero_prefix(params)
         vb = oracle.brute_max_prefix(Tperp)
         record("zero prefix: formula vs scan", vf == vb,
-               f"{params.astuple()}: formula {vf} != scan {vb}")
+               lambda: f"{params.astuple()}: formula {vf} != scan {vb}")
         cert = bounds.build_certificate(params)
         res = bounds.verify_certificate(cert, params)
         record("certificate conditions", res.passed,
-               f"{params.astuple()}: {[c for c in res.conditions if not c[1]]}")
+               lambda: f"{params.astuple()}: {[c for c in res.conditions if not c[1]]}")
     if (
         b <= a
         and params.index_size <= 512
@@ -421,11 +423,11 @@ def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
         rep = defsets.dimension(params)
         bd = oracle.brute_dimension(field, T)
         record("dimension: closed form vs generator degree", rep.dim == bd,
-               f"{params.astuple()}: closed {rep.dim} != degree-based {bd}")
+               lambda: f"{params.astuple()}: closed {rep.dim} != degree-based {bd}")
         if params.index_size <= 128:
             ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
-            record("affine invariance probe", ok,
-                   f"{params.astuple()}: a generator row moved by x -> x + 1 left the code")
+            record("affine invariance probe", ok, lambda: f"{params.astuple()}: a generator "
+                   "row moved by x -> x + 1 left the code")
     return out
 
 

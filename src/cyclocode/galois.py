@@ -18,6 +18,11 @@ shift plus one add), since alpha is the class of x.  A FieldContext built
 directly has no tables and runs the digit route, which is what the tests
 compare the table route against.
 
+Polynomials over GF(q) have one table source, small_tables: the q-by-q
+addition and multiplication tables and the negation list of a base field,
+built once per field.  poly_mul and poly_divmod take each step as one slice
+update through them, and the oracle's code walks read the same tables.
+
 Moduli come from a rule, not a table: for each supported (q, m) the least
 monic degree-m polynomial over GF(q), ordered by the base-q encoding of its
 non-leading coefficients, for which the class of x has full multiplicative
@@ -31,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import product
-from operator import xor
+from operator import getitem, xor
 from typing import Iterable, Iterator, Sequence
 
 from .cosets import DefiningSet, coset_of
@@ -42,6 +47,7 @@ __all__ = [
     "FieldContext",
     "Polynomial",
     "field_make",
+    "small_tables",
     "minimal_polynomial",
     "generator_polynomial",
     "syndrome",
@@ -53,6 +59,9 @@ __all__ = [
 _MAX_DEGREE = {2: 20, 3: 12, 4: 10, 5: 10, 7: 7, 8: 6, 9: 6, 11: 5, 13: 5, 16: 4, 25: 4, 27: 4}
 
 SUPPORTED_Q = tuple(_MAX_DEGREE)
+
+# The largest base field GF(q) that any supported GF(q^m) is built over.
+_MAX_BASE_ORDER = max(SUPPORTED_Q)
 
 MAX_FIELD_ORDER = 1 << 32
 
@@ -101,22 +110,31 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
 
 
 def poly_mul(base: "FieldContext", f: Sequence[int], g: Sequence[int]) -> tuple[int, ...]:
+    """f * g over base = GF(q) by base's small_tables: each nonzero f_i
+    adds f_i * g to the product in one slice update, g's coefficients read
+    off f_i's multiplication row and summed through the addition table."""
     if not f or not g:
         return ()
+    sums, muls, _ = small_tables(base)
     out = [0] * (len(f) + len(g) - 1)
+    width = len(g)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = base.add(out[i + j], base.mul(a, b))
+            row = muls[a]
+            out[i:i + width] = map(getitem, map(sums.__getitem__, out[i:i + width]),
+                                   map(row.__getitem__, g))
     return _trim(out)
 
 
 def poly_divmod(
     base: "FieldContext", f: Sequence[int], g: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(quotient, remainder) of f / g over base = GF(q), by long division on
+    base's small_tables: each step adds -c/lead(g) times g to the
+    remainder's top g-wide window, one slice update as in poly_mul."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    sums, muls, neg = small_tables(base)
     rem = list(f)
     dg = len(g) - 1
     inv_lead = base.inv(g[-1])
@@ -124,10 +142,11 @@ def poly_divmod(
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i]
         if c:
-            factor = base.mul(c, inv_lead)
+            factor = muls[c][inv_lead]
             quot[i - dg] = factor
-            for j in range(dg + 1):
-                rem[i - dg + j] = base.sub(rem[i - dg + j], base.mul(factor, g[j]))
+            row = muls[neg[factor]]
+            rem[i - dg:i + 1] = map(getitem, map(sums.__getitem__, rem[i - dg:i + 1]),
+                                    map(row.__getitem__, g))
     return _trim(quot), _trim(rem)
 
 
@@ -191,6 +210,9 @@ class FieldContext:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, x: int, y: int) -> int:
+        p = self.p
+        if p == 2:
+            return x ^ y
         if self._zech is not None:
             # x + y = x (1 + y/x) = alpha^(log x + zech(log y - log x))
             if x == 0:
@@ -200,9 +222,6 @@ class FieldContext:
             lx = self._log[x]
             z = self._zech[(self._log[y] - lx) % self.n]
             return 0 if z < 0 else self._exp[(lx + z) % self.n]
-        p = self.p
-        if p == 2:
-            return x ^ y
         out, place = 0, 1
         while x or y:
             x, u = divmod(x, p)
@@ -392,9 +411,30 @@ def field_make(q: int, m: int) -> FieldContext:
     return _build(q, m)
 
 
+@lru_cache(maxsize=32)
+def small_tables(F: FieldContext) -> tuple[list[list[int]], list[list[int]], list[int]]:
+    """(sums, muls, neg): the addition and multiplication tables and the
+    negation list of the small field F, sums[x][y] = x + y, muls[c][x] =
+    c x and neg[x] = -x, built once per field from its add, mul and neg
+    and kept for the 32 most recent fields; callers only read them.
+
+    Raises ParameterError when F's order exceeds the largest base order,
+    27, so that no q-by-q table is built for a large field."""
+    if F.order > _MAX_BASE_ORDER:
+        raise ParameterError(f"GF({F.order}) is above the largest base order "
+                             f"{_MAX_BASE_ORDER}: small_tables builds no table for it")
+    q = F.order
+    return ([[F.add(x, y) for y in range(q)] for x in range(q)],
+            [[F.mul(c, x) for x in range(q)] for c in range(q)],
+            [F.neg(x) for x in range(q)])
+
+
+@lru_cache(maxsize=256)
 def minimal_polynomial(field: FieldContext, s: int) -> Polynomial:
     """Minimal polynomial of alpha^s over GF(q): the product of x - alpha^j
-    over the cyclotomic coset of s, so its degree is the coset size."""
+    over the cyclotomic coset of s, so its degree is the coset size.
+    Memoized by (field, s) for the 256 most recent pairs: verify --max-n 16
+    asks for 77 distinct ones, and a generator is a product of them."""
     if not 0 <= s <= field.n - 1:
         raise ParameterError(f"exponent {s} out of range [0, {field.n - 1}]")
     # product of (x - alpha^j) over the orbit, in GF(q^m)[x]

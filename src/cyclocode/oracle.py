@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .cosets import DefiningSet, _check_cap, coset_of, leader
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .galois import (FieldContext, Polynomial, generator_polynomial, minimal_polynomial,
-                     poly_divmod, poly_mul, syndromes)
+                     poly_divmod, poly_mul, small_tables, syndromes)
 from .qadic import profile_counts
 
 if TYPE_CHECKING:
@@ -268,7 +268,7 @@ def _shifts(poly: list[int], n: int) -> list[list[int]]:
 
 def _parity(field: FieldContext, word: list[int]) -> int:
     """Minus the sum of the word's coordinates, taken through the GF(q) tables."""
-    sums, _, neg = _field_tables(field)
+    sums, _, neg = small_tables(field.base)
     total = 0
     for c in word:
         total = sums[total][c]
@@ -298,16 +298,6 @@ def _gf3_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
     coordinates equal to 1 and M those equal to 2 (Boothby & Bradshaw)."""
     t = (x[0] | y[1]) ^ (x[1] | y[0])
     return (x[1] | y[1]) ^ t, (x[0] | y[0]) ^ t
-
-
-@lru_cache(maxsize=32)
-def _field_tables(field: FieldContext) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Addition, multiplication and negation tables of GF(field.q), built
-    once per field; callers only read them."""
-    base, q = field.base, field.q
-    return ([[base.add(x, y) for y in range(q)] for x in range(q)],
-            [[base.mul(c, x) for x in range(q)] for c in range(q)],
-            [base.neg(x) for x in range(q)])
 
 
 class _GF2Words:
@@ -368,7 +358,7 @@ class _OneHotWords:
 
     def __init__(self, field: FieldContext, n: int):
         self.n, self.zero = n, [0] * n
-        self._sum, self._mul, neg = _field_tables(field)
+        self._sum, self._mul, neg = small_tables(field.base)
         values = bytes(range(field.q))
 
         def planes(image) -> list[bytes]:
@@ -467,28 +457,42 @@ def weight_distribution(field: FieldContext, rows: list[list[int]]) -> dict[int,
     return dict(hist)
 
 
+@lru_cache(maxsize=32)
+def _ideal_word(field: FieldContext, s: int) -> tuple[int, ...]:
+    """(x^n - 1) / f for the minimal polynomial f of alpha^s, padded to
+    length n: a nonzero word of the minimal ideal M_s, whose nonzeros are
+    the coset of s.  Memoized by (field, s) for the 32 most recent pairs,
+    as a tuple that callers copy.  Raises ConsistencyError unless the
+    remainder is zero, that is unless f divides x^n - 1."""
+    e = _divide(field, _xn1(field), minimal_polynomial(field, s).coeffs,
+                f"the minimal polynomial of alpha^{s} does not divide x^n - 1")
+    return tuple(e) + (0,) * (field.n - len(e))
+
+
 def _orbit_split(field: FieldContext, poly: list[int], s: int) -> tuple[list[int], list[int]]:
     """(G f, (x^n - 1) / f) for the cyclic code W generated by poly = G and
     the minimal polynomial f of alpha^s: the generator of W' = W with the
     coset of s moved into its zeros, and a nonzero word e of the minimal
-    ideal M_s with nonzeros that coset, so that W = W' + M_s.
+    ideal M_s with nonzeros that coset, so that W = W' + M_s.  e comes from
+    _ideal_word, built once per (field, s).
 
     Raises ConsistencyError unless gcd(s, n) = 1 and the coset has m
     members, so that alpha^s is primitive and the shift, multiplication by
-    it on M_s, moves e through all n nonzero words of M_s; or unless G
-    divides x^n - 1 and f divides the check polynomial (x^n - 1) / G, both
-    remainders tested, so that M_s lies in W and meets W' in zero."""
+    it on M_s, moves e through all n nonzero words of M_s; or unless f
+    divides x^n - 1, G divides x^n - 1 and f divides the check polynomial
+    (x^n - 1) / G, every remainder tested, so that M_s lies in W and meets
+    W' in zero."""
     n = field.n
     size = len(coset_of(s, field.q, field.m).elements)
     if gcd(s, n) != 1 or size != field.m:
         raise ConsistencyError(f"the coset of {s} has {size} members and gcd(s, n) = "
                                f"{gcd(s, n)}: it is not primitive")
+    e = list(_ideal_word(field, s))
     f = minimal_polynomial(field, s).coeffs
     check = _divide(field, _xn1(field), poly, "the generator does not divide x^n - 1")
     _divide(field, check, f, f"the minimal polynomial of alpha^{s} does not divide "
                              "the check polynomial")
-    e, _ = poly_divmod(field.base, _xn1(field), f)
-    return list(poly_mul(field.base, poly, f)), list(e) + [0] * (n - len(e))
+    return list(poly_mul(field.base, poly, f)), e
 
 
 def _orbit_distribution(
@@ -585,7 +589,7 @@ def _systematic(field: FieldContext, rows: list[list[int]], first: int) -> list[
     consecutive coordinates of a cyclic [n, k] code are an information set,
     so a missing pivot means that the rows are dependent."""
     k = len(rows)
-    sums, mul, neg = _field_tables(field)
+    sums, mul, neg = small_tables(field.base)
     mat = [list(r) for r in rows]
     for top in range(k):
         col = first + top
@@ -608,7 +612,7 @@ def _check_shift(field: FieldContext, mat: list[list[int]], first: int) -> None:
     systematic matrix onto itself.  The shift is checked, never trusted:
     each row, moved, must be the combination of the rows whose coefficients
     it holds in the window."""
-    sums, mul, _ = _field_tables(field)
+    sums, mul, _ = small_tables(field.base)
     for row in mat:
         moved = row[:first] + row[-1:] + row[first:-1]
         span = [0] * len(row)

@@ -19,6 +19,7 @@ from cyclocode.galois import (
     minimal_polynomial,
     poly_divmod,
     poly_mul,
+    small_tables,
     syndrome,
     syndromes,
 )
@@ -367,24 +368,84 @@ def test_polynomial_type():
         Polynomial((1, 0))
 
 
+def _strip(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def test_poly_divmod_round_trip():
     rng = random.Random(3)
-    F = field_make(3, 2)
-    B = F.base
-    for _ in range(20):
-        f = tuple(rng.randrange(3) for _ in range(6))
-        g = tuple(rng.randrange(3) for _ in range(3)) + (1,)
-        quot, rem = poly_divmod(B, f, g)
-        recon = list(poly_mul(B, quot, g))
-        recon += [0] * (len(f) - len(recon))
-        for i, c in enumerate(rem):
-            recon[i] = B.add(recon[i], c)
-        while recon and recon[-1] == 0:
-            recon.pop()
-        expect = list(f)
-        while expect and expect[-1] == 0:
-            expect.pop()
-        assert recon == expect
+    for q in SUPPORTED_Q:
+        B = field_make(q, 1).base
+        for _ in range(20):
+            f = tuple(rng.randrange(q) for _ in range(6))
+            g = tuple(rng.randrange(q) for _ in range(3)) + (1,)
+            quot, rem = poly_divmod(B, f, g)
+            assert len(rem) < len(g)
+            recon = list(poly_mul(B, quot, g))
+            recon += [0] * (len(f) - len(recon))
+            for i, c in enumerate(rem):
+                recon[i] = B.add(recon[i], c)
+            assert _strip(recon) == _strip(f), q
+
+
+def _schoolbook_mul(B, f, g):
+    out = [0] * max(0, len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = B.add(out[i + j], B.mul(a, b))
+    return _strip(out)
+
+
+def _schoolbook_divmod(B, f, g):
+    rem, dg = list(f), len(g) - 1
+    quot = [0] * max(0, len(f) - dg)
+    for i in range(len(rem) - 1, dg - 1, -1):
+        factor = B.mul(rem[i], B.inv(g[-1]))
+        quot[i - dg] = factor
+        for j, b in enumerate(g):
+            rem[i - dg + j] = B.add(rem[i - dg + j], B.neg(B.mul(factor, b)))
+    return _strip(quot), _strip(rem)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_table_route_polynomials_equal_the_schoolbook(q):
+    # through the base field's own add, mul and neg, on every base field:
+    # empty operands, non-monic divisors and divisors longer than the dividend
+    rng = random.Random(2400 + q)
+    B = field_make(q, 1).base
+    assert B.order == q
+    lengths = [(0, 3), (3, 0), (0, 0), (1, 1), (4, 7), (9, 3), (12, 5), (5, 5)]
+    for flen, glen in lengths * 3:
+        f = [rng.randrange(q) for _ in range(flen)]
+        g = [rng.randrange(q) for _ in range(glen)]
+        assert poly_mul(B, f, g) == _schoolbook_mul(B, f, g)
+        if glen:
+            g[-1] = rng.randrange(1, q)  # a nonzero, often non-1, leading coefficient
+            assert poly_divmod(B, f, g) == _schoolbook_divmod(B, f, g)
+    assert poly_divmod(B, (1, 1), (0, 0, 1)) == ((), (1, 1))
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(B, (1,), ())
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_small_tables_equal_the_field_methods(q):
+    B = field_make(q, 1).base
+    sums, muls, neg = small_tables(B)
+    assert small_tables(B) is small_tables(B)  # built once per field
+    for x in range(q):
+        assert neg[x] == B.neg(x)
+        for y in range(q):
+            assert sums[x][y] == B.add(x, y)
+            assert muls[x][y] == B.mul(x, y)
+
+
+def test_small_tables_refuse_a_field_above_the_largest_base_order():
+    assert small_tables(field_make(27, 1).base)[2][1] == 2
+    with pytest.raises(ParameterError, match="largest base order 27"):
+        small_tables(field_make(2, 5))
 
 
 def test_supported_q_and_builtin_coverage():

@@ -9,7 +9,7 @@ import pytest
 
 import cyclocode
 
-from cyclocode import cli, oracle
+from cyclocode import cli, galois, oracle
 from cyclocode.cosets import DefiningSet, leader, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
 from cyclocode.defsets import build_T, descendant_closure, dual_set, dual_set_pattern
@@ -255,6 +255,38 @@ def test_orbit_split_refuses_a_coset_that_is_not_primitive():
         oracle._orbit_split(F, poly, 1)
     with pytest.raises(ConsistencyError, match="does not divide x\\^n - 1"):
         oracle._orbit_split(F, poly + [1], 7)
+
+
+def test_ideal_word_is_memoized_and_copied():
+    F = field_make(2, 4)
+    (poly, _), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
+    oracle._ideal_word.cache_clear()
+    _, e = oracle._orbit_split(F, poly, 7)
+    e[0] ^= 1  # the caller's copy, not the memo's word
+    _, again = oracle._orbit_split(F, poly, 7)
+    assert oracle._ideal_word.cache_info()[:2] == (1, 1)
+    f = oracle.minimal_polynomial(F, 7).coeffs
+    xn1 = (1,) + (0,) * (F.n - 1) + (1,)
+    quotient, rem = poly_divmod(F.base, xn1, f)
+    assert rem == () and again == list(quotient) + [0] * (F.n - len(quotient))
+
+
+def test_ideal_word_refuses_a_minimal_polynomial_that_does_not_divide(monkeypatch):
+    # x^4 + 1 = (x + 1)^4 over GF(2) is no factor of x^15 - 1: the remainder
+    # of the division that builds e is tested, and the distance stops with
+    # the ConsistencyError that the command line turns into exit status 5
+    F = field_make(2, 4)
+    T = build_T(CodeParams(2, 4, 2, 1, 1))
+    monkeypatch.setattr(oracle, "minimal_polynomial",
+                        lambda field, s: oracle.Polynomial((1, 0, 0, 0, 1)))
+    oracle._ideal_word.cache_clear()
+    with pytest.raises(ConsistencyError, match="alpha\\^7 does not divide x\\^n - 1"):
+        oracle._ideal_word(F, 7)
+    with pytest.raises(ConsistencyError, match="alpha\\^\\d+ does not divide x\\^n - 1"):
+        dual_min_distance(F, T)
+    assert oracle._ideal_word.cache_info().currsize == 0
+    monkeypatch.undo()
+    assert dual_min_distance(F, T).kind == "exact"
 
 
 @pytest.mark.parametrize("extended", [False, True])
@@ -786,6 +818,27 @@ def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, caps
         exact = probe.__wrapped__(field, T)
         assert probe(field, T) == exact and probe(field, T) == exact, (field.q, field.m)
     assert not probe(field_make(2, 4), broken)
+
+
+def test_verify_computes_each_minimal_polynomial_once(monkeypatch, capsys):
+    # verify --max-n 16 asks for 77 distinct (field, s); without the memo
+    # the generators computed a minimal polynomial 341 times
+    memo = galois.minimal_polynomial
+    asked = []
+
+    def recording(field, s):
+        asked.append((field, s))
+        return memo(field, s)
+
+    monkeypatch.setattr(galois, "minimal_polynomial", recording)
+    oracle._generator.cache_clear()
+    oracle._probe_verdict.cache_clear()
+    memo.cache_clear()
+    assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert memo.cache_info().misses == 77 == len(set(asked))
+    for field, s in set(asked):
+        assert memo(field, s) == memo.__wrapped__(field, s), (field.q, field.m, s)
 
 
 def test_verify_point_builds_one_dual_set(monkeypatch):

@@ -6,9 +6,12 @@ these tests pin that contract from the package side.
 """
 
 import ast
+import functools
+import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -232,3 +235,32 @@ def test_oracle_reads_no_private_field_state():
     assert {"_log", "_exp", "_zech"} <= {r.split(": ")[1] for r in _private_reads(galois)}
     assert _private_reads("x = field._wrap[c] + getattr(field.base, '_zech')[0]") == [
         "line 1: _wrap", "line 1: _zech"]
+
+
+# The memos documented as unbounded: one entry per field, prime-power
+# question or counting shape, each a small finite set.
+UNBOUNDED_MEMOS = {"counting._is_prime_power", "counting._pattern_rows", "galois._build"}
+
+
+def _memos() -> dict[str, int | None]:
+    """module.qualname -> maxsize for every functools.lru_cache wrapper
+    that a package module defines, at module level or on its classes."""
+    out = {}
+    for info in pkgutil.iter_modules(cyclocode.__path__):
+        module = importlib.import_module(f"cyclocode.{info.name}")
+        values = list(vars(module).values())
+        values += [v for c in values if inspect.isclass(c) for v in vars(c).values()]
+        for value in values:
+            value = getattr(value, "__func__", value)  # staticmethod, classmethod
+            if (isinstance(value, functools._lru_cache_wrapper)
+                    and value.__module__ == module.__name__):
+                out[f"{info.name}.{value.__qualname__}"] = value.cache_parameters()["maxsize"]
+    return out
+
+
+def test_every_memo_is_bounded_but_the_documented_ones():
+    memos = _memos()
+    assert {name for name, size in memos.items() if size is None} == UNBOUNDED_MEMOS
+    assert memos["galois.small_tables"] == 32
+    assert memos["galois.minimal_polynomial"] == 256
+    assert memos["oracle._ideal_word"] == 32
