@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .counting import CodeParams
 from .defsets import _dual_floors
@@ -164,8 +164,7 @@ def _case_axes(params: CodeParams, case_id: str) -> tuple[int, list[tuple[int, i
     raise ConsistencyError(f"unknown case {case_id!r}")
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """A checkable witness for the classified case.
 
     s_set carries the explicit sorted elements of S when their number is at
@@ -210,8 +209,7 @@ def build_certificate(params: CodeParams) -> BoundCertificate:
     )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of re-checking the three certificate conditions.
 
     mode is "full" when every membership in [0, v) and in all translated
@@ -397,8 +395,7 @@ def stated_bound(params: CodeParams) -> int:
     return max_zero_prefix(params) + 1  # case11: S is empty
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     """Side-by-side of the closed-form bound and the verified certificate.
 
     certified is the certificate's bound and mismatch = stated - certified

@@ -9,12 +9,9 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from bisect import bisect_left, bisect_right
-from datetime import datetime, timezone
 from itertools import product
 from typing import Callable
 
@@ -83,11 +80,24 @@ def _stringify_big_ints(obj, path: str, found: list[str]):
     return obj
 
 
+# The format modules are imported by the renderer that needs them, and
+# datetime only when a timestamp is written: every command is a fresh
+# interpreter, and most render one format without one.
+
+
+def _generated_at() -> str:
+    from datetime import datetime, timezone
+
+    return datetime.now(timezone.utc).isoformat()
+
+
 def render_json(meta: dict, rows: list[dict], no_timestamp: bool) -> str:
+    import json
+
     doc = {"schema_version": SCHEMA_VERSION}
     doc.update(meta)
     if not no_timestamp:
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
+        doc["generated_at"] = _generated_at()
     doc["rows"] = rows
     found: list[str] = []
     doc = _stringify_big_ints(doc, "", found)
@@ -96,6 +106,8 @@ def render_json(meta: dict, rows: list[dict], no_timestamp: bool) -> str:
 
 
 def render_csv(rows: list[dict]) -> str:
+    import csv
+
     buf = io.StringIO()
     if rows:
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -112,7 +124,7 @@ def render_text(meta: dict, rows: list[dict], no_timestamp: bool) -> str:
             continue
         lines.append(f"{k}: {v}")
     if not no_timestamp:
-        lines.append(f"generated_at: {datetime.now(timezone.utc).isoformat()}")
+        lines.append(f"generated_at: {_generated_at()}")
     if rows:
         cols = list(rows[0].keys())
         table = [[str(r.get(c, "")) for c in cols] for r in rows]

@@ -10,8 +10,7 @@ orbits from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
 
@@ -48,8 +47,7 @@ def _check_cap(q: int, m: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class CyclotomicCoset:
+class CyclotomicCoset(NamedTuple):
     """Rotation orbit of a digit word; equivalently the orbit of s under
     multiplication by q modulo q^m - 1 (for s strictly between 0 and q^m - 1)."""
 

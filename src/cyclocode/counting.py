@@ -20,10 +20,10 @@ binomial coefficient; |T| is the table's alternating sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 from operator import add, ne, sub
+from typing import NamedTuple
 
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
 
@@ -54,23 +54,28 @@ def _is_prime_power(n: int) -> bool:
     return True  # n itself is prime
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Parameter tuple (q, m, t, a, b).
-
-    q is a prime power >= 2, m >= 1, 0 <= t <= m-1, and 1 <= a, b <= q-1.
-    The counting and dimension layers additionally require b <= a; the
-    bound layer accepts a and b independently but needs m >= 2 and rejects
-    the degenerate zero-code point a = b = q-1, t = 0.
-    """
-
+class _CodeParamsFields(NamedTuple):
     q: int
     m: int
     t: int
     a: int
     b: int
 
-    def __post_init__(self) -> None:
+
+class CodeParams(_CodeParamsFields):
+    """Parameter tuple (q, m, t, a, b).
+
+    q is a prime power >= 2, m >= 1, 0 <= t <= m-1, and 1 <= a, b <= q-1.
+    The counting and dimension layers additionally require b <= a; the
+    bound layer accepts a and b independently but needs m >= 2 and rejects
+    the degenerate zero-code point a = b = q-1, t = 0.
+
+    A NamedTuple whose constructor validates: it unpacks as (q, m, t, a, b)
+    and compares equal to that plain tuple.
+    """
+
+    def __new__(cls, q: int, m: int, t: int, a: int, b: int) -> "CodeParams":
+        self = tuple.__new__(cls, (q, m, t, a, b))
         if not _is_prime_power(self.q):
             raise ParameterError(f"q must be a prime power >= 2, got {self.q}")
         if self.m < 1:
@@ -83,6 +88,7 @@ class CodeParams:
                 raise ParameterError(
                     f"need 1 <= {name} <= q-1, got {name}={v}, q={self.q}"
                 )
+        return self
 
     @property
     def n(self) -> int:
@@ -131,7 +137,7 @@ class CodeParams:
     _twin = cached_property(lambda self: CodeParams(self.q, self.m, self.t, self.b, self.b))
 
     def astuple(self) -> tuple[int, int, int, int, int]:
-        return (self.q, self.m, self.t, self.a, self.b)
+        return tuple(self)
 
 
 #: An admissible occurrence-count pair (k, ell).

@@ -21,7 +21,7 @@ again giving two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cosets import DefiningSet, _check_cap, union_cosets
 from .counting import CodeParams, closed_size_T
@@ -160,20 +160,26 @@ def bch_set(q: int, m: int, delta: int) -> DefiningSet:
     return union_cosets(range(1, delta), q, m)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    """Dimension of the length-q^m extended code and its cyclic version
-    (they coincide), with the BCH identification when a = q-1."""
-
+class _DimensionReportFields(NamedTuple):
     params: CodeParams
     size_T: int
     dim: int
     is_bch: bool
     delta: int | None
 
-    def __post_init__(self) -> None:
+
+class DimensionReport(_DimensionReportFields):
+    """Dimension of the length-q^m extended code and its cyclic version
+    (they coincide), with the BCH identification when a = q-1."""
+
+    __slots__ = ()
+
+    def __new__(cls, params: CodeParams, size_T: int, dim: int, is_bch: bool,
+                delta: int | None) -> "DimensionReport":
+        self = tuple.__new__(cls, (params, size_T, dim, is_bch, delta))
         if self.dim != self.params.q**self.params.m - self.size_T:
             raise ConsistencyError("dimension must equal q^m - |T|")
+        return self
 
 
 def dimension(params: CodeParams) -> DimensionReport:

@@ -33,11 +33,10 @@ are identical across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import getitem, xor
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cosets import DefiningSet, coset_of
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
@@ -83,19 +82,24 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class _PolynomialFields(NamedTuple):
+    coeffs: tuple[int, ...]
+
+
+class Polynomial(_PolynomialFields):
     """Polynomial over a base field, coefficients lowest degree first.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, coeffs: tuple[int, ...]) -> "Polynomial":
+        self = tuple.__new__(cls, (coeffs,))
         if self.coeffs and self.coeffs[-1] == 0:
             raise ParameterError("leading coefficient must be nonzero")
+        return self
 
     @property
     def degree(self) -> int:

@@ -26,12 +26,11 @@ rows at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb, gcd
 from operator import xor
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .cosets import DefiningSet, _check_cap, coset_of, leader
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
@@ -162,8 +161,7 @@ def brute_dimension(field: FieldContext, D: DefiningSet) -> int:
     return field.n - _generator(field, D).degree
 
 
-@dataclass(frozen=True)
-class DistanceResult:
+class DistanceResult(NamedTuple):
     """Result of a minimum-weight search.
 
     kind is "exact" when the value is established: every nonzero codeword

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,26 @@ def test_dim_json_and_verify(capsys):
     assert row["delta"] == 18 and row["is_bch"] is True
     assert row["dim_materialized"] == 34
     assert row["dim_generator_degree"] == 34
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_reports_carry_a_utc_timestamp_unless_told_not_to(capsys, fmt):
+    argv = ["coset", "--q", "3", "--m", "4", "--s", "29", "--format", fmt]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    _, plain, _ = run(capsys, *argv, "--no-timestamp")
+    if fmt == "json":
+        doc = json.loads(out)
+        stamp = doc.pop("generated_at")
+        assert doc == json.loads(plain)
+    else:
+        lines = out.splitlines()
+        stamped = [line for line in lines if line.startswith("generated_at: ")]
+        assert len(stamped) == 1
+        stamp = stamped[0].removeprefix("generated_at: ")
+        lines.remove(stamped[0])
+        assert lines == plain.splitlines()
+    assert datetime.fromisoformat(stamp).utcoffset() == timedelta(0)
 
 
 def test_coset_listing(capsys):

@@ -17,16 +17,18 @@ from cyclocode.errors import ConsistencyError, ParameterError
 
 def test_code_params_validation():
     CodeParams(4, 3, 1, 2, 1)  # prime power q is fine
-    with pytest.raises(ParameterError):
-        CodeParams(6, 3, 1, 2, 1)  # not a prime power
-    with pytest.raises(ParameterError):
-        CodeParams(3, 0, 0, 1, 1)
-    with pytest.raises(ParameterError):
-        CodeParams(3, 3, 3, 1, 1)  # t > m-1
-    with pytest.raises(ParameterError):
-        CodeParams(3, 3, 1, 3, 1)  # a > q-1
-    with pytest.raises(ParameterError):
-        CodeParams(3, 3, 1, 1, 0)  # b < 1
+    assert CodeParams(q=4, m=3, t=1, a=2, b=1) == CodeParams(4, 3, 1, 2, 1)
+    for args, message in [
+        ((6, 3, 1, 2, 1), "q must be a prime power >= 2, got 6"),
+        ((3, 0, 0, 1, 1), "m must be >= 1, got 0"),
+        ((3, 3, 3, 1, 1), "need 0 <= t <= m-1, got t=3, m=3"),
+        ((3, 3, 1, 3, 1), "need 1 <= a <= q-1, got a=3, q=3"),
+        ((3, 3, 1, 1, 0), "need 1 <= b <= q-1, got b=0, q=3"),
+        ((3, 3, 1, 2, 3), "need 1 <= b <= q-1, got b=3, q=3"),
+    ]:
+        with pytest.raises(ParameterError) as info:
+            CodeParams(*args)
+        assert str(info.value) == message
 
 
 def test_counting_regime_requires_b_le_a():

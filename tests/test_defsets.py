@@ -9,6 +9,7 @@ from cyclocode.bounds import max_zero_prefix
 from cyclocode.cosets import DEFAULT_INDEX_CAP, DefiningSet, union_cosets
 from cyclocode.counting import CodeParams, closed_size_T
 from cyclocode.defsets import (
+    DimensionReport,
     bch_set,
     build_T,
     descendant_closure,
@@ -168,6 +169,13 @@ def test_dimension_examples():
 def test_dimension_rejects_zero_code():
     with pytest.raises(ZeroCodeError):
         dimension(CodeParams(3, 3, 0, 2, 2))
+
+
+def test_dimension_report_checks_dim_against_size_T():
+    p = CodeParams(3, 4, 1, 2, 1)
+    assert DimensionReport(p, 47, 34, True, 18) == dimension(p)
+    with pytest.raises(ConsistencyError, match=r"^dimension must equal q\^m - \|T\|$"):
+        DimensionReport(params=p, size_T=47, dim=35, is_bch=True, delta=18)
 
 
 def test_dimension_rejects_n_in_T(monkeypatch):

@@ -364,7 +364,7 @@ def test_polynomial_type():
     p = Polynomial((1, 0, 1))
     assert p.degree == 2
     assert Polynomial(()).degree == -1
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^leading coefficient must be nonzero$"):
         Polynomial((1, 0))
 
 

@@ -16,8 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cyclocode
 import cyclocode.cli  # noqa: F401  (the benchmark imports it the same way)
+from cyclocode import bounds, cosets, defsets, galois, oracle
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = str(Path(cyclocode.__file__).resolve().parents[1])
@@ -264,3 +267,64 @@ def test_every_memo_is_bounded_but_the_documented_ones():
     assert memos["galois.small_tables"] == 32
     assert memos["galois.minimal_polynomial"] == 256
     assert memos["oracle._ideal_word"] == 32
+
+
+# Modules the package must not load at start: dataclasses and inspect are
+# slow to import, and the report formats' modules are loaded by the renderer
+# that needs them.
+NOT_LOADED_AT_START = ("csv", "dataclasses", "datetime", "inspect", "json")
+
+
+def test_start_up_imports_no_record_or_report_format_module():
+    code = (f"import sys; sys.path.insert(0, {SRC!r}); "
+            "import cyclocode; from cyclocode import cli; cli.build_parser(); "
+            f"print(sorted(set(sys.modules) & set({NOT_LOADED_AT_START!r})))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# Every record of the package, with its fields in order.
+RECORD_FIELDS = {
+    "AuditRow": ("params", "case_id", "stated", "certified", "verified_ok", "mode",
+                 "mismatch"),
+    "BoundCertificate": ("case_id", "v", "z", "s_set", "s_size", "s_min", "s_max",
+                         "claimed_bound"),
+    "CodeParams": ("q", "m", "t", "a", "b"),
+    "CyclotomicCoset": ("leader", "elements"),
+    "DimensionReport": ("params", "size_T", "dim", "is_bch", "delta"),
+    "DistanceResult": ("kind", "value", "enumerated", "route", "count"),
+    "Polynomial": ("coeffs",),
+    "VerificationResult": ("passed", "mode", "conditions", "certified_bound", "checked"),
+}
+
+
+def _record(name: str):
+    p = cyclocode.CodeParams(3, 4, 1, 2, 1)
+    field = cyclocode.field_make(2, 3)
+    make = {
+        "AuditRow": lambda: bounds.audit(p),
+        "BoundCertificate": lambda: bounds.build_certificate(p),
+        "CodeParams": lambda: p,
+        "CyclotomicCoset": lambda: cosets.coset_of(29, 3, 4),
+        "DimensionReport": lambda: defsets.dimension(p),
+        "DistanceResult": lambda: oracle.dual_min_distance(
+            field, defsets.build_T(cyclocode.CodeParams(2, 3, 1, 1, 1))),
+        "Polynomial": lambda: galois.minimal_polynomial(field, 1),
+        "VerificationResult": lambda: bounds.verify_certificate(bounds.build_certificate(p), p),
+    }
+    return make[name]()
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_records_are_read_only_tuples_of_their_fields(name):
+    record = _record(name)
+    fields = RECORD_FIELDS[name]
+    assert type(record).__name__ == name
+    values = tuple(getattr(record, f) for f in fields)
+    # a record unpacks in field order and equals the plain tuple of its fields
+    assert tuple(record) == values and record == values
+    assert repr(record) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for f, v in zip(fields, values):
+        with pytest.raises(AttributeError):
+            setattr(record, f, v)
