@@ -18,9 +18,12 @@ neither side fits, Chen's cyclic Brouwer-Zimmermann walk bounds the
 dual's minimum weight from below, ceil(n(w+1)/k) after level w, on one
 window of k consecutive coordinates, until the lightest codeword found
 meets the bound; it takes cyclic codes and their extensions only, and
-checks the shift.  Every walk weighs codewords by popcount: over GF(2) of
-bit masks, over other fields of one-hot words, a table of combinations of
-rows at a time.
+checks the shift.  The extended dual's distance is derived from the cyclic
+dual's result, without a walk, when the affine group provably acts on the
+extended code: it is transitive on the coordinates, and the cyclic dual is
+the extended dual shortened at the parity coordinate.  Every walk weighs
+codewords by popcount: over GF(2) of bit masks, over other fields of
+one-hot words, a table of combinations of rows at a time.
 """
 
 from __future__ import annotations
@@ -172,7 +175,11 @@ class DistanceResult(NamedTuple):
     "dual-enumeration" walks the dual itself, "macwilliams" walks the
     primal code and transforms its weight distribution, and
     "brouwer-zimmermann" runs Chen's cyclic walk, minimum_weight, on the
-    dual rows.  enumerated counts the codewords generated, never more than
+    dual rows.  "affine-transitive" derives an extended dual's result from
+    the cyclic dual's exact one, as dual_min_distance sets out, and
+    generates no codeword: its enumerated is 0, its kind and value are the
+    cyclic ones, and its count is None exactly when the cyclic count is.
+    Elsewhere enumerated counts the codewords generated, never more than
     DEFAULT_DISTANCE_BUDGET.  On the two exhaustive routes the k-dimensional
     side walked is covered in full either way.  Walked modulo the shift it
     generates 2 q^(k-m) - 1 codewords: W' and the coset e + W', less the
@@ -734,14 +741,74 @@ def minimum_weight(field: FieldContext, rows: list[list[int]]) -> DistanceResult
 def dual_min_distance(
     field: FieldContext, D: DefiningSet, extended: bool = False
 ) -> DistanceResult:
-    """Minimum nonzero weight of the dual code, by the first of three routes
-    that applies.
+    """Minimum nonzero weight of the dual code.
 
-    With extended=False the code is the cyclic one on [1, n-1] exponents of
-    D; with extended=True it is the length-(n+1) extension (defining set
-    including 0), and its dual is the parity extension of the cyclic dual
-    plus the all-ones word, so both sides are extended cyclic codes, laid
-    out alike by _sides and _rows.  When the primal code has strictly fewer
+    With extended=False the code is the cyclic one C on [1, n-1] exponents
+    of D, and _dual_walk walks its dual by the first of three routes that
+    applies.  _cyclic_dual memoizes that result by (field, D,
+    DEFAULT_DISTANCE_BUDGET), so a repeated call returns the walk's result,
+    its enumerated included, and no answer is served under another budget.
+
+    With extended=True the code is the length-(n+1) extension E of C
+    (defining set including 0).  _probe_verdict first decides exactly
+    whether the affine group acts on E, and so on the dual of E; a
+    field/set mismatch raises ParameterError there.  That group is
+    transitive on the q^m coordinates, and the cyclic dual is the dual of E
+    shortened at the parity coordinate.  So the cyclic dual has
+    (q^m - w)/q^m times as many words of each weight w as the dual of E,
+    and the two share d (MacWilliams & Sloane 1977, ch. 8).  When the
+    verdict is True, the cyclic dual is nontrivial and its memoized result
+    is "exact", the extended result is derived from it by
+    _affine_transitive, with no walk: route "affine-transitive".  The
+    distance then rests on the exact verdict and on nothing weaker.
+    Otherwise _dual_walk walks the extended dual: when the verdict is
+    False, when the cyclic dual is trivial (the extended dual is then the
+    code of the all-ones word), or when the cyclic result is
+    "budget-exhausted".
+    """
+    if not extended:
+        return _cyclic_dual(field, D, DEFAULT_DISTANCE_BUDGET)
+    if _probe_verdict(field, D) and _generator(field, D).degree:
+        cyclic = _cyclic_dual(field, D, DEFAULT_DISTANCE_BUDGET)
+        if cyclic.kind == "exact":
+            return _affine_transitive(field, cyclic)
+    return _dual_walk(field, D, True)
+
+
+@lru_cache(maxsize=32)
+def _cyclic_dual(field: FieldContext, D: DefiningSet, budget: int) -> DistanceResult:
+    """_dual_walk of the cyclic dual, memoized by (field, D, budget) for
+    the 32 most recent triples, so that a code's cyclic and extended
+    distance cost one walk.  budget is the DEFAULT_DISTANCE_BUDGET the walk
+    reads, a key only; an exception is not memoized."""
+    return _dual_walk(field, D, False)
+
+
+def _affine_transitive(field: FieldContext, cyclic: DistanceResult) -> DistanceResult:
+    """The extended dual's result derived from the cyclic dual's exact one,
+    under an affine group that is transitive on the q^m coordinates: the
+    same kind and value, enumerated 0, and count A_d q^m / (q^m - d) for
+    the cyclic dual's A_d words of weight d, or None when the cyclic count
+    is.  Raises ConsistencyError unless q^m - d divides A_d q^m."""
+    count = None
+    if cyclic.count is not None:
+        length = field.n + 1
+        count, rem = divmod(cyclic.count * length, length - cyclic.value)
+        if rem:
+            raise ConsistencyError(
+                f"{cyclic.count} cyclic dual words of weight {cyclic.value} times {length} "
+                f"is no multiple of {length - cyclic.value}")
+    return DistanceResult(cyclic.kind, cyclic.value, 0, "affine-transitive", count)
+
+
+def _dual_walk(field: FieldContext, D: DefiningSet, extended: bool) -> DistanceResult:
+    """Minimum nonzero weight of the dual code, cyclic or with
+    extended=True of the extension, by the first of three routes that
+    applies.
+
+    The extended dual is the parity extension of the cyclic dual plus the
+    all-ones word, so both sides are extended cyclic codes, laid out alike
+    by _sides and _rows.  When the primal code has strictly fewer
     codewords than the dual and all q^k - 1 of its nonzero ones fit
     DEFAULT_DISTANCE_BUDGET, its weight distribution is taken and the
     MacWilliams identities give the dual's (route "macwilliams").
@@ -756,9 +823,7 @@ def dual_min_distance(
     Otherwise minimum_weight runs Chen's cyclic Brouwer-Zimmermann walk on
     the dual rows (route "brouwer-zimmermann"); only this route can end
     "budget-exhausted", and it leaves count None.  The walks use the cyclic
-    shift, which they check; the affine group is not used: verify decides
-    that invariance exactly, by affine_invariance_probe, and the distance
-    must not rest on it.
+    shift, which they check, and not the affine group.
     """
     sides = _sides(field, D, extended)
     rows = [_rows(field, poly, extended) for poly, _ in sides]
@@ -822,6 +887,9 @@ def affine_invariance_probe(
     that has built it already passes it as defining_set.  defining_set also
     overrides it with a deliberately broken (non-descendant-closed) set,
     which is how the check is given negative controls.
+
+    dual_min_distance(extended=True) rests on a True verdict: under it the
+    extended dual's distance is derived from the cyclic dual's walk.
 
     The verdict depends on (field, T) alone, so _probe_verdict memoizes it
     by that pair for the 32 most recent pairs, the bound _generator keeps

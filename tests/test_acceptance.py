@@ -386,7 +386,9 @@ EXACT_DISTANCE_INSTANCES = [
 class DualDistances:
     """Both dual distances of one instance, with the dimensions of the sides
     the oracle may walk: |T| - 1 for the cyclic dual, |T| for the extended
-    dual, and n - |T| + 1 for either primal code."""
+    dual, and n - |T| + 1 for either primal code.  The extended one comes
+    from a walk of the extended dual's own side, oracle._dual_walk, never
+    from the cyclic one that dual_min_distance derives it from."""
 
     cyclic: DistanceResult
     extended: DistanceResult
@@ -409,7 +411,8 @@ def exact_dual_distances() -> dict[tuple[int, ...], DualDistances]:
             assert codewords <= DEFAULT_DISTANCE_BUDGET, (tup, extended, k)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", codewords)
-                results.append(dual_min_distance(field, T, extended=extended))
+                walk = oracle._dual_walk if extended else dual_min_distance
+                results.append(walk(field, T, extended))
         out[tup] = DualDistances(*results, k_cyclic, k_extended, field.n - k_cyclic)
     return out
 
@@ -526,6 +529,11 @@ def test_criterion_11_extended_equals_cyclic_dual_distance(exact_dual_distances)
         d_cyc = _exact_value(tup, dd, False)
         d_ext = _exact_value(tup, dd, True)
         assert d_cyc == d_ext, f"{tup}: cyclic {d_cyc} != extended {d_ext}"
+        # the public extended call derives d and its count from the cyclic
+        # walk, and both agree with the extended dual's own walk
+        p = CodeParams(*tup)
+        derived = dual_min_distance(field_make(p.q, p.m), build_T(p), extended=True)
+        assert derived == ("exact", d_ext, 0, "affine-transitive", dd.extended.count), tup
 
 
 def test_criterion_11_both_routes_give_one_dual_distribution():
@@ -533,18 +541,22 @@ def test_criterion_11_both_routes_give_one_dual_distribution():
     budget, the dual's enumerated distribution equals the MacWilliams
     transform of the primal's.  Where the primal has too many codewords to
     walk (up to 3^76), the transform of the dual's distribution must still
-    be the distribution of a q^k-word code: integral, with one zero word."""
+    be the distribution of a q^k-word code: integral, with one zero word.
+    And the cyclic dual's distribution is the extended dual's shortened at
+    the parity coordinate under a transitive group, weight by weight."""
     compared = []
     for tup in EXACT_DISTANCE_INSTANCES:
         q = tup[0]
         field = field_make(q, tup[1])
         T = build_T(CodeParams(*tup))
+        duals = []
         for extended in (False, True):
             primal, dual = code_rows(field, T, extended)
             length = len(dual[0])
             B = weight_distribution(field, dual)
             assert sum(B.values()) == q ** len(dual) - 1, (tup, extended)
             B = {0: 1, **B}
+            duals.append(B)
             if q ** len(primal) - 1 <= DEFAULT_DISTANCE_BUDGET:
                 A = weight_distribution(field, primal)
                 assert sum(A.values()) == q ** len(primal) - 1, (tup, extended)
@@ -554,6 +566,14 @@ def test_criterion_11_both_routes_give_one_dual_distribution():
             else:
                 A = macwilliams(q, length, B)
                 assert A[0] == 1 and sum(A.values()) == q ** len(primal), (tup, extended)
+        # the affine group is transitive on the q^m coordinates of the
+        # extended dual, and the cyclic dual is it shortened at the parity:
+        # A_w(cyclic) = A_w(extended) (q^m - w) / q^m at every weight w
+        cyclic, ext = duals
+        size = field.n + 1
+        for w in range(size + 1):
+            shortened, rem = divmod(ext.get(w, 0) * (size - w), size)
+            assert rem == 0 and shortened == cyclic.get(w, 0), (tup, w)
     # every instance but (2,5,4,1,1) and the six with q = 3, m >= 3
     assert len(compared) == 2 * 11
 
@@ -590,9 +610,14 @@ def test_case8_verdicts_from_exact_distances(tup, case, d, stated, certified, ve
     p = CodeParams(*tup)
     field = field_make(p.q, p.m)
     T = build_T(p)
-    for extended in (False, True):
-        res = dual_min_distance(field, T, extended=extended)
+    walks = [oracle._dual_walk(field, T, extended) for extended in (False, True)]
+    for res in walks:
         assert (res.kind, res.route, res.value) == ("exact", route, d), (tup, res)
+    # the public calls: the cyclic walk's result, and the extended one
+    # derived from it
+    assert dual_min_distance(field, T) == walks[0]
+    ext = dual_min_distance(field, T, extended=True)
+    assert (ext.kind, ext.route, ext.value) == ("exact", "affine-transitive", d), (tup, ext)
     assert classify_case(p) == case
     assert stated_bound(p) == stated
     result = verify_certificate(build_certificate(p), p)

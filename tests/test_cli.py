@@ -388,6 +388,7 @@ def test_generator_off_x_n_minus_1_exits_5(monkeypatch, capsys):
     # no command takes dual distances, so a stand-in for dim does; x^2 + 1
     # = (x + 1)^2 does not divide the square-free x^15 - 1 over GF(2)
     monkeypatch.setattr(cli.oracle, "_generator", lambda field, D: Polynomial((1, 0, 1)))
+    cli.oracle._cyclic_dual.cache_clear()  # a memoized distance would skip the generator
 
     def distance(args):
         params = cli._params_from_args(args)

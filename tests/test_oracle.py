@@ -32,6 +32,17 @@ from cyclocode.oracle import (
     weight_distribution,
 )
 
+
+@pytest.fixture(autouse=True)
+def _fresh_oracle_memos():
+    """Every test starts from empty oracle memos, so a count of walks or of
+    cache hits, and a check that a patched helper is reached, does not
+    depend on which tests ran before it."""
+    for memo in (oracle._cyclic_dual, oracle._probe_verdict, oracle._generator,
+                 oracle._ideal_word):
+        memo.cache_clear()
+
+
 T_LISTING_3_4_1_2_1 = [
     0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19,
     21, 24, 27, 28, 29, 30, 31, 32, 33, 36, 37, 39, 42, 45, 46, 48, 51, 54,
@@ -110,11 +121,15 @@ def test_dual_min_distance_examples():
     T = build_T(CodeParams(2, 4, 2, 1, 1))
     res = dual_min_distance(F, T)
     assert (res.kind, res.value) == ("exact", 4)
-    ext = dual_min_distance(F, T, extended=True)
+    ext = oracle._dual_walk(F, T, extended=True)
     assert (ext.kind, ext.value) == ("exact", 4)
     # the primal [15, 7] walked modulo the shift: 2 * 2^(7 - 4) - 1 codewords
     assert (res.route, res.enumerated, ext.route, ext.enumerated) == (
         "macwilliams", 15, "macwilliams", 15)
+    # the public extended call derives the walk's result from the cyclic
+    # one, 15 words of weight 4 times 16 / (16 - 4), and walks nothing
+    assert dual_min_distance(F, T, extended=True) == ("exact", 4, 0, "affine-transitive", 20)
+    assert ext.count == 20
     # (2,4,3,1,1): dual dimension 4 against primal 11, so the dual is walked.
     # It is the simplex code, one minimal ideal: W' = 0, and the n shifts of
     # e are its 15 nonzero words, all of weight 8
@@ -135,16 +150,24 @@ def test_dual_min_distance_budget(monkeypatch):
     # dual, 8 codewords, finds weight 4 and proves ceil(15 * 2 / 8) = 4; the
     # [16, 9] extended dual needs its 9 codewords for ceil(15 * 2 / 9) = 4
     T = build_T(CodeParams(2, 4, 2, 1, 1))
-    got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    got = [dual_min_distance(F, T), oracle._dual_walk(F, T, extended=True)]
     assert [(r.kind, r.value, r.route, r.count, r.enumerated) for r in got] == [
         ("exact", 4, "brouwer-zimmermann", None, 8),
         ("exact", 4, "brouwer-zimmermann", None, 9),
     ]
-    # a budget that ends inside that walk leaves only an upper bound
+    # the public extended call derives d from the cyclic walk, count None
+    assert dual_min_distance(F, T, extended=True) == (
+        "exact", 4, 0, "affine-transitive", None)
+    # a budget that ends inside that walk leaves only an upper bound; the
+    # exact answer memoized under the budget of 100 is not served under 7
     monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 7)
     res = dual_min_distance(F, T)
     assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 7)
     assert res.value >= 4
+    # and the extended call then walks its own dual, as it did before
+    ext = dual_min_distance(F, T, extended=True)
+    assert ext == oracle._dual_walk(F, T, extended=True)
+    assert (ext.kind, ext.route, ext.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 7)
     # (3,3,2,2,2): the [26, 6] cyclic dual, d = 15, stops after level 3,
     # 6 + 30 + 80 codewords: ceil(26 * 3 / 6) = 13 < 15 <= ceil(26 * 4 / 6)
     F3 = field_make(3, 3)
@@ -167,6 +190,10 @@ def test_dual_min_distance_nonbinary():
     assert (res.kind, res.route, res.enumerated) == ("exact", "dual-enumeration", 2 * 3**3 - 1)
     ext = dual_min_distance(F, T, extended=True)
     assert ext.kind == "exact" and ext.value == res.value
+    # 312 words of weight 15 times 27 / (27 - 15), as the [27, 7] walk counts
+    assert (ext.route, ext.enumerated, ext.count) == ("affine-transitive", 0, 702)
+    walked = oracle._dual_walk(F, T, extended=True)
+    assert (walked.kind, walked.value, walked.count) == ("exact", res.value, 702)
 
 
 def _orbit_sides(q, top, words):
@@ -222,8 +249,14 @@ def test_orbit_walk_falls_back_without_a_primitive_nonzero(monkeypatch):
     # primal is walked whole, both codes
     T = build_T(CodeParams(2, 4, 1, 1, 1))
     got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    # the extended call derives its result from the cyclic walk, whose
+    # memoized result it reads: one walk for the pair of calls
     assert [(r.route, r.enumerated, r.count) for r in got] == [
-        ("macwilliams", 1, 105), ("macwilliams", 1, 120)]
+        ("macwilliams", 1, 105), ("affine-transitive", 0, 120)]
+    assert calls == {1: 1}
+    # the extended primal walked directly counts the same 120 words
+    res = oracle._dual_walk(F, T, extended=True)
+    assert (res.route, res.enumerated, res.count) == ("macwilliams", 1, 120)
     assert calls == {1: 2}
     # the [15, 7] primal has alpha^0 and the coset of 7 as nonzeros: orbit
     calls.clear()
@@ -319,10 +352,13 @@ def test_orbit_distribution_checks_its_walks(extended):
 def test_a_wrong_coset_fails_the_macwilliams_check(monkeypatch, point, extended, route):
     # e moved off M_s by one unit coordinate: the orbit identity then gives
     # q^k words that are not a code's distribution, and the transform on
-    # either route refuses it
+    # either route refuses it.  The extended case walks the extended dual
+    # itself, which the public call would derive from the cyclic one
     F = field_make(point[0], point[1])
     T = build_T(CodeParams(*point))
-    assert dual_min_distance(F, T, extended).route == route
+    distance = oracle._dual_walk if extended else dual_min_distance
+    assert distance(F, T, extended).route == route
+    oracle._cyclic_dual.cache_clear()  # the patched call walks again
     word = oracle._word
 
     def moved(field, e, extended):
@@ -332,7 +368,7 @@ def test_a_wrong_coset_fails_the_macwilliams_check(monkeypatch, point, extended,
 
     monkeypatch.setattr(oracle, "_word", moved)
     with pytest.raises(ConsistencyError, match="MacWilliams sum"):
-        dual_min_distance(F, T, extended)
+        distance(F, T, extended)
 
 
 def test_dual_route_transform_must_give_the_primal_size(monkeypatch):
@@ -358,6 +394,7 @@ def test_primal_route_transform_must_give_the_dual_size(monkeypatch):
     short = {0: 1, **weight_distribution(F, primal[:-1])}
     monkeypatch.setattr(oracle, "_side_distribution",
                         lambda field, rows, side, extended: (short, 0))
+    oracle._cyclic_dual.cache_clear()  # the patched call walks again
     with pytest.raises(ConsistencyError, match="not 1 and 2\\^8"):
         dual_min_distance(F, T)
 
@@ -471,11 +508,14 @@ def test_brouwer_zimmermann_result_at_2_6_3_1_1():
     # extended walk needs level 5 to prove ceil(63 * 6 / 25) = 16 > 14
     F = field_make(2, 6)
     T = build_T(CodeParams(2, 6, 3, 1, 1))
-    got = [dual_min_distance(F, T, extended) for extended in (False, True)]
+    got = [dual_min_distance(F, T), oracle._dual_walk(F, T, extended=True)]
     assert [(r.kind, r.value, r.enumerated, r.route) for r in got] == [
         ("exact", 14, 12950, "brouwer-zimmermann"),
         ("exact", 14, 68405, "brouwer-zimmermann"),
     ]
+    # the public extended call derives d = 14 from the cyclic walk instead
+    assert dual_min_distance(F, T, extended=True) == (
+        "exact", 14, 0, "affine-transitive", None)
 
 
 def test_walk_matches_the_distribution():
@@ -607,8 +647,52 @@ def test_macwilliams_rejects_a_corrupted_distribution(A, reason):
 
 def test_dual_min_distance_rejects_mismatched_field():
     F = field_make(2, 4)
-    with pytest.raises(ParameterError):
-        dual_min_distance(F, DefiningSet.from_members(2, 3, [1, 2, 4]))
+    for extended in (False, True):
+        with pytest.raises(ParameterError):
+            dual_min_distance(F, DefiningSet.from_members(2, 3, [1, 2, 4]), extended)
+
+
+def test_extended_distance_walks_without_the_affine_verdict(monkeypatch):
+    # the coset of 1 dropped from T(2,4,2,1,1): the affine group does not act
+    # on the extended code, whose dual has d = 4 against the cyclic dual's 6,
+    # so deriving one from the other would be wrong; the extended dual is
+    # walked, and the public call equals that walk
+    F = field_make(2, 4)
+    broken = union_cosets([0, 3], 2, 4)
+    assert not oracle._probe_verdict(F, broken)
+    walks = []
+    walk = oracle._dual_walk
+    monkeypatch.setattr(oracle, "_dual_walk",
+                        lambda field, D, extended: walks.append(extended) or walk(field, D, extended))
+    cyclic, ext = (dual_min_distance(F, broken, extended) for extended in (False, True))
+    assert walks == [False, True]
+    assert ext == walk(F, broken, True) == ("exact", 4, 31, "dual-enumeration", 5)
+    assert (cyclic.kind, cyclic.value) == ("exact", 6)
+
+
+def test_extended_distance_of_a_trivial_cyclic_dual_is_the_all_ones_code():
+    # D = {0}: the cyclic code is all of GF(2)^15 and its dual is zero, so the
+    # cyclic call refuses; the extended dual is the code of the all-ones word
+    F = field_make(2, 4)
+    D = DefiningSet.from_members(2, 4, [0])
+    with pytest.raises(ParameterError, match="trivial"):
+        dual_min_distance(F, D)
+    assert dual_min_distance(F, D, extended=True) == ("exact", 16, 1, "dual-enumeration", 1)
+
+
+def test_derived_count_must_divide_exactly(monkeypatch):
+    # the [15, 8] cyclic dual of (2,4,2,1,1) has 15 words of weight 4, and
+    # 15 * 16 / 12 = 20; one word more, 16 * 16 = 256, is no multiple of 12:
+    # no group transitive on 16 coordinates fits, and the call stops with
+    # the ConsistencyError that the command line turns into exit status 5
+    F = field_make(2, 4)
+    T = build_T(CodeParams(2, 4, 2, 1, 1))
+    cyclic = dual_min_distance(F, T)
+    assert cyclic.count == 15
+    monkeypatch.setattr(oracle, "_cyclic_dual",
+                        lambda field, D, budget: cyclic._replace(count=16))
+    with pytest.raises(ConsistencyError, match="16 cyclic dual words of weight 4"):
+        dual_min_distance(F, T, extended=True)
 
 
 def test_affine_invariance_probe_accepts_closed_sets():
