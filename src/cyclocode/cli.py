@@ -377,69 +377,82 @@ def cmd_gen_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_point(params: CodeParams) -> list[tuple[str, str]]:
+def _verify_point(params: CodeParams, codes: dict | None = None) -> list[tuple[str, str]]:
     """Returns (check_name, mismatch_description) pairs; empty description
-    means pass."""
+    means pass.
+
+    With b <= a, codes[params.normalized()] keeps the outcomes of the
+    code-level checks, name -> "" or the mismatch without the point.  They
+    read the point through params.normalized(), or read no a where that
+    differs (t = m - 1), so the first point of a key runs them and the
+    later ones reuse them.  The prefix and certificate checks read a."""
     out: list[tuple[str, str]] = []
     q, m, t, a, b = params.astuple()
     # the reflection check (b <= a) and the prefix scan (m >= 2) share it;
     # every point of verify's grid runs at least one of them
     Tperp = defsets.dual_set_pattern(params)
+    known = {} if b > a or codes is None else codes.setdefault(params.normalized(), {})
 
-    def record(name: str, ok: bool, detail: Callable[[], str]) -> None:
+    def check(name: str, ok: bool, detail: Callable[[], str]) -> None:
         # the detail is formatted only for a failed check
-        out.append((name, "" if ok else detail()))
+        known[name] = "" if ok else detail()
 
-    if b <= a:
+    if b <= a and not known:
         T = defsets.build_T(params)
         bT = oracle.brute_T(params)
-        record("defining-set: pattern vs definition", T == bT,
-               lambda: f"{params.astuple()}: pattern build differs from definitional build")
+        check("defining-set: pattern vs definition", T == bT,
+              lambda: "pattern build differs from definitional build")
         closed = counting.closed_size_T(params)
-        record("set size: closed form vs enumeration", closed == len(bT),
-               lambda: f"{params.astuple()}: closed {closed} != enumerated {len(bT)}")
+        check("set size: closed form vs enumeration", closed == len(bT),
+              lambda: f"closed {closed} != enumerated {len(bT)}")
         sizes = counting.class_sizes(params)
         census = oracle.brute_class_census(params)
         ok = all(census.get(kl, 0) == v for kl, v in sizes.items()) and set(
             census
         ) <= set(sizes)
-        record("class sizes: inversion vs census", ok,
-               lambda: f"{params.astuple()}: {sizes} vs {census}")
-        record("descendant closure fixed point",
-               defsets.descendant_closure(T) == T,
-               lambda: f"{params.astuple()}: T is not descendant-closed")
-        record("dual set: pattern vs reflection",
-               Tperp == defsets.dual_set(T),
-               lambda: f"{params.astuple()}: dual pattern build differs from reflection")
-        if a == q - 1 and not params.is_degenerate:
+        check("class sizes: inversion vs census", ok, lambda: f"{sizes} vs {census}")
+        check("descendant closure fixed point", defsets.descendant_closure(T) == T,
+              lambda: "T is not descendant-closed")
+        check("dual set: pattern vs reflection", Tperp == defsets.dual_set(T),
+              lambda: "dual pattern build differs from reflection")
+        # at t = m - 1 a later point of the key has a = q - 1
+        if (a == q - 1 or t == m - 1) and not params.is_degenerate:
             bch = defsets.bch_set(q, m, params.designed_distance)
             ok = T.difference(defsets.DefiningSet.from_members(q, m, [0])) == bch
-            record("BCH identity", ok,
-                   lambda: f"{params.astuple()}: T minus 0 differs from the BCH set")
+            check("BCH identity", ok, lambda: "T minus 0 differs from the BCH set")
+        if (
+            params.index_size <= 512
+            and has_builtin_modulus(q, m)
+            and not params.is_degenerate
+        ):
+            field = field_make(q, m)
+            rep = defsets.dimension(params)
+            bd = oracle.brute_dimension(field, T)
+            check("dimension: closed form vs generator degree", rep.dim == bd,
+                  lambda: f"closed {rep.dim} != degree-based {bd}")
+            if params.index_size <= 128:
+                ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
+                check("affine invariance probe", ok,
+                      lambda: "a generator row moved by x -> x + 1 left the code")
+
+    def record(name: str, text: str) -> None:
+        out.append((name, text and f"{params.astuple()}: {text}"))
+
+    late = ("dimension: closed form vs generator degree", "affine invariance probe")
+    for name, text in known.items():
+        if name not in late and (name != "BCH identity" or a == q - 1):
+            record(name, text)
     if m >= 2 and not params.is_degenerate:
         vf = bounds.max_zero_prefix(params)
         vb = oracle.brute_max_prefix(Tperp)
-        record("zero prefix: formula vs scan", vf == vb,
-               lambda: f"{params.astuple()}: formula {vf} != scan {vb}")
+        record("zero prefix: formula vs scan", "" if vf == vb else f"formula {vf} != scan {vb}")
         cert = bounds.build_certificate(params)
         res = bounds.verify_certificate(cert, params)
-        record("certificate conditions", res.passed,
-               lambda: f"{params.astuple()}: {[c for c in res.conditions if not c[1]]}")
-    if (
-        b <= a
-        and params.index_size <= 512
-        and has_builtin_modulus(q, m)
-        and not params.is_degenerate
-    ):
-        field = field_make(q, m)
-        rep = defsets.dimension(params)
-        bd = oracle.brute_dimension(field, T)
-        record("dimension: closed form vs generator degree", rep.dim == bd,
-               lambda: f"{params.astuple()}: closed {rep.dim} != degree-based {bd}")
-        if params.index_size <= 128:
-            ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
-            record("affine invariance probe", ok, lambda: f"{params.astuple()}: a generator "
-                   "row moved by x -> x + 1 left the code")
+        record("certificate conditions",
+               "" if res.passed else str([c for c in res.conditions if not c[1]]))
+    for name in late:
+        if name in known:
+            record(name, known[name])
     return out
 
 
@@ -456,7 +469,8 @@ def cmd_verify(args) -> int:
                         if b <= a or m >= 2:
                             points.append(CodeParams(q, m, t, a, b))
             m += 1
-    results = [_verify_point(p) for p in points]
+    codes: dict = {}  # this run's code-level outcomes, by normalized point
+    results = [_verify_point(p, codes) for p in points]
     passes: dict[str, int] = {}
     failures: list[str] = []
     for point_result in results:

@@ -148,11 +148,11 @@ def segment_class_sizes(params: CodeParams) -> dict[tuple[int, int], int]:
 @lru_cache(maxsize=32)
 def _generator(field: FieldContext, D: DefiningSet) -> Polynomial:
     """g(x) of the cyclic code whose defining set is D minus {0, n},
-    memoized by (field, D) for the 32 most recent pairs, so that a point's
+    memoized by (field, D) for the 32 most recent pairs, so that a code's
     dimension check and its probe share one product of minimal polynomials,
-    and so do points that share a T.  A verify grid repeats T only at
-    t = m - 1, where T depends on b alone, so its asks for one T are at most
-    q - 1 <= 26 distinct pairs apart, and 32 entries keep every repeat."""
+    and so do a code's cyclic and extended distances.  verify checks each
+    code once, so its two asks for one T come back to back: at --max-n 16,
+    152 asks build 76 generators."""
     if (field.q, field.m) != (D.q, D.m):
         raise ParameterError("field and defining set disagree on (q, m)")
     return generator_polynomial(field, [s for s in D if 0 < s < D.n])
@@ -761,7 +761,7 @@ def dual_min_distance(
     is "exact", the extended result is derived from it by
     _affine_transitive, with no walk: route "affine-transitive".  The
     distance then rests on the exact verdict and on nothing weaker.
-    Otherwise _dual_walk walks the extended dual: when the verdict is
+    Otherwise _extended_dual walks the extended dual: when the verdict is
     False, when the cyclic dual is trivial (the extended dual is then the
     code of the all-ones word), or when the cyclic result is
     "budget-exhausted".
@@ -772,7 +772,7 @@ def dual_min_distance(
         cyclic = _cyclic_dual(field, D, DEFAULT_DISTANCE_BUDGET)
         if cyclic.kind == "exact":
             return _affine_transitive(field, cyclic)
-    return _dual_walk(field, D, True)
+    return _extended_dual(field, D, DEFAULT_DISTANCE_BUDGET)
 
 
 @lru_cache(maxsize=32)
@@ -782,6 +782,15 @@ def _cyclic_dual(field: FieldContext, D: DefiningSet, budget: int) -> DistanceRe
     distance cost one walk.  budget is the DEFAULT_DISTANCE_BUDGET the walk
     reads, a key only; an exception is not memoized."""
     return _dual_walk(field, D, False)
+
+
+@lru_cache(maxsize=32)
+def _extended_dual(field: FieldContext, D: DefiningSet, budget: int) -> DistanceResult:
+    """_dual_walk of the extended dual, memoized like _cyclic_dual, so that
+    the points of one code that fall back to it walk once: at m = 1 T
+    depends on b alone, and a walk that ends "budget-exhausted" costs the
+    whole budget at every a."""
+    return _dual_walk(field, D, True)
 
 
 def _affine_transitive(field: FieldContext, cyclic: DistanceResult) -> DistanceResult:
@@ -892,10 +901,11 @@ def affine_invariance_probe(
     extended dual's distance is derived from the cyclic dual's walk.
 
     The verdict depends on (field, T) alone, so _probe_verdict memoizes it
-    by that pair for the 32 most recent pairs, the bound _generator keeps
-    and for the same reason: at t = m - 1 every a gives the same T, and a
-    verify grid asks for one T again within q - 1 <= 26 distinct pairs.  At
-    --max-n 16 the 370 probes compute 76 verdicts.
+    by that pair for the 32 most recent pairs, the bound _generator keeps,
+    and dual_min_distance(extended=True) asks it again for a code that
+    verify or a caller has probed.  verify itself asks once per code: it
+    checks the points of one normalized point once, so at --max-n 16 its
+    370 probe rows come from 76 asks about 76 distinct pairs.
     """
     return _probe_verdict(field, brute_T(params) if defining_set is None else defining_set)
 

@@ -11,6 +11,7 @@ import pytest
 import cyclocode
 from cyclocode import cli
 from cyclocode.cli import main, parse_grid
+from cyclocode.cosets import DefiningSet
 from cyclocode.counting import CodeParams
 from cyclocode.defsets import build_T
 from cyclocode.galois import Polynomial, field_make
@@ -142,6 +143,38 @@ def test_verify_small(capsys):
     assert "defining-set: pattern vs definition" in out
     golden = Path(__file__).parent / "golden" / "verify_max_n_100.txt"
     assert out.encode() == golden.read_bytes()
+
+
+def test_verify_reports_a_shared_fault_at_every_point_of_its_code(monkeypatch, capsys):
+    # brute_T drops 1 from the T of (5,1,0,2,2), the code of the points
+    # a = 2, 3, 4: verify checks that code once, and each of its points
+    # still gets one failure line per failed check, naming its own tuple
+    original = cli.oracle.brute_T
+
+    def faulty(params):
+        T = original(params)
+        if params.normalized() == CodeParams(5, 1, 0, 2, 2):
+            T = DefiningSet.from_members(5, 1, [s for s in T if s != 1])
+        return T
+
+    monkeypatch.setattr(cli.oracle, "brute_T", faulty)
+    code, out, err = run(capsys, "verify", "--max-n", "16", "--no-timestamp")
+    assert code == 4 and "failures: 9" in out
+    assert err.splitlines() == [
+        line
+        for a in (2, 3, 4)
+        for line in (
+            f"defining-set: pattern vs definition: (5, 1, 0, {a}, 2): "
+            "pattern build differs from definitional build",
+            f"set size: closed form vs enumeration: (5, 1, 0, {a}, 2): closed 3 != enumerated 2",
+            f"affine invariance probe: (5, 1, 0, {a}, 2): "
+            "a generator row moved by x -> x + 1 left the code",
+        )
+    ]
+    # a run shares nothing with the one before it
+    monkeypatch.undo()
+    code, out, err = run(capsys, "verify", "--max-n", "16", "--no-timestamp")
+    assert (code, err) == (0, "") and "failures: 0" in out
 
 
 def test_verify_does_not_depend_on_the_seed(capsys):

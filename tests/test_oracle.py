@@ -12,7 +12,14 @@ import cyclocode
 from cyclocode import cli, galois, oracle
 from cyclocode.cosets import DefiningSet, leader, union_cosets
 from cyclocode.counting import CodeParams, class_sizes, closed_size_T
-from cyclocode.defsets import build_T, descendant_closure, dual_set, dual_set_pattern
+from cyclocode.defsets import (
+    bch_set,
+    build_T,
+    descendant_closure,
+    dimension,
+    dual_set,
+    dual_set_pattern,
+)
 from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 from cyclocode.galois import field_make, poly_divmod
 from cyclocode.oracle import (
@@ -38,8 +45,8 @@ def _fresh_oracle_memos():
     """Every test starts from empty oracle memos, so a count of walks or of
     cache hits, and a check that a patched helper is reached, does not
     depend on which tests ran before it."""
-    for memo in (oracle._cyclic_dual, oracle._probe_verdict, oracle._generator,
-                 oracle._ideal_word):
+    for memo in (oracle._cyclic_dual, oracle._extended_dual, oracle._probe_verdict,
+                 oracle._generator, oracle._ideal_word):
         memo.cache_clear()
 
 
@@ -180,6 +187,29 @@ def test_dual_min_distance_budget(monkeypatch):
     res = dual_min_distance(F3, T3)
     assert (res.kind, res.route, res.enumerated) == ("budget-exhausted", "brouwer-zimmermann", 50)
     assert res.value >= 15
+
+
+def test_extended_fallback_walks_once_per_code_and_budget(monkeypatch):
+    # (7,1,0,a,4) is one Reed-Solomon code for a = 4, 5, 6.  Under a budget
+    # of 3 its cyclic walk ends "budget-exhausted", so the extended call
+    # walks the extended dual; a second point of the code reuses that walk
+    F = field_make(7, 1)
+    walks = Counter()
+    walk = oracle._dual_walk
+    monkeypatch.setattr(oracle, "_dual_walk", lambda field, D, extended:
+                        walks.update([extended]) or walk(field, D, extended))
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 3)
+    got = [dual_min_distance(F, build_T(CodeParams(7, 1, 0, a, 4)), extended=True)
+           for a in (5, 6)]
+    assert walks == {False: 1, True: 1}
+    assert got[0] == got[1] == walk(F, build_T(CodeParams(7, 1, 0, 4, 4)), True)
+    assert (got[0].kind, got[0].route, got[0].enumerated) == (
+        "budget-exhausted", "brouwer-zimmermann", 3)
+    # a smaller budget is never served the answer walked under a larger one
+    monkeypatch.setattr(oracle, "DEFAULT_DISTANCE_BUDGET", 2)
+    res = dual_min_distance(F, build_T(CodeParams(7, 1, 0, 6, 4)), extended=True)
+    assert walks == {False: 2, True: 2}
+    assert (res.kind, res.enumerated) == ("budget-exhausted", 2)
 
 
 def test_dual_min_distance_nonbinary():
@@ -865,10 +895,11 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
 
 
 def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, capsys):
-    # at t = m - 1 every a gives the same T, so the 370 probes of
-    # verify --max-n 16 ask about 76 distinct (field, T) pairs; a repeat
-    # comes within q - 1 pairs, so both memos keep it, and each verdict and
-    # each g(x) is computed once (184 generators and 370 verdicts without)
+    # at t = m - 1 every a gives the same T, and verify runs a code's checks
+    # once per normalized point, so its 370 probe rows come from 76 asks
+    # about 76 distinct (field, T) pairs; each verdict and each g(x) is
+    # computed once (184 generators and 370 verdicts without the memos and
+    # the shared checks)
     built = []
     original = oracle.generator_polynomial
 
@@ -889,7 +920,7 @@ def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, caps
     probe.cache_clear()
     assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
     capsys.readouterr()
-    assert len(asked) == 370
+    assert len(asked) == 76
     assert len(built) == 76
     assert probe.cache_info().misses == 76
     pairs = set(asked)
@@ -937,6 +968,43 @@ def test_verify_point_builds_one_dual_set(monkeypatch):
         checks = dict(cli._verify_point(CodeParams(*point)))
         assert all(detail == "" for detail in checks.values()), point
         assert calls == [CodeParams(*point)], point
+
+
+def test_code_level_routes_agree_at_a_point_and_its_normalized_twin(monkeypatch, capsys):
+    # verify runs a code's checks at the first point of params.normalized()
+    # and reuses their outcomes at the later ones.  That is sound because
+    # each route they read gives one result at a point and at its twin:
+    # over the counting-regime points of verify --max-n 16 and the
+    # t = m - 1 rows up to q^m <= 100
+    def grid(top, rows):
+        return [CodeParams(q, m, t, a, b) for q in galois.SUPPORTED_Q
+                for m in range(1, 8) if q**m <= top for t in rows(m)
+                for a in range(1, q) for b in range(1, a + 1)]
+
+    small = grid(16, range)
+    points = set(small + grid(100, lambda m: [m - 1]))
+    assert len(small) == 385 and len({p.normalized() for p in small}) == 91
+
+    def routes(p):
+        T = build_T(p)
+        bch = bch_set(p.q, p.m, p.designed_distance)
+        return (T, brute_T(p), closed_size_T(p), class_sizes(p), brute_class_census(p),
+                dual_set_pattern(p), dimension(p).dim,
+                T.difference(DefiningSet.from_members(p.q, p.m, [0])) == bch)
+
+    twins = [p for p in points if p.normalized() != p]
+    assert len(twins) == 970
+    for p in twins:
+        assert routes(p) == routes(p.normalized()), p
+    # and one verify run asks for each of the 91 codes' sets once
+    calls = Counter()
+    for name in ("brute_T", "brute_class_census"):
+        original = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda p, name=name, original=original:
+                            calls.update([name]) or original(p))
+    assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert calls == {"brute_T": 91, "brute_class_census": 91}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
