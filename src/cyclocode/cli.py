@@ -16,7 +16,7 @@ from itertools import product
 from typing import Callable
 
 from . import bounds, counting, defsets, galois, oracle
-from .cosets import coset_of, union_cosets
+from .cosets import DefiningSet, coset_of
 from .counting import CodeParams
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .galois import SUPPORTED_Q, field_make, has_builtin_modulus
@@ -54,7 +54,8 @@ Example: 'q=2..5;m=2..8;t=*;a=*;b<=a'
 Exit status:
   0  success
   2  parameter error: bad parameters, grid or arguments
-  3  resource limit: a materialization cap, enumeration budget or grid cap
+  3  resource limit: a materialization cap, enumeration budget or grid cap,
+     or a report value longer than the interpreter's int-to-str digit limit
   4  oracle verification mismatch (details on stderr)
   5  internal consistency error: an identity that must hold failed
 """
@@ -136,12 +137,16 @@ def render_text(meta: dict, rows: list[dict], no_timestamp: bool) -> str:
 
 
 def emit(args, meta: dict, rows: list[dict]) -> None:
-    if args.format == "json":
-        out = render_json(meta, rows, args.no_timestamp)
-    elif args.format == "csv":
-        out = render_csv(rows)
-    else:
-        out = render_text(meta, rows, args.no_timestamp)
+    try:
+        if args.format == "json":
+            out = render_json(meta, rows, args.no_timestamp)
+        elif args.format == "csv":
+            out = render_csv(rows)
+        else:
+            out = render_text(meta, rows, args.no_timestamp)
+    except ValueError:  # rendering's one ValueError: str() of an int past the limit
+        raise ResourceLimitError(f"a report value has more than {sys.get_int_max_str_digits()}"
+                                 " digits (the interpreter's int-to-str limit)") from None
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -377,86 +382,54 @@ def cmd_gen_poly(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_point(params: CodeParams, codes: dict | None = None) -> list[tuple[str, str]]:
-    """Returns (check_name, mismatch_description) pairs; empty description
-    means pass.
-
-    With b <= a, codes[params.normalized()] keeps the outcomes of the
-    code-level checks, name -> "" or the mismatch without the point.  They
-    read the point through params.normalized(), or read no a where that
-    differs (t = m - 1), so the first point of a key runs them and the
-    later ones reuse them.  The prefix and certificate checks read a."""
-    out: list[tuple[str, str]] = []
+def _verify_code(params: CodeParams) -> tuple[dict[str, str], DefiningSet]:
+    """The code-level checks, once per code at its normalized point (b <= a),
+    in report order: name -> "" on a pass, else the mismatch without the
+    point; and the dual set they built, which the prefix scan reads.  At
+    t = m - 1 a point of the code has a = q - 1, so the BCH check runs."""
     q, m, t, a, b = params.astuple()
-    # the reflection check (b <= a) and the prefix scan (m >= 2) share it;
-    # every point of verify's grid runs at least one of them
-    Tperp = defsets.dual_set_pattern(params)
-    known = {} if b > a or codes is None else codes.setdefault(params.normalized(), {})
+    out: dict[str, str] = {}
 
     def check(name: str, ok: bool, detail: Callable[[], str]) -> None:
         # the detail is formatted only for a failed check
-        known[name] = "" if ok else detail()
+        out[name] = "" if ok else detail()
 
-    if b <= a and not known:
-        T = defsets.build_T(params)
-        bT = oracle.brute_T(params)
-        check("defining-set: pattern vs definition", T == bT,
-              lambda: "pattern build differs from definitional build")
-        closed = counting.closed_size_T(params)
-        check("set size: closed form vs enumeration", closed == len(bT),
-              lambda: f"closed {closed} != enumerated {len(bT)}")
-        sizes = counting.class_sizes(params)
-        census = oracle.brute_class_census(params)
-        ok = all(census.get(kl, 0) == v for kl, v in sizes.items()) and set(
-            census
-        ) <= set(sizes)
-        check("class sizes: inversion vs census", ok, lambda: f"{sizes} vs {census}")
-        check("descendant closure fixed point", defsets.descendant_closure(T) == T,
-              lambda: "T is not descendant-closed")
-        check("dual set: pattern vs reflection", Tperp == defsets.dual_set(T),
-              lambda: "dual pattern build differs from reflection")
-        # at t = m - 1 a later point of the key has a = q - 1
-        if (a == q - 1 or t == m - 1) and not params.is_degenerate:
-            bch = defsets.bch_set(q, m, params.designed_distance)
-            ok = T.difference(defsets.DefiningSet.from_members(q, m, [0])) == bch
-            check("BCH identity", ok, lambda: "T minus 0 differs from the BCH set")
-        if (
-            params.index_size <= 512
-            and has_builtin_modulus(q, m)
-            and not params.is_degenerate
-        ):
-            field = field_make(q, m)
-            rep = defsets.dimension(params)
-            bd = oracle.brute_dimension(field, T)
-            check("dimension: closed form vs generator degree", rep.dim == bd,
-                  lambda: f"closed {rep.dim} != degree-based {bd}")
-            if params.index_size <= 128:
-                ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
-                check("affine invariance probe", ok,
-                      lambda: "a generator row moved by x -> x + 1 left the code")
-
-    def record(name: str, text: str) -> None:
-        out.append((name, text and f"{params.astuple()}: {text}"))
-
-    late = ("dimension: closed form vs generator degree", "affine invariance probe")
-    for name, text in known.items():
-        if name not in late and (name != "BCH identity" or a == q - 1):
-            record(name, text)
-    if m >= 2 and not params.is_degenerate:
-        vf = bounds.max_zero_prefix(params)
-        vb = oracle.brute_max_prefix(Tperp)
-        record("zero prefix: formula vs scan", "" if vf == vb else f"formula {vf} != scan {vb}")
-        cert = bounds.build_certificate(params)
-        res = bounds.verify_certificate(cert, params)
-        record("certificate conditions",
-               "" if res.passed else str([c for c in res.conditions if not c[1]]))
-    for name in late:
-        if name in known:
-            record(name, known[name])
-    return out
+    T = defsets.build_T(params)
+    bT = oracle.brute_T(params)
+    check("defining-set: pattern vs definition", T == bT,
+          lambda: "pattern build differs from definitional build")
+    closed = counting.closed_size_T(params)
+    check("set size: closed form vs enumeration", closed == len(bT),
+          lambda: f"closed {closed} != enumerated {len(bT)}")
+    sizes = counting.class_sizes(params)
+    census = oracle.brute_class_census(params)
+    ok = all(census.get(kl, 0) == v for kl, v in sizes.items()) and set(census) <= set(sizes)
+    check("class sizes: inversion vs census", ok, lambda: f"{sizes} vs {census}")
+    check("descendant closure fixed point", defsets.descendant_closure(T) == T,
+          lambda: "T is not descendant-closed")
+    Tperp = defsets.dual_set_pattern(params)
+    check("dual set: pattern vs reflection", Tperp == defsets.dual_set(T),
+          lambda: "dual pattern build differs from reflection")
+    if (a == q - 1 or t == m - 1) and not params.is_degenerate:
+        bch = defsets.bch_set(q, m, params.designed_distance)
+        ok = T.difference(DefiningSet.from_members(q, m, [0])) == bch
+        check("BCH identity", ok, lambda: "T minus 0 differs from the BCH set")
+    if params.index_size <= 512 and has_builtin_modulus(q, m) and not params.is_degenerate:
+        field = field_make(q, m)
+        rep = defsets.dimension(params)
+        bd = oracle.brute_dimension(field, T)
+        check("dimension: closed form vs generator degree", rep.dim == bd,
+              lambda: f"closed {rep.dim} != degree-based {bd}")
+        if params.index_size <= 128:
+            ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
+            check("affine invariance probe", ok,
+                  lambda: "a generator row moved by x -> x + 1 left the code")
+    return out, Tperp
 
 
 def cmd_verify(args) -> int:
+    """Each point reports its code's checks, then its own prefix and
+    certificate checks, which read the raw a."""
     if args.max_n < 2:
         raise ParameterError(f"--max-n {args.max_n} < 2 admits no point to check")
     points: list[CodeParams] = []
@@ -469,14 +442,31 @@ def cmd_verify(args) -> int:
                         if b <= a or m >= 2:
                             points.append(CodeParams(q, m, t, a, b))
             m += 1
-    codes: dict = {}  # this run's code-level outcomes, by normalized point
-    results = [_verify_point(p, codes) for p in points]
+    codes: dict[CodeParams, tuple[dict[str, str], DefiningSet]] = {}
     passes: dict[str, int] = {}
     failures: list[str] = []
-    for point_result in results:
-        for name, detail in point_result:
-            if detail:
-                failures.append(f"{name}: {detail}")
+    for params in points:
+        q, m, t, a, b = params.astuple()
+        if b <= a:
+            key = params.normalized()
+            if key not in codes:
+                codes[key] = _verify_code(key)
+            checks, Tperp = codes[key]
+            outcomes = [(name, text) for name, text in checks.items()
+                        if name != "BCH identity" or a == q - 1]
+        else:
+            outcomes, Tperp = [], defsets.dual_set_pattern(params)
+        if m >= 2 and not params.is_degenerate:
+            vf = bounds.max_zero_prefix(params)
+            vb = oracle.brute_max_prefix(Tperp)
+            outcomes.append(("zero prefix: formula vs scan",
+                             "" if vf == vb else f"formula {vf} != scan {vb}"))
+            res = bounds.verify_certificate(bounds.build_certificate(params), params)
+            outcomes.append(("certificate conditions",
+                             "" if res.passed else str([c for c in res.conditions if not c[1]])))
+        for name, text in outcomes:
+            if text:
+                failures.append(f"{name}: {params.astuple()}: {text}")
             else:
                 passes[name] = passes.get(name, 0) + 1
     meta = {"command": "verify", "max_n": args.max_n, "seed": args.seed,

@@ -35,14 +35,14 @@ def _check_range(s: int, q: int, m: int) -> None:
     if q < 2 or m < 1:
         raise ParameterError(f"need q >= 2 and m >= 1, got q={q}, m={m}")
     if not 0 <= s <= q**m - 1:
-        raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
+        raise ParameterError(f"value {s} out of range [0, {q}^{m} - 1]")
 
 
 def _check_cap(q: int, m: int) -> int:
     size = q**m
     if size > DEFAULT_INDEX_CAP:
         raise ResourceLimitError(
-            f"q^m = {size} exceeds the materialization cap {DEFAULT_INDEX_CAP}"
+            f"q^m = {q}^{m} exceeds the materialization cap {DEFAULT_INDEX_CAP}"
         )
     return size
 

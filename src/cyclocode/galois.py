@@ -409,7 +409,7 @@ def field_make(q: int, m: int) -> FieldContext:
     if m < 1:
         raise ParameterError(f"extension degree must be >= 1, got {m}")
     if q**m > MAX_FIELD_ORDER:
-        raise ResourceLimitError(f"field order {q**m} exceeds {MAX_FIELD_ORDER}")
+        raise ResourceLimitError(f"field order {q}^{m} exceeds {MAX_FIELD_ORDER}")
     if m > _MAX_DEGREE[q]:
         raise ParameterError(f"no built-in defining polynomial for GF({q}^{m})")
     return _build(q, m)

@@ -150,9 +150,9 @@ def _generator(field: FieldContext, D: DefiningSet) -> Polynomial:
     """g(x) of the cyclic code whose defining set is D minus {0, n},
     memoized by (field, D) for the 32 most recent pairs, so that a code's
     dimension check and its probe share one product of minimal polynomials,
-    and so do a code's cyclic and extended distances.  verify checks each
-    code once, so its two asks for one T come back to back: at --max-n 16,
-    152 asks build 76 generators."""
+    and so do the verdict and the walks of a code's cyclic and extended
+    distances.  verify checks each code once, so its two asks for one T
+    come back to back: at --max-n 16, 152 asks build 76 generators."""
     if (field.q, field.m) != (D.q, D.m):
         raise ParameterError("field and defining set disagree on (q, m)")
     return generator_polynomial(field, [s for s in D if 0 < s < D.n])
@@ -745,7 +745,7 @@ def dual_min_distance(
 
     With extended=False the code is the cyclic one C on [1, n-1] exponents
     of D, and _dual_walk walks its dual by the first of three routes that
-    applies.  _cyclic_dual memoizes that result by (field, D,
+    applies.  _dual memoizes each walk by (field, D, extended,
     DEFAULT_DISTANCE_BUDGET), so a repeated call returns the walk's result,
     its enumerated included, and no answer is served under another budget.
 
@@ -761,36 +761,27 @@ def dual_min_distance(
     is "exact", the extended result is derived from it by
     _affine_transitive, with no walk: route "affine-transitive".  The
     distance then rests on the exact verdict and on nothing weaker.
-    Otherwise _extended_dual walks the extended dual: when the verdict is
-    False, when the cyclic dual is trivial (the extended dual is then the
-    code of the all-ones word), or when the cyclic result is
-    "budget-exhausted".
+    Otherwise the extended dual is walked: when the verdict is False, when
+    the cyclic dual is trivial (the extended dual is then the code of the
+    all-ones word), or when the cyclic result is "budget-exhausted".
     """
-    if not extended:
-        return _cyclic_dual(field, D, DEFAULT_DISTANCE_BUDGET)
-    if _probe_verdict(field, D) and _generator(field, D).degree:
-        cyclic = _cyclic_dual(field, D, DEFAULT_DISTANCE_BUDGET)
+    if extended and _probe_verdict(field, D) and _generator(field, D).degree:
+        cyclic = _dual(field, D, False, DEFAULT_DISTANCE_BUDGET)
         if cyclic.kind == "exact":
             return _affine_transitive(field, cyclic)
-    return _extended_dual(field, D, DEFAULT_DISTANCE_BUDGET)
+    return _dual(field, D, extended, DEFAULT_DISTANCE_BUDGET)
 
 
 @lru_cache(maxsize=32)
-def _cyclic_dual(field: FieldContext, D: DefiningSet, budget: int) -> DistanceResult:
-    """_dual_walk of the cyclic dual, memoized by (field, D, budget) for
-    the 32 most recent triples, so that a code's cyclic and extended
-    distance cost one walk.  budget is the DEFAULT_DISTANCE_BUDGET the walk
-    reads, a key only; an exception is not memoized."""
-    return _dual_walk(field, D, False)
-
-
-@lru_cache(maxsize=32)
-def _extended_dual(field: FieldContext, D: DefiningSet, budget: int) -> DistanceResult:
-    """_dual_walk of the extended dual, memoized like _cyclic_dual, so that
-    the points of one code that fall back to it walk once: at m = 1 T
-    depends on b alone, and a walk that ends "budget-exhausted" costs the
-    whole budget at every a."""
-    return _dual_walk(field, D, True)
+def _dual(field: FieldContext, D: DefiningSet, extended: bool, budget: int) -> DistanceResult:
+    """_dual_walk memoized by (field, D, extended, budget) for the 32 most
+    recent keys, so that a code's cyclic and extended distances cost one
+    cyclic walk, and the points of one code that fall back to the extended
+    walk walk once: at m = 1 T depends on b alone, and a walk that ends
+    "budget-exhausted" costs the whole budget at every a.  budget is the
+    DEFAULT_DISTANCE_BUDGET the walk reads, a key only; an exception is not
+    memoized."""
+    return _dual_walk(field, D, extended)
 
 
 def _affine_transitive(field: FieldContext, cyclic: DistanceResult) -> DistanceResult:
@@ -900,20 +891,16 @@ def affine_invariance_probe(
     dual_min_distance(extended=True) rests on a True verdict: under it the
     extended dual's distance is derived from the cyclic dual's walk.
 
-    The verdict depends on (field, T) alone, so _probe_verdict memoizes it
-    by that pair for the 32 most recent pairs, the bound _generator keeps,
-    and dual_min_distance(extended=True) asks it again for a code that
-    verify or a caller has probed.  verify itself asks once per code: it
-    checks the points of one normalized point once, so at --max-n 16 its
-    370 probe rows come from 76 asks about 76 distinct pairs.
+    The verdict is computed afresh on every call.  verify asks once per
+    code, so at --max-n 16 its 370 probe rows come from 76 asks about 76
+    distinct (field, T) pairs.
     """
     return _probe_verdict(field, brute_T(params) if defining_set is None else defining_set)
 
 
-@lru_cache(maxsize=32)
 def _probe_verdict(field: FieldContext, T: DefiningSet) -> bool:
     """affine_invariance_probe's exact syndrome check on the extended code
-    of T, memoized by (field, T)."""
+    of T."""
     n = field.n
     rows = _rows(field, list(_generator(field, T).coeffs), True)
     leaders = sorted({leader(s, T.q, T.m) for s in T if 0 < s < T.n})

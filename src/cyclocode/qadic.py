@@ -67,7 +67,7 @@ def matches_dual_exclusion(s: int, q: int, m: int, a: int, b: int, t: int) -> bo
     if not 0 <= t <= m - 1:
         raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
     if not 0 <= s <= q**m - 1:
-        raise ParameterError(f"value {s} out of range [0, {q**m - 1}]")
+        raise ParameterError(f"value {s} out of range [0, {q}^{m} - 1]")
     digits = []
     for _ in range(m):
         s, r = divmod(s, q)

@@ -177,6 +177,30 @@ def test_verify_reports_a_shared_fault_at_every_point_of_its_code(monkeypatch, c
     assert (code, err) == (0, "") and "failures: 0" in out
 
 
+def test_verify_reports_code_level_lines_before_per_point_lines(monkeypatch, capsys):
+    # (4,2,1,a,1) is one code for a = 1, 2, 3 (t = m - 1).  A code-level
+    # fault (the generator degree one off) and a per-point fault (the
+    # prefix scan one off on that code's dual set) fail at each point, and
+    # each point reports its code's line before its prefix line
+    key = CodeParams(4, 2, 1, 1, 1)
+    T, Tperp = build_T(key), cli.defsets.dual_set_pattern(key)
+    dimension, scan = cli.oracle.brute_dimension, cli.oracle.brute_max_prefix
+    monkeypatch.setattr(cli.oracle, "brute_dimension",
+                        lambda field, D: dimension(field, D) + (D == T))
+    monkeypatch.setattr(cli.oracle, "brute_max_prefix", lambda D: scan(D) + (D == Tperp))
+    code, out, err = run(capsys, "verify", "--max-n", "16", "--no-timestamp")
+    assert code == 4 and "failures: 6" in out
+    assert err.splitlines() == [
+        line
+        for a in (1, 2, 3)
+        for line in (
+            f"dimension: closed form vs generator degree: (4, 2, 1, {a}, 1): "
+            "closed 13 != degree-based 14",
+            f"zero prefix: formula vs scan: (4, 2, 1, {a}, 1): formula 11 != scan 12",
+        )
+    ]
+
+
 def test_verify_does_not_depend_on_the_seed(capsys):
     # no check draws anything: --seed only reaches the report's meta
     docs = []
@@ -188,6 +212,29 @@ def test_verify_does_not_depend_on_the_seed(capsys):
         assert doc["seed"] == int(seed)
         docs.append([doc[key] for key in ("rows", "points", "failures")])
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_value_past_the_int_str_limit_exits_3(capsys, fmt):
+    # the stated bound of (2, 20000, 15000, 1, 1) has more than 4,300 digits,
+    # which str() refuses by default; the report is refused on one line
+    code, out, err = run(capsys, "bound", "--q", "2", "--m", "20000", "--t", "15000",
+                         "--a", "1", "--b", "1", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource limit:") and len(err.strip().splitlines()) == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("gen-poly", "--q", "2", "--m", "20000", "--delta", "3"), 3),
+    (("coset", "--q", "2", "--m", "20000", "--s", "-1"), 2),
+])
+def test_error_messages_name_q_to_the_m_without_printing_it(capsys, argv, code):
+    # 2^20000 has more than 4,300 digits: the field-order and range messages
+    # write it as q^m, so the error is reported on one line
+    got, _, err = run(capsys, *argv)
+    assert got == code and len(err.strip().splitlines()) == 1
+    assert "2^20000" in err
 
 
 def test_parameter_error_exit_code(capsys):
@@ -421,7 +468,7 @@ def test_generator_off_x_n_minus_1_exits_5(monkeypatch, capsys):
     # no command takes dual distances, so a stand-in for dim does; x^2 + 1
     # = (x + 1)^2 does not divide the square-free x^15 - 1 over GF(2)
     monkeypatch.setattr(cli.oracle, "_generator", lambda field, D: Polynomial((1, 0, 1)))
-    cli.oracle._cyclic_dual.cache_clear()  # a memoized distance would skip the generator
+    cli.oracle._dual.cache_clear()  # a memoized distance would skip the generator
 
     def distance(args):
         params = cli._params_from_args(args)

@@ -45,8 +45,7 @@ def _fresh_oracle_memos():
     """Every test starts from empty oracle memos, so a count of walks or of
     cache hits, and a check that a patched helper is reached, does not
     depend on which tests ran before it."""
-    for memo in (oracle._cyclic_dual, oracle._extended_dual, oracle._probe_verdict,
-                 oracle._generator, oracle._ideal_word):
+    for memo in (oracle._dual, oracle._generator, oracle._ideal_word):
         memo.cache_clear()
 
 
@@ -388,7 +387,7 @@ def test_a_wrong_coset_fails_the_macwilliams_check(monkeypatch, point, extended,
     T = build_T(CodeParams(*point))
     distance = oracle._dual_walk if extended else dual_min_distance
     assert distance(F, T, extended).route == route
-    oracle._cyclic_dual.cache_clear()  # the patched call walks again
+    oracle._dual.cache_clear()  # the patched call walks again
     word = oracle._word
 
     def moved(field, e, extended):
@@ -424,7 +423,7 @@ def test_primal_route_transform_must_give_the_dual_size(monkeypatch):
     short = {0: 1, **weight_distribution(F, primal[:-1])}
     monkeypatch.setattr(oracle, "_side_distribution",
                         lambda field, rows, side, extended: (short, 0))
-    oracle._cyclic_dual.cache_clear()  # the patched call walks again
+    oracle._dual.cache_clear()  # the patched call walks again
     with pytest.raises(ConsistencyError, match="not 1 and 2\\^8"):
         dual_min_distance(F, T)
 
@@ -719,8 +718,8 @@ def test_derived_count_must_divide_exactly(monkeypatch):
     T = build_T(CodeParams(2, 4, 2, 1, 1))
     cyclic = dual_min_distance(F, T)
     assert cyclic.count == 15
-    monkeypatch.setattr(oracle, "_cyclic_dual",
-                        lambda field, D, budget: cyclic._replace(count=16))
+    monkeypatch.setattr(oracle, "_dual",
+                        lambda field, D, extended, budget: cyclic._replace(count=16))
     with pytest.raises(ConsistencyError, match="16 cyclic dual words of weight 4"):
         dual_min_distance(F, T, extended=True)
 
@@ -833,8 +832,6 @@ def test_affine_invariance_probe_never_asks_for_exponent_zero(monkeypatch):
         return real(field, word, exponents)
 
     monkeypatch.setattr(oracle, "syndromes", recording)
-    # a memoized verdict asks for no syndrome, so every check runs afresh
-    oracle._probe_verdict.cache_clear()
     verdicts = Counter()
     for q in (2, 3, 4):
         for F, p, D in _dropped_cosets(q, 16):
@@ -880,8 +877,10 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
         monkeypatch.setattr(oracle, name, counting(name))
     oracle._generator.cache_clear()
     for point in [(2, 4, 1, 1, 1), (3, 3, 1, 2, 1), (4, 2, 0, 3, 2)]:
+        params = CodeParams(*point)
+        assert params.normalized() == params
         counts.clear()
-        checks = dict(cli._verify_point(CodeParams(*point)))
+        checks, _ = cli._verify_code(params)
         assert checks["affine invariance probe"] == "", point
         assert counts == {"generator_polynomial": 1, "brute_T": 1}, point
     # brute_dimension then code_rows on one (field, D): one product of
@@ -896,10 +895,9 @@ def test_verify_point_builds_one_generator_and_one_definitional_T(monkeypatch):
 
 def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, capsys):
     # at t = m - 1 every a gives the same T, and verify runs a code's checks
-    # once per normalized point, so its 370 probe rows come from 76 asks
-    # about 76 distinct (field, T) pairs; each verdict and each g(x) is
-    # computed once (184 generators and 370 verdicts without the memos and
-    # the shared checks)
+    # once per normalized point, so its 370 probe rows come from 76 exact
+    # checks about 76 distinct (field, T) pairs, and each g(x) is computed
+    # once (184 generators without the _generator memo)
     built = []
     original = oracle.generator_polynomial
 
@@ -917,22 +915,13 @@ def test_verify_computes_each_probe_verdict_and_generator_once(monkeypatch, caps
 
     monkeypatch.setattr(oracle, "_probe_verdict", recording)
     oracle._generator.cache_clear()
-    probe.cache_clear()
     assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
     capsys.readouterr()
     assert len(asked) == 76
     assert len(built) == 76
-    assert probe.cache_info().misses == 76
-    pairs = set(asked)
-    assert len(pairs) == 76
-    # a memoized answer is the exact check's, on every ask, and a set that
-    # is not descendant-closed is rejected from the memo as well
-    broken = union_cosets([0, 3], 2, 4)
-    pairs.add((field_make(2, 4), broken))
-    for field, T in pairs:
-        exact = probe.__wrapped__(field, T)
-        assert probe(field, T) == exact and probe(field, T) == exact, (field.q, field.m)
-    assert not probe(field_make(2, 4), broken)
+    assert len(set(asked)) == 76
+    # a set that is not descendant-closed is rejected
+    assert not probe(field_make(2, 4), union_cosets([0, 3], 2, 4))
 
 
 def test_verify_computes_each_minimal_polynomial_once(monkeypatch, capsys):
@@ -947,7 +936,6 @@ def test_verify_computes_each_minimal_polynomial_once(monkeypatch, capsys):
 
     monkeypatch.setattr(galois, "minimal_polynomial", recording)
     oracle._generator.cache_clear()
-    oracle._probe_verdict.cache_clear()
     memo.cache_clear()
     assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
     capsys.readouterr()
@@ -956,18 +944,21 @@ def test_verify_computes_each_minimal_polynomial_once(monkeypatch, capsys):
         assert memo(field, s) == memo.__wrapped__(field, s), (field.q, field.m, s)
 
 
-def test_verify_point_builds_one_dual_set(monkeypatch):
-    # the reflection check and the prefix scan read one dual set, at points
-    # that run both (b <= a, m >= 2) and at points that run one of them
+def test_verify_point_builds_one_dual_set(monkeypatch, capsys):
+    # the reflection check and the prefix scan read one dual set: one per
+    # code, built at its normalized point, for the 385 points with b <= a,
+    # and one at each of the 8 points with b > a (m = 2 and q = 3 or 4);
+    # 393 calls when every point built its own
     calls = []
     original = cli.defsets.dual_set_pattern
     monkeypatch.setattr(cli.defsets, "dual_set_pattern",
                         lambda params: calls.append(params) or original(params))
-    for point in [(2, 4, 1, 1, 1), (3, 3, 1, 2, 1), (3, 3, 1, 1, 2), (3, 1, 0, 2, 1)]:
-        calls.clear()
-        checks = dict(cli._verify_point(CodeParams(*point)))
-        assert all(detail == "" for detail in checks.values()), point
-        assert calls == [CodeParams(*point)], point
+    assert cli.main(["verify", "--max-n", "16", "--no-timestamp"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 99 == len(set(calls))
+    codes = [p for p in calls if p.b <= p.a]
+    assert len(codes) == 91 and all(p.normalized() == p for p in codes)
+    assert sorted((p.q, p.m) for p in calls if p.b > p.a) == [(3, 2)] * 2 + [(4, 2)] * 6
 
 
 def test_code_level_routes_agree_at_a_point_and_its_normalized_twin(monkeypatch, capsys):

@@ -269,6 +269,13 @@ def test_every_memo_is_bounded_but_the_documented_ones():
     assert memos["oracle._ideal_word"] == 32
 
 
+def test_oracle_keeps_exactly_its_four_memos():
+    # a memo dropped from the oracle cannot come back unnoticed, nor a new one
+    # appear, and each keeps the 32 most recent keys
+    oracle = {name: size for name, size in _memos().items() if name.startswith("oracle.")}
+    assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_ideal_word", "_dual", "_zech")}
+
+
 # Modules the package must not load at start: dataclasses and inspect are
 # slow to import, and the report formats' modules are loaded by the renderer
 # that needs them.
