@@ -286,6 +286,7 @@ def verify_certificate(
     boxes of the forbidden pattern, so every membership is decided whatever
     v is, and the detail names the first excluded value.  Only a parametric
     S (more than DEFAULT_S_CAP elements) leaves the result "unchecked".
+    An explicit S has its translates checked even when the structure fails.
     seed is accepted for callers that pass one and is unused: the check is
     deterministic.
     """
@@ -346,14 +347,13 @@ def verify_certificate(
 
     ok_trans = True
     trans_detail = "all translated intervals lie in the dual defining set"
-    if cert.s_size > 0 and ok_structure:
-        for s in cert.s_set:
-            w = excluded_offset((s * cert.z) % n)
-            checked += v if w is None else w + 1
-            if w is not None:
-                ok_trans = False
-                trans_detail = f"residue of s={s}, w={w} is excluded"
-                break
+    for s in cert.s_set:
+        w = excluded_offset((s * cert.z) % n)
+        checked += v if w is None else w + 1
+        if w is not None:
+            ok_trans = False
+            trans_detail = f"residue of s={s}, w={w} is excluded"
+            break
     conditions.append(("translates", ok_trans, trans_detail))
 
     passed = ok_structure and ok_prefix and ok_trans

@@ -20,8 +20,8 @@ binomial coefficient; |T| is the table's alternating sum.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from math import factorial
+from functools import lru_cache
+from math import comb
 from operator import add, ne, sub
 from typing import NamedTuple
 
@@ -73,6 +73,8 @@ class CodeParams(_CodeParamsFields):
     A NamedTuple whose constructor validates: it unpacks as (q, m, t, a, b)
     and compares equal to that plain tuple.
     """
+
+    __slots__ = ()
 
     def __new__(cls, q: int, m: int, t: int, a: int, b: int) -> "CodeParams":
         self = tuple.__new__(cls, (q, m, t, a, b))
@@ -129,12 +131,14 @@ class CodeParams(_CodeParamsFields):
             )
 
     def normalized(self) -> "CodeParams":
-        """With t = m-1 the word u has no a-digits, so a is immaterial;
-        fix a = b to make results independent of the supplied a."""
-        return self._twin if self.t == self.m - 1 and self.a != self.b else self
-
-    # the a = b copy, built once per object in its __dict__, which eq and hash skip
-    _twin = cached_property(lambda self: CodeParams(self.q, self.m, self.t, self.b, self.b))
+        """With t = m-1 the word u = b 0^(m-1) has no a-digit, so everything
+        is a-free there; this copy fixes a = b for the three callers that
+        need it: dimension, whose is_bch and delta must not depend on the
+        supplied a; brute_class_census, which then scans (b+1)^m words, not
+        (a+1)^m; and verify, which keys each code's checks by it."""
+        if self.t == self.m - 1 and self.a != self.b:
+            return CodeParams(self.q, self.m, self.t, self.b, self.b)
+        return self
 
     def astuple(self) -> tuple[int, int, int, int, int]:
         return tuple(self)
@@ -175,11 +179,10 @@ def _check_admissible(k: int, ell: int, m: int, t: int) -> None:
         )
 
 
-def _pattern_words(k: int, ell: int, m: int, t: int, fact: list[int]) -> int:
-    """The pattern-word count, from the factorials fact[i] = i! up to m."""
+def _pattern_words(k: int, ell: int, m: int, t: int) -> int:
+    """The pattern-word count m C(blocks, k) C(blocks - k, ell) / blocks."""
     blocks = m - k * t - ell * (t + 1)  # block count after collapsing zero runs
-    free = blocks - k - ell
-    value, rem = divmod(m * (fact[blocks] // (fact[k] * fact[ell] * fact[free])), blocks)
+    value, rem = divmod(m * comb(blocks, k) * comb(blocks - k, ell), blocks)
     if rem:
         raise ConsistencyError(
             f"non-integral word count for (k, ell, m, t) = ({k}, {ell}, {m}, {t})"
@@ -208,10 +211,9 @@ def _pattern_rows(m: int, t: int) -> tuple[tuple[int, ...], ...]:
     W depends on the shape (m, t) alone, so every q, a and b of one shape
     shares this table; like galois._build the memo is unbounded, one entry
     per shape used."""
-    fact = list(map(factorial, range(m + 1)))
     rows = tuple(
         tuple(
-            _pattern_words(r, s, m, t, fact)
+            _pattern_words(r, s, m, t)
             for r in range((m - s * (t + 2)) // (t + 1) + 1)
         )
         for s in range(m // (t + 2) + 1)
@@ -223,9 +225,8 @@ def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
     """Total entry count A_{r,s} of the occurrence matrix: every pattern word
     with b^r (a-b)^s (a+1)^{m - r(t+1) - s(t+2)} digit assignments."""
     params.require_counting_regime()
-    p = params.normalized()
-    _check_admissible(r, s, p.m, p.t)
-    return _entry_rows(p)[s][r]
+    _check_admissible(r, s, params.m, params.t)
+    return _entry_rows(params)[s][r]
 
 
 @lru_cache(maxsize=8)
@@ -233,9 +234,9 @@ def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
     """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
     A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1).
 
-    Built once per normalized point from the shape's pattern-word rows,
-    running powers of b along a row and of a - b down the rows, and one
-    list of the powers of a + 1; the memo holds the last few points."""
+    Built once per point from the shape's pattern-word rows, running
+    powers of b along a row and of a - b down the rows, and one list of
+    the powers of a + 1; the memo holds the last few points."""
     m, t, a, b = p.m, p.t, p.a, p.b
     pow_a1 = [1]
     for _ in range(m):
@@ -291,8 +292,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     be an internal error.
     """
     params.require_counting_regime()
-    p = params.normalized()
-    a_rows = _entry_rows(p)
+    a_rows = _entry_rows(params)
     b_rows = _binomial_transform(a_rows, sub)
     sizes = {
         (k, ell): size for ell, row in enumerate(b_rows) for k, size in enumerate(row)
@@ -301,7 +301,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     for (k, ell), size in sizes.items():
         if size < 0:
             raise ConsistencyError(
-                f"negative class size B_{{{k},{ell}}} = {size} at {p.astuple()}"
+                f"negative class size B_{{{k},{ell}}} = {size} at {params.astuple()}"
             )
     forward = _binomial_transform(b_rows, add)
     forward[0][0] = a_rows[0][0]  # B_{0,0} is no class size
@@ -317,9 +317,8 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
 def count_class(k: int, ell: int, params: CodeParams) -> int:
     """Exact number of words whose occurrence profile is exactly (k, ell)."""
     params.require_counting_regime()
-    p = params.normalized()
-    _check_admissible(k, ell, p.m, p.t)
-    return class_sizes(p)[(k, ell)]
+    _check_admissible(k, ell, params.m, params.t)
+    return class_sizes(params)[(k, ell)]
 
 
 def closed_size_T(params: CodeParams) -> int:
@@ -330,6 +329,5 @@ def closed_size_T(params: CodeParams) -> int:
     word.
     """
     params.require_counting_regime()
-    p = params.normalized()
-    alt = [sum(row[::2]) - sum(row[1::2]) for row in _entry_rows(p)]
+    alt = [sum(row[::2]) - sum(row[1::2]) for row in _entry_rows(params)]
     return 1 - sum(alt[::2]) + sum(alt[1::2])

@@ -72,8 +72,7 @@ def build_T(params: CodeParams) -> DefiningSet:
     are needed, so only a few q^m-bit masks are alive at any time.
     """
     params.require_counting_regime()
-    p = params.normalized()
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = params.astuple()
     _check_cap(q, m)
 
     def occurrences(i: int, lo: int, hi: int, zeros: int) -> int:

@@ -11,12 +11,12 @@ coefficientwise over GF(p) in every field, so one rule serves them all: the
 carry-less base-p digit sum, which is XOR when p = 2.  GF(q) itself is the
 same field class built at (p, e), and the prime field ends the recursion.
 
-Whether a field has tables is decided in one place, the memoized factory
-field_make: every level of order at most TABLE_CAP gets exp/log/Zech
-tables, and the exp table is built by repeated _times_x (one base-q digit
-shift plus one add), since alpha is the class of x.  A FieldContext built
-directly has no tables and runs the digit route, which is what the tests
-compare the table route against.
+Which fields exist is one rule, has_builtin_modulus; whether a field has
+tables is decided in one place, the memoized factory field_make: every
+level of order at most TABLE_CAP gets exp/log tables behind mul, the exp
+table built by repeated _times_x since alpha is the class of x, and a Zech
+table that only syndromes reads.  A FieldContext built directly has no
+tables and runs the digit route, which the tests compare the tables with.
 
 Polynomials over GF(q) have one table source, small_tables: the q-by-q
 addition and multiplication tables and the negation list of a base field,
@@ -61,8 +61,6 @@ SUPPORTED_Q = tuple(_MAX_DEGREE)
 
 # The largest base field GF(q) that any supported GF(q^m) is built over.
 _MAX_BASE_ORDER = max(SUPPORTED_Q)
-
-MAX_FIELD_ORDER = 1 << 32
 
 # field_make builds exp/log/Zech tables for every level of order at most this.
 TABLE_CAP = 1 << 20
@@ -164,9 +162,9 @@ class FieldContext:
     GF(p) has base None and multiplies modulo p.
 
     The constructor builds no tables, so a field made directly runs the
-    digit route: Horner multiplication modulo the defining polynomial and
-    the carry-less base-p digit sum.  field_make adds exp/log tables behind
-    mul and a Zech-logarithm table behind add, up to TABLE_CAP.
+    digit route: Horner multiplication modulo the defining polynomial.
+    field_make adds exp/log tables behind mul, and a Zech table that only
+    syndromes reads, up to TABLE_CAP; add is the digit sum either way.
     """
 
     def __init__(
@@ -217,15 +215,6 @@ class FieldContext:
         p = self.p
         if p == 2:
             return x ^ y
-        if self._zech is not None:
-            # x + y = x (1 + y/x) = alpha^(log x + zech(log y - log x))
-            if x == 0:
-                return y
-            if y == 0:
-                return x
-            lx = self._log[x]
-            z = self._zech[(self._log[y] - lx) % self.n]
-            return 0 if z < 0 else self._exp[(lx + z) % self.n]
         out, place = 0, 1
         while x or y:
             x, u = divmod(x, p)
@@ -401,15 +390,13 @@ def _build(q: int, m: int) -> FieldContext:
 
 
 def field_make(q: int, m: int) -> FieldContext:
-    """Deterministic GF(q^m) for q in SUPPORTED_Q and m up to q's largest
-    degree: the modulus is the least one for which x is primitive, alpha the
-    smallest-valued generator (the class of x for m >= 2)."""
+    """Deterministic GF(q^m) where has_builtin_modulus(q, m), else
+    ParameterError: the modulus is the least one for which x is primitive,
+    alpha the smallest-valued generator (the class of x for m >= 2)."""
     if q not in SUPPORTED_Q:
         raise ParameterError(f"unsupported field order {q}; supported: {SUPPORTED_Q}")
     if m < 1:
         raise ParameterError(f"extension degree must be >= 1, got {m}")
-    if q**m > MAX_FIELD_ORDER:
-        raise ResourceLimitError(f"field order {q}^{m} exceeds {MAX_FIELD_ORDER}")
     if m > _MAX_DEGREE[q]:
         raise ParameterError(f"no built-in defining polynomial for GF({q}^{m})")
     return _build(q, m)
@@ -437,8 +424,8 @@ def small_tables(F: FieldContext) -> tuple[list[list[int]], list[list[int]], lis
 def minimal_polynomial(field: FieldContext, s: int) -> Polynomial:
     """Minimal polynomial of alpha^s over GF(q): the product of x - alpha^j
     over the cyclotomic coset of s, so its degree is the coset size.
-    Memoized by (field, s) for the 256 most recent pairs: verify --max-n 16
-    asks for 77 distinct ones, and a generator is a product of them."""
+    Memoized by (field, s) for the 256 most recent pairs, since a generator
+    is a product of them."""
     if not 0 <= s <= field.n - 1:
         raise ParameterError(f"exponent {s} out of range [0, {field.n - 1}]")
     # product of (x - alpha^j) over the orbit, in GF(q^m)[x]

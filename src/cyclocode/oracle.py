@@ -71,8 +71,7 @@ def brute_T(params: CodeParams) -> DefiningSet:
     Horner's rule.
     """
     params.require_counting_regime()
-    p = params.normalized()
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = params.astuple()
     _check_cap(q, m)
     u_digits = [a] * (m - t - 1) + [b] + [0] * t
     members: set[int] = set()
@@ -117,8 +116,7 @@ def segment_class_sizes(params: CodeParams) -> dict[tuple[int, int], int]:
     coefficient of x^k y^ell in sum_L L w(L) S(m-L) (Stanley, EC1 4.7).
     Only the nonzero classes other than (0, 0) are returned."""
     params.require_counting_regime()
-    p = params.normalized()
-    m, t, a, b = p.m, p.t, p.a, p.b
+    m, t, a, b = params.m, params.t, params.a, params.b
 
     def weight(length: int) -> Counter:
         w: Counter = Counter()
@@ -152,7 +150,7 @@ def _generator(field: FieldContext, D: DefiningSet) -> Polynomial:
     dimension check and its probe share one product of minimal polynomials,
     and so do the verdict and the walks of a code's cyclic and extended
     distances.  verify checks each code once, so its two asks for one T
-    come back to back: at --max-n 16, 152 asks build 76 generators."""
+    come back to back."""
     if (field.q, field.m) != (D.q, D.m):
         raise ParameterError("field and defining set disagree on (q, m)")
     return generator_polynomial(field, [s for s in D if 0 < s < D.n])
@@ -462,24 +460,12 @@ def weight_distribution(field: FieldContext, rows: list[list[int]]) -> dict[int,
     return dict(hist)
 
 
-@lru_cache(maxsize=32)
-def _ideal_word(field: FieldContext, s: int) -> tuple[int, ...]:
-    """(x^n - 1) / f for the minimal polynomial f of alpha^s, padded to
-    length n: a nonzero word of the minimal ideal M_s, whose nonzeros are
-    the coset of s.  Memoized by (field, s) for the 32 most recent pairs,
-    as a tuple that callers copy.  Raises ConsistencyError unless the
-    remainder is zero, that is unless f divides x^n - 1."""
-    e = _divide(field, _xn1(field), minimal_polynomial(field, s).coeffs,
-                f"the minimal polynomial of alpha^{s} does not divide x^n - 1")
-    return tuple(e) + (0,) * (field.n - len(e))
-
-
 def _orbit_split(field: FieldContext, poly: list[int], s: int) -> tuple[list[int], list[int]]:
     """(G f, (x^n - 1) / f) for the cyclic code W generated by poly = G and
     the minimal polynomial f of alpha^s: the generator of W' = W with the
     coset of s moved into its zeros, and a nonzero word e of the minimal
-    ideal M_s with nonzeros that coset, so that W = W' + M_s.  e comes from
-    _ideal_word, built once per (field, s).
+    ideal M_s with nonzeros that coset, so that W = W' + M_s; e is padded
+    to length n.
 
     Raises ConsistencyError unless gcd(s, n) = 1 and the coset has m
     members, so that alpha^s is primitive and the shift, multiplication by
@@ -492,12 +478,13 @@ def _orbit_split(field: FieldContext, poly: list[int], s: int) -> tuple[list[int
     if gcd(s, n) != 1 or size != field.m:
         raise ConsistencyError(f"the coset of {s} has {size} members and gcd(s, n) = "
                                f"{gcd(s, n)}: it is not primitive")
-    e = list(_ideal_word(field, s))
     f = minimal_polynomial(field, s).coeffs
+    e = _divide(field, _xn1(field), f,
+                f"the minimal polynomial of alpha^{s} does not divide x^n - 1")
     check = _divide(field, _xn1(field), poly, "the generator does not divide x^n - 1")
     _divide(field, check, f, f"the minimal polynomial of alpha^{s} does not divide "
                              "the check polynomial")
-    return list(poly_mul(field.base, poly, f)), e
+    return list(poly_mul(field.base, poly, f)), e + [0] * (n - len(e))
 
 
 def _orbit_distribution(
@@ -891,9 +878,7 @@ def affine_invariance_probe(
     dual_min_distance(extended=True) rests on a True verdict: under it the
     extended dual's distance is derived from the cyclic dual's walk.
 
-    The verdict is computed afresh on every call.  verify asks once per
-    code, so at --max-n 16 its 370 probe rows come from 76 asks about 76
-    distinct (field, T) pairs.
+    The verdict is computed afresh on every call; verify asks once per code.
     """
     return _probe_verdict(field, brute_T(params) if defining_set is None else defining_set)
 

@@ -175,6 +175,33 @@ def test_tampered_certificate_fails():
     assert any(n == "prefix" and not ok for n, ok, _ in result.conditions)
 
 
+def test_translates_are_checked_whatever_the_structure_says():
+    # a failed structure condition leaves no condition reading "pass"
+    # unchecked: an explicit S has its translates walked all the same
+    p = CodeParams(3, 4, 1, 2, 1)
+    result = verify_certificate(build_certificate(p)._replace(z=2), p)
+    assert result.conditions == (
+        ("structure", False, "gcd(z=2, 80) != 1"),
+        ("prefix", True, "[0, v) lies in the dual defining set"),
+        ("translates", False, "residue of s=1, w=5 is excluded"),
+    )
+    assert not result.passed and result.checked == 13
+
+    p = CodeParams(2, 6, 2, 1, 1)
+    good = build_certificate(p)
+    assert (good.v, good.s_set) == (3, (1, 2))
+    result = verify_certificate(good._replace(z=3), p)
+    assert result.conditions[0] == ("structure", False, "gcd(z=3, 63) != 1")
+    assert result.conditions[2] == ("translates", False, "residue of s=1, w=0 is excluded")
+    assert not result.passed and result.checked == 4
+    zero = good._replace(s_set=(0,) + good.s_set, s_size=3, s_min=0)
+    result = verify_certificate(zero, p)
+    assert result.conditions[0] == ("structure", False, "zero in S")
+    assert result.conditions[2][:2] == ("translates", True)
+    # the prefix and the three translates, v values each
+    assert not result.passed and result.checked == 4 * good.v
+
+
 def test_stated_bound_table2_spots():
     q, m = 5, 10
     spots = {(8, 1): 1953126, (7, 4): 78204, (2, 1): 615, (4, 4): 3121, (3, 4): 621}

@@ -226,11 +226,11 @@ def test_report_value_past_the_int_str_limit_exits_3(capsys, fmt):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (("gen-poly", "--q", "2", "--m", "20000", "--delta", "3"), 3),
+    (("gen-poly", "--q", "2", "--m", "20000", "--delta", "3"), 2),
     (("coset", "--q", "2", "--m", "20000", "--s", "-1"), 2),
 ])
 def test_error_messages_name_q_to_the_m_without_printing_it(capsys, argv, code):
-    # 2^20000 has more than 4,300 digits: the field-order and range messages
+    # 2^20000 has more than 4,300 digits: the field and range messages
     # write it as q^m, so the error is reported on one line
     got, _, err = run(capsys, *argv)
     assert got == code and len(err.strip().splitlines()) == 1

@@ -12,7 +12,9 @@ from cyclocode.counting import (
     count_matrix_entries,
     count_pattern_words,
 )
+from cyclocode.defsets import build_T
 from cyclocode.errors import ConsistencyError, ParameterError
+from cyclocode.oracle import brute_T, segment_class_sizes
 
 
 def test_code_params_validation():
@@ -39,15 +41,25 @@ def test_counting_regime_requires_b_le_a():
 
 def test_normalized_drops_a_when_t_is_max():
     p = CodeParams(5, 3, 2, 4, 2)
-    twin = p.normalized()
-    assert twin == CodeParams(5, 3, 2, 2, 2) and p.normalized() is twin
-    counting._entry_rows.cache_clear()
-    class_sizes(p)
-    closed_size_T(CodeParams(5, 3, 2, 3, 2))  # an equal twin hits the memo
-    assert counting._entry_rows.cache_info()[:2] == (1, 1)
-    # and the size is a-independent there: |T| = b*m + 1
+    assert p.normalized() == CodeParams(5, 3, 2, 2, 2)
+    assert CodeParams(5, 3, 1, 4, 2).normalized() == (5, 3, 1, 4, 2)
+    # the size is a-independent there: |T| = b*m + 1
     for a in range(2, 5):
         assert closed_size_T(CodeParams(5, 3, 2, a, 2)) == 2 * 3 + 1
+    # u = b 0^(m-1) has no a-digit, so the closed forms and the oracles
+    # give the twin's answers without being handed the twin
+    points = [CodeParams(q, m, m - 1, a, b) for q in (3, 4, 5, 7)
+              for m in range(1, 9) if q**m <= 10**4
+              for b in range(1, q) for a in range(b + 1, q)]
+    assert len(points) == 116
+    for p in points:
+        twin = p.normalized()
+        assert twin == (p.q, p.m, p.t, p.b, p.b), p
+        assert class_sizes(p) == class_sizes(twin), p
+        assert closed_size_T(p) == closed_size_T(twin), p
+        assert build_T(p) == build_T(twin), p
+        assert brute_T(p) == brute_T(twin), p
+        assert segment_class_sizes(p) == segment_class_sizes(twin), p
 
 
 def test_admissible_pairs_examples():
@@ -117,10 +129,11 @@ def test_count_pattern_words_rejects_inadmissible():
         count_pattern_words(3, 0, 4, 1)  # 3*2 > 4
 
 
-def test_pattern_words_keep_the_non_integral_check():
-    fact = [1, 1, 2, 8, 24]  # 3! corrupted: W_{1,0}(4, 1) would be 16 / 3
+def test_pattern_words_keep_the_non_integral_check(monkeypatch):
+    # a corrupted C(3, 1) = 4: W_{1,0}(4, 1) would be 4 * 4 / 3
+    monkeypatch.setattr(counting, "comb", lambda n, k: 4 if (n, k) == (3, 1) else 1)
     with pytest.raises(ConsistencyError, match="non-integral word count"):
-        counting._pattern_words(1, 0, 4, 1, fact)
+        counting._pattern_words(1, 0, 4, 1)
 
 
 def test_entries_are_weights_times_pattern_words():

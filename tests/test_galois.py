@@ -61,8 +61,17 @@ def test_field_make_rejects_unsupported():
         field_make(6, 2)
     with pytest.raises(ParameterError):
         field_make(2, 25)  # no built-in modulus that far out
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ParameterError, match=r"no built-in defining polynomial for GF\(2\^33\)"):
         field_make(2, 33)
+    # has_builtin_modulus is the one support rule: a degree past q's largest
+    # is a ParameterError, decided before q^m is ever formed
+    with pytest.raises(ParameterError, match=r"GF\(3\^1000000\)"):
+        field_make(3, 10**6)
+    for q in SUPPORTED_Q:
+        top = max(m for m in range(1, 64) if has_builtin_modulus(q, m))
+        for m in (0, top + 1, 10**6):
+            with pytest.raises(ParameterError):
+                field_make(q, m)
 
 
 def test_factory_alone_decides_tables():

@@ -45,7 +45,7 @@ def _fresh_oracle_memos():
     """Every test starts from empty oracle memos, so a count of walks or of
     cache hits, and a check that a patched helper is reached, does not
     depend on which tests ran before it."""
-    for memo in (oracle._dual, oracle._generator, oracle._ideal_word):
+    for memo in (oracle._dual, oracle._generator):
         memo.cache_clear()
 
 
@@ -304,7 +304,11 @@ def test_orbit_split_refuses_a_coset_that_is_not_primitive():
     (poly, nonzeros), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
     # the [15, 7] primal: nonzeros alpha^0 and the cosets of 5 and 7
     assert nonzeros == [0, 5, 7, 10, 11, 13, 14]
-    oracle._orbit_split(F, poly, 7)
+    _, e = oracle._orbit_split(F, poly, 7)
+    # e is (x^n - 1) / f for the minimal polynomial f of alpha^7, padded to n
+    xn1 = (1,) + (0,) * (F.n - 1) + (1,)
+    quotient, rem = poly_divmod(F.base, xn1, oracle.minimal_polynomial(F, 7).coeffs)
+    assert rem == () and e == list(quotient) + [0] * (F.n - len(quotient))
     # 5 has a coset of 2 and gcd 5; 0 has gcd 15
     for s in (5, 0):
         with pytest.raises(ConsistencyError, match="not primitive"):
@@ -319,34 +323,19 @@ def test_orbit_split_refuses_a_coset_that_is_not_primitive():
         oracle._orbit_split(F, poly + [1], 7)
 
 
-def test_ideal_word_is_memoized_and_copied():
-    F = field_make(2, 4)
-    (poly, _), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
-    oracle._ideal_word.cache_clear()
-    _, e = oracle._orbit_split(F, poly, 7)
-    e[0] ^= 1  # the caller's copy, not the memo's word
-    _, again = oracle._orbit_split(F, poly, 7)
-    assert oracle._ideal_word.cache_info()[:2] == (1, 1)
-    f = oracle.minimal_polynomial(F, 7).coeffs
-    xn1 = (1,) + (0,) * (F.n - 1) + (1,)
-    quotient, rem = poly_divmod(F.base, xn1, f)
-    assert rem == () and again == list(quotient) + [0] * (F.n - len(quotient))
-
-
 def test_ideal_word_refuses_a_minimal_polynomial_that_does_not_divide(monkeypatch):
     # x^4 + 1 = (x + 1)^4 over GF(2) is no factor of x^15 - 1: the remainder
     # of the division that builds e is tested, and the distance stops with
     # the ConsistencyError that the command line turns into exit status 5
     F = field_make(2, 4)
     T = build_T(CodeParams(2, 4, 2, 1, 1))
+    (poly, _), _ = _split_side(F, (2, 4, 2, 1, 1), which=0)
     monkeypatch.setattr(oracle, "minimal_polynomial",
                         lambda field, s: oracle.Polynomial((1, 0, 0, 0, 1)))
-    oracle._ideal_word.cache_clear()
     with pytest.raises(ConsistencyError, match="alpha\\^7 does not divide x\\^n - 1"):
-        oracle._ideal_word(F, 7)
+        oracle._orbit_split(F, poly, 7)
     with pytest.raises(ConsistencyError, match="alpha\\^\\d+ does not divide x\\^n - 1"):
         dual_min_distance(F, T)
-    assert oracle._ideal_word.cache_info().currsize == 0
     monkeypatch.undo()
     assert dual_min_distance(F, T).kind == "exact"
 

@@ -266,14 +266,13 @@ def test_every_memo_is_bounded_but_the_documented_ones():
     assert {name for name, size in memos.items() if size is None} == UNBOUNDED_MEMOS
     assert memos["galois.small_tables"] == 32
     assert memos["galois.minimal_polynomial"] == 256
-    assert memos["oracle._ideal_word"] == 32
 
 
-def test_oracle_keeps_exactly_its_four_memos():
+def test_oracle_keeps_exactly_its_three_memos():
     # a memo dropped from the oracle cannot come back unnoticed, nor a new one
     # appear, and each keeps the 32 most recent keys
     oracle = {name: size for name, size in _memos().items() if name.startswith("oracle.")}
-    assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_ideal_word", "_dual", "_zech")}
+    assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_dual", "_zech")}
 
 
 # Modules the package must not load at start: dataclasses and inspect are
