@@ -27,6 +27,10 @@ SCHEMA_VERSION = "1"
 # value list may hold at most this many values.
 GRID_POINT_CAP = 100_000
 
+DIM_GENERATOR_CAP = 1 << 16  # largest q^m of dim --verify's generator degree
+VERIFY_DIM_CAP = 512  # largest q^m of verify's dimension check
+VERIFY_PROBE_CAP = 128  # largest q^m of verify's affine probe
+
 GRID_VARS = ("q", "m", "t", "a", "b")
 
 GRID_HELP = f"""\
@@ -222,7 +226,7 @@ def parse_grid(spec: str) -> list[CodeParams]:
         raise ParameterError("grid needs explicit values for q and m")
     # m must exceed the smallest valid t, so each (q, m) pair below adds at
     # least one combination and the count bounds the work.
-    valid_t = _in_range(values["t"], 0, values["m"][-1] - 1)
+    valid_t = _in_range(values["t"], 0, max(values["m"], default=0) - 1)
     if not valid_t:
         return []
     ms = values["m"][bisect_right(values["m"], valid_t[0]):]
@@ -272,7 +276,7 @@ def cmd_dim(args) -> int:
         materialized = params.index_size - len(T)
         row["dim_materialized"] = materialized
         if has_builtin_modulus(params.q, params.m):
-            if params.index_size <= 1 << 16:
+            if params.index_size <= DIM_GENERATOR_CAP:
                 field = field_make(params.q, params.m)
                 row["dim_generator_degree"] = oracle.brute_dimension(field, T)
         checks = [v for k, v in row.items() if k.startswith("dim")]
@@ -414,13 +418,13 @@ def _verify_code(params: CodeParams) -> tuple[dict[str, str], DefiningSet]:
         bch = defsets.bch_set(q, m, params.designed_distance)
         ok = T.difference(DefiningSet.from_members(q, m, [0])) == bch
         check("BCH identity", ok, lambda: "T minus 0 differs from the BCH set")
-    if params.index_size <= 512 and has_builtin_modulus(q, m) and not params.is_degenerate:
+    if q**m <= VERIFY_DIM_CAP and has_builtin_modulus(q, m) and not params.is_degenerate:
         field = field_make(q, m)
         rep = defsets.dimension(params)
         bd = oracle.brute_dimension(field, T)
         check("dimension: closed form vs generator degree", rep.dim == bd,
               lambda: f"closed {rep.dim} != degree-based {bd}")
-        if params.index_size <= 128:
+        if q**m <= VERIFY_PROBE_CAP:
             ok = oracle.affine_invariance_probe(field, params, defining_set=bT)
             check("affine invariance probe", ok,
                   lambda: "a generator row moved by x -> x + 1 left the code")
@@ -510,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("dim", help="dimension of the code for (q, m, t, a, b)")
     _add_params(p)
     p.add_argument("--verify", action="store_true",
-                   help="cross-check against materialized sets and, when the "
-                        "field is small, the generator-polynomial degree")
+                   help="cross-check against materialized sets and, for a built-in "
+                        f"field with q^m <= {DIM_GENERATOR_CAP}, the generator degree")
     _add_common(p)
     p.set_defaults(fn=cmd_dim)
 
@@ -546,7 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run the oracle cross-check suite")
     p.add_argument("--max-n", type=int, required=True,
-                   help="check every parameter set with q^m <= this (at least 2)")
+                   help="check every parameter set with q^m <= this (at least 2); q^m "
+                        f"caps: dimension check {VERIFY_DIM_CAP}, affine probe {VERIFY_PROBE_CAP}")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and reported in meta; no check uses it (default 0)")
     _add_common(p)

@@ -14,9 +14,10 @@ same field class built at (p, e), and the prime field ends the recursion.
 Which fields exist is one rule, has_builtin_modulus; whether a field has
 tables is decided in one place, the memoized factory field_make: every
 level of order at most TABLE_CAP gets exp/log tables behind mul, the exp
-table built by repeated _times_x since alpha is the class of x, and a Zech
-table that only syndromes reads.  A FieldContext built directly has no
-tables and runs the digit route, which the tests compare the tables with.
+table built by repeated _times_x since alpha is the class of x; the Zech
+list is built from them on first read, for syndromes at p != 2 and for the
+affine probe.  A FieldContext built directly has no tables and runs the
+digit route, which the tests compare the tables with.
 
 Polynomials over GF(q) have one table source, small_tables: the q-by-q
 addition and multiplication tables and the negation list of a base field,
@@ -62,7 +63,7 @@ SUPPORTED_Q = tuple(_MAX_DEGREE)
 # The largest base field GF(q) that any supported GF(q^m) is built over.
 _MAX_BASE_ORDER = max(SUPPORTED_Q)
 
-# field_make builds exp/log/Zech tables for every level of order at most this.
+# field_make builds exp/log tables for every level of order at most this.
 TABLE_CAP = 1 << 20
 
 
@@ -163,8 +164,8 @@ class FieldContext:
 
     The constructor builds no tables, so a field made directly runs the
     digit route: Horner multiplication modulo the defining polynomial.
-    field_make adds exp/log tables behind mul, and a Zech table that only
-    syndromes reads, up to TABLE_CAP; add is the digit sum either way.
+    field_make adds exp/log tables behind mul up to TABLE_CAP, and zech()
+    the Zech list on first read; add is the digit sum either way.
     """
 
     def __init__(
@@ -293,6 +294,22 @@ class FieldContext:
             )
         return self._log[x]
 
+    def zech(self) -> list[int]:
+        """zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0, built
+        from the tables on first read and kept; callers only read it."""
+        if self._zech is None:
+            if self._log is None:
+                raise ResourceLimitError(f"GF({self.q}^{self.m}) has no tables for a Zech list")
+            # adding 1 changes only the lowest base-p digit
+            p, exp, log = self.p, self._exp, self._log
+            zech = [-1] * self.n
+            for k, v in enumerate(exp):
+                w = v + 1 if v % p != p - 1 else v + 1 - p
+                if w:
+                    zech[k] = log[w]
+            self._zech = zech
+        return self._zech
+
     # -- construction helpers ---------------------------------------------
 
     def _order_of(self, x: int) -> int | None:
@@ -334,17 +351,8 @@ class FieldContext:
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
-        # zech[k] = log(1 + alpha^k), or -1 where 1 + alpha^k = 0.  Adding 1
-        # changes only the lowest base-p digit.
-        p = self.p
-        zech = [-1] * self.n
-        for k, v in enumerate(exp):
-            w = v + 1 if v % p != p - 1 else v + 1 - p
-            if w:
-                zech[k] = log[w]
         self._exp = exp
         self._log = log
-        self._zech = zech
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.q}, m={self.m}, order={self.order})"
@@ -494,10 +502,10 @@ def syndromes(
     The word and the field's tables are checked, and the log of each
     nonzero coordinate taken, once for all the exponents.  The sum at s is
     taken in the log domain: the term at coordinate i is alpha^(log c + i s),
-    and the terms are added by XOR when p = 2, else by Zech logarithms,
-    alpha^x + alpha^y = alpha^(x + zech(y - x)).  An exponent outside
-    [0, n-1] raises ParameterError when it is reached; a field without
-    tables (order above TABLE_CAP) raises ResourceLimitError.
+    and the terms are added by XOR when p = 2, else by Zech logarithms from
+    field.zech(), built on first read: alpha^x + alpha^y = alpha^(x + z),
+    z = zech(y - x).  An exponent outside [0, n-1] raises ParameterError when
+    it is reached; a field without tables raises ResourceLimitError.
     """
     n = field.n
     if len(codeword) == n:
@@ -513,7 +521,8 @@ def syndromes(
             f"GF({field.q}^{field.m}) has no tables: syndromes are taken in the log "
             f"domain, on fields of order <= TABLE_CAP = {TABLE_CAP}"
         )
-    log, exp, zech = field._log, field._exp, field._zech
+    log, exp = field._log, field._exp
+    zech = None if field.p == 2 else field.zech()
     terms = [(i, log[c]) for i, c in enumerate(cyclic) if c]
     for s in exponents:
         if not 0 <= s <= n - 1:

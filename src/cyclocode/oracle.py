@@ -2,7 +2,7 @@
 exhaustive code-level verification on instances small enough to enumerate.
 
 Nothing here reuses a closed-form path it is meant to check: the defining
-set is rebuilt from its definition (descendants of word rotations), the
+set is rebuilt from its definition (orbits of u's descendants), the
 occurrence-class sizes are re-counted by scanning every digit word whose
 digits are all <= a, and dimensions come from generator-polynomial degrees.
 Dual minimum distances come from an exhaustive weight distribution of
@@ -35,7 +35,7 @@ from math import comb, gcd
 from operator import xor
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .cosets import DefiningSet, _check_cap, coset_of, leader
+from .cosets import DefiningSet, _check_cap, coset_of, leader, union_cosets
 from .errors import ConsistencyError, ParameterError, ResourceLimitError
 from .galois import (FieldContext, Polynomial, generator_polynomial, minimal_polynomial,
                      poly_divmod, poly_mul, small_tables, syndromes)
@@ -66,23 +66,16 @@ def brute_T(params: CodeParams) -> DefiningSet:
     """T straight from the definition: enumerate the digitwise descendants
     of the word u = a...a b 0...0 and union their rotation orbits.
 
-    Words are raw digit tuples, lowest power first; the rotation by j is
-    the circular right shift digits[m-j:] + digits[:m-j], read back by
-    Horner's rule.
+    u's digits are listed lowest power first; digit i of a descendant adds
+    d q^i with 0 <= d <= u_i, so each descendant's value is one sum, and
+    cosets.union_cosets takes the orbits.
     """
     params.require_counting_regime()
     q, m, t, a, b = params.astuple()
     _check_cap(q, m)
     u_digits = [a] * (m - t - 1) + [b] + [0] * t
-    members: set[int] = set()
-    for digs in product(*[range(d + 1) for d in u_digits]):
-        twice = digs + digs
-        for j in range(m):
-            value = 0
-            for d in reversed(twice[m - j:2 * m - j]):
-                value = value * q + d
-            members.add(value)
-    return DefiningSet.from_members(q, m, members)
+    places = [range(0, (d + 1) * q**i, q**i) for i, d in enumerate(u_digits)]
+    return union_cosets(map(sum, product(*places)), q, m)
 
 
 def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
@@ -835,13 +828,6 @@ def _dual_walk(field: FieldContext, D: DefiningSet, extended: bool) -> DistanceR
                           B[value])
 
 
-@lru_cache(maxsize=32)
-def _zech(field: FieldContext) -> list[int]:
-    """zech[k] = log(1 + alpha^k), or -1 where that sum is zero, built once
-    per field from its public exp, log and add; callers only read it."""
-    return [field.log(x) if x else -1 for x in (field.add(1, field.exp(k)) for k in range(field.n))]
-
-
 def affine_invariance_probe(
     field: FieldContext,
     params: CodeParams,
@@ -857,7 +843,7 @@ def affine_invariance_probe(
     code onto itself because g(x) divides x^n - 1.  The code is linear, so
     it is closed under x -> x + 1 once its rows are.  The rows are the
     shifts of g(x) behind their parity coordinate -g(1), and a row moves by
-    the Zech list, built once per field: coordinate 0, the zero element,
+    the field's Zech list, field.zech(): coordinate 0, the zero element,
     goes to 1, and coordinate 1 + i, alpha^i, goes to 1 + zech(i), or to 0
     where 1 + alpha^i = 0.  A word lies in the code exactly when its
     syndromes vanish at T's exponents below n, and over GF(q)
@@ -889,7 +875,7 @@ def _probe_verdict(field: FieldContext, T: DefiningSet) -> bool:
     n = field.n
     rows = _rows(field, list(_generator(field, T).coeffs), True)
     leaders = sorted({leader(s, T.q, T.m) for s in T if 0 < s < T.n})
-    targets = [1] + [0 if z < 0 else 1 + z for z in _zech(field)]
+    targets = [1] + [0 if z < 0 else 1 + z for z in field.zech()]
     for row in rows:
         moved = [0] * (n + 1)
         for target, c in zip(targets, row):

@@ -309,6 +309,9 @@ def test_parse_grid():
     assert len(points) == 2 * 2 * 1 + 2 * 2 * 2  # (m, t, a) per q = 2, 3
     # a repeated value adds no point
     assert parse_grid("q=3,2,3;m=3,2..3;t=1,0,1;a=*;b=1,1") == points
+    # an empty range of q or of m gives no point
+    assert parse_grid("q=3..2;m=2") == []
+    assert parse_grid("q=2;m=5..4") == []
 
 
 def test_json_round_trip(capsys):

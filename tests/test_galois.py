@@ -11,6 +11,7 @@ from cyclocode.galois import (
     TABLE_CAP,
     FieldContext,
     Polynomial,
+    _build,
     _least_primitive,
     factorize,
     field_make,
@@ -149,7 +150,11 @@ ROUTE_FIELDS = sorted(
 def test_table_route_equals_digit_route(q, m):
     table = field_make(q, m)
     digit = _digit_route(table)
-    assert table._zech is not None and digit._zech is None and digit.base._zech is None
+    # the Zech list is unbuilt after field_make and built by zech(); _build
+    # unwrapped is field_make's own build, without its memo
+    fresh = _build.__wrapped__(q, m)
+    assert fresh._zech is None and fresh.zech() is fresh._zech is not None
+    assert digit._zech is None and digit.base._zech is None
     if table.order <= 1 << 8:
         pairs = [(x, y) for x in range(table.order) for y in range(table.order)]
     else:
@@ -161,6 +166,34 @@ def test_table_route_equals_digit_route(q, m):
     elements = range(table.order)
     assert [table.neg(x) for x in elements] == [digit.neg(x) for x in elements]
     assert all(table.add(x, table.neg(x)) == 0 for x in elements)
+
+
+# every supported field of at most 2^16 elements, GF(q) itself included
+ZECH_FIELDS = [(q, m) for q, top in _MAX_DEGREE.items() for m in range(1, top + 1)
+               if q**m <= 1 << 16]
+
+
+@pytest.mark.parametrize("q,m", ZECH_FIELDS)
+def test_zech_list_equals_the_public_route(q, m):
+    F = field_make(q, m)
+    expect = []
+    for k in range(F.n):
+        x = F.add(1, F.exp(k))
+        expect.append(F.log(x) if x else -1)
+    assert F.zech() == expect
+    assert F.zech() is F.zech()
+
+
+def test_zech_list_is_built_on_first_read_and_needs_tables():
+    # field_make's own build leaves the list unbuilt at p = 2 too, where only
+    # the affine probe reads it; test_table_route_equals_digit_route checks
+    # the smaller fields
+    F = _build.__wrapped__(2, 20)
+    assert F._exp is not None and F._zech is None
+    with pytest.raises(ResourceLimitError, match="no tables"):
+        _digit_route(field_make(3, 2)).zech()
+    with pytest.raises(ResourceLimitError, match="no tables"):
+        field_make(5, 9).zech()  # above TABLE_CAP: no tables
 
 
 @pytest.mark.parametrize("q,m", ROUTE_FIELDS)

@@ -235,7 +235,7 @@ def test_oracle_reads_no_private_field_state():
     assert _private_reads(Path(cyclocode.__file__).with_name("oracle.py").read_text()) == []
     # the check sees such a read where one is made
     galois = Path(cyclocode.__file__).with_name("galois.py").read_text()
-    assert {"_log", "_exp", "_zech"} <= {r.split(": ")[1] for r in _private_reads(galois)}
+    assert {"_log", "_exp"} <= {r.split(": ")[1] for r in _private_reads(galois)}
     assert _private_reads("x = field._wrap[c] + getattr(field.base, '_zech')[0]") == [
         "line 1: _wrap", "line 1: _zech"]
 
@@ -268,11 +268,11 @@ def test_every_memo_is_bounded_but_the_documented_ones():
     assert memos["galois.minimal_polynomial"] == 256
 
 
-def test_oracle_keeps_exactly_its_three_memos():
+def test_oracle_keeps_exactly_its_two_memos():
     # a memo dropped from the oracle cannot come back unnoticed, nor a new one
     # appear, and each keeps the 32 most recent keys
     oracle = {name: size for name, size in _memos().items() if name.startswith("oracle.")}
-    assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_dual", "_zech")}
+    assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_dual")}
 
 
 # Modules the package must not load at start: dataclasses and inspect are
