@@ -3,9 +3,10 @@
 Cosets are built by rotating the base-q digits of s rather than by modular
 multiplication so that the two fixed points 0 and q^m - 1 come out as
 singleton orbits with no special-casing: both are legitimate, distinct
-positions of an extended code's defining set.  coset_of is the one orbit
-routine of the package; minimal and generator polynomials take their
-orbits from it.
+positions of an extended code's defining set.  _orbit is the one orbit
+routine of the package: coset_of sorts its orbit, union_cosets adds it to
+a set, and minimal and generator polynomials take their orbits from
+coset_of.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ class CyclotomicCoset(NamedTuple):
         return len(self.elements)
 
 
-def coset_of(s: int, q: int, m: int) -> CyclotomicCoset:
-    """The cyclotomic coset containing s, as a sorted orbit with its leader."""
-    _check_range(s, q, m)
+def _orbit(s: int, q: int, m: int) -> set[int]:
+    """The rotation orbit of the m base-q digits of s, unchecked."""
     top = q ** (m - 1)
     orbit = {s}
     r = s
@@ -69,7 +69,13 @@ def coset_of(s: int, q: int, m: int) -> CyclotomicCoset:
         # the top digit wraps to the bottom: r * q mod q^m - 1, with n fixed
         r = r % top * q + r // top
         orbit.add(r)
-    elems = tuple(sorted(orbit))
+    return orbit
+
+
+def coset_of(s: int, q: int, m: int) -> CyclotomicCoset:
+    """The cyclotomic coset containing s, as a sorted orbit with its leader."""
+    _check_range(s, q, m)
+    elems = tuple(sorted(_orbit(s, q, m)))
     return CyclotomicCoset(elems[0], elems)
 
 
@@ -197,5 +203,5 @@ def union_cosets(seeds: Iterable[int], q: int, m: int) -> DefiningSet:
     for s in seeds:
         _check_range(s, q, m)
         if s not in members:
-            members.update(coset_of(s, q, m).elements)
+            members |= _orbit(s, q, m)
     return DefiningSet.from_members(q, m, members)

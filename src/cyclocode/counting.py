@@ -266,13 +266,20 @@ def _binomial_transform(rows: list[list[int]], op) -> list[list[int]]:
     so a whole step is one elementwise op.  The table is a down-set, so a
     column step combines row s with the leading part of row s + 1 and every
     term of the sum is present.
+
+    Both passes stop at the last row that holds a nonzero entry: a shift
+    takes a zero row to a zero row, and a column step that reads one
+    changes nothing.  With a = b every row s >= 1 of the A table is zero.
     """
     rows = [list(row) for row in rows]
-    for c in rows:
+    live = len(rows)
+    while live > 1 and not any(rows[live - 1]):
+        live -= 1
+    for c in rows[:live]:
         d = len(c) - 1
         for i in range(d - 1, -1, -1):
             c[i:d] = map(op, c[i:d], c[i + 1:])
-    d = len(rows) - 1
+    d = live - 1
     for i in range(d - 1, -1, -1):
         for lo, hi in zip(rows[i:d], rows[i + 1:]):
             lo[: len(hi)] = map(op, lo, hi)

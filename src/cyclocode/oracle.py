@@ -20,10 +20,12 @@ window of k consecutive coordinates, until the lightest codeword found
 meets the bound; it takes cyclic codes and their extensions only, and
 checks the shift.  The extended dual's distance is derived from the cyclic
 dual's result, without a walk, when the affine group provably acts on the
-extended code: it is transitive on the coordinates, and the cyclic dual is
-the extended dual shortened at the parity coordinate.  Every walk weighs
-codewords by popcount: over GF(2) of bit masks, over other fields of
-one-hot words, a table of combinations of rows at a time.
+extended code, as the p-adic criterion of Kasami, Lin & Peterson decides
+and the syndrome probe checks: the group is transitive on the
+coordinates, and the cyclic dual is the extended dual shortened at the
+parity coordinate.  Every walk weighs codewords by popcount: over GF(2)
+of bit masks, over other fields of one-hot words, a table of combinations
+of rows at a time.
 """
 
 from __future__ import annotations
@@ -730,9 +732,11 @@ def dual_min_distance(
     its enumerated included, and no answer is served under another budget.
 
     With extended=True the code is the length-(n+1) extension E of C
-    (defining set including 0).  _probe_verdict first decides exactly
-    whether the affine group acts on E, and so on the dual of E; a
-    field/set mismatch raises ParameterError there.  That group is
+    (defining set including 0).  _p_adic_verdict first decides exactly
+    whether the affine group acts on E, and so on the dual of E, by the
+    p-adic criterion; a field/set mismatch raises ParameterError there.
+    The syndrome probe, _probe_verdict, is not run: it stays verify's
+    independent check of the criterion.  That group is
     transitive on the q^m coordinates, and the cyclic dual is the dual of E
     shortened at the parity coordinate.  So the cyclic dual has
     (q^m - w)/q^m times as many words of each weight w as the dual of E,
@@ -745,7 +749,7 @@ def dual_min_distance(
     the cyclic dual is trivial (the extended dual is then the code of the
     all-ones word), or when the cyclic result is "budget-exhausted".
     """
-    if extended and _probe_verdict(field, D) and _generator(field, D).degree:
+    if extended and _p_adic_verdict(field, D) and _generator(field, D).degree:
         cyclic = _dual(field, D, False, DEFAULT_DISTANCE_BUDGET)
         if cyclic.kind == "exact":
             return _affine_transitive(field, cyclic)
@@ -851,7 +855,8 @@ def affine_invariance_probe(
     at the first nonzero one.  The syndrome at 0 is the sum of the
     coordinates, which the move keeps and which is 0 on every row, so only
     the leaders 0 < s < n are asked for.  The verdict agrees with the
-    p-adic criterion of Kasami, Lin & Peterson (1967) and Delsarte (1970).
+    p-adic criterion of Kasami, Lin & Peterson (1967) and Delsarte (1970),
+    _p_adic_verdict, and is its independent check.
 
     trials is accepted and ignored: the check draws nothing.  It stays
     because traced benchmark runs bind the probe's arguments by name.
@@ -861,12 +866,32 @@ def affine_invariance_probe(
     overrides it with a deliberately broken (non-descendant-closed) set,
     which is how the check is given negative controls.
 
-    dual_min_distance(extended=True) rests on a True verdict: under it the
-    extended dual's distance is derived from the cyclic dual's walk.
+    dual_min_distance(extended=True) reads the criterion, not this probe.
 
     The verdict is computed afresh on every call; verify asks once per code.
     """
     return _probe_verdict(field, brute_T(params) if defining_set is None else defining_set)
+
+
+def _p_adic_verdict(field: FieldContext, D: DefiningSet) -> bool:
+    """Whether the affine group acts on the extended code of D, by the
+    p-adic criterion of Kasami, Lin & Peterson (1967) and Delsarte (1970):
+    the set that code has, D minus {n} plus {0}, holds s - p^i for every
+    member s and every nonzero base-p digit i of s, p the characteristic,
+    so it is closed under p-adic descendants.  Base q is not the same test
+    when q = p^e with e > 1.  One pass over the members; raises
+    ParameterError when field and D disagree on (q, m)."""
+    if (field.q, field.m) != (D.q, D.m):
+        raise ParameterError("field and defining set disagree on (q, m)")
+    p, n = field.p, D.n
+    members = {s for s in D if s != n} | {0}
+    for s in members:
+        power = 1
+        while power <= s:
+            if s // power % p and s - power not in members:
+                return False
+            power *= p
+    return True
 
 
 def _probe_verdict(field: FieldContext, T: DefiningSet) -> bool:

@@ -536,6 +536,42 @@ def test_criterion_11_extended_equals_cyclic_dual_distance(exact_dual_distances)
         assert derived == ("exact", d_ext, 0, "affine-transitive", dd.extended.count), tup
 
 
+# (kind, value, enumerated, route, count) of each instance's extended dual
+EXTENDED_DISTANCES = {
+    (2, 2, 1, 1, 1): ("exact", 2, 0, "affine-transitive", 6),
+    (2, 3, 1, 1, 1): ("exact", 2, 0, "affine-transitive", 28),
+    (2, 3, 2, 1, 1): ("exact", 4, 0, "affine-transitive", 14),
+    (2, 4, 1, 1, 1): ("exact", 2, 0, "affine-transitive", 120),
+    (2, 4, 2, 1, 1): ("exact", 4, 0, "affine-transitive", 20),
+    (2, 4, 3, 1, 1): ("exact", 8, 0, "affine-transitive", 30),
+    (2, 5, 2, 1, 1): ("exact", 6, 0, "affine-transitive", 992),
+    (2, 5, 3, 1, 1): ("exact", 12, 0, "affine-transitive", 496),
+    (2, 5, 4, 1, 1): ("exact", 16, 0, "affine-transitive", 62),
+    (3, 2, 1, 1, 1): ("exact", 6, 0, "affine-transitive", 24),
+    (3, 2, 1, 2, 1): ("exact", 6, 0, "affine-transitive", 24),
+    (3, 2, 1, 2, 2): ("exact", 4, 0, "affine-transitive", 36),
+    (3, 3, 1, 1, 1): ("exact", 15, 0, "affine-transitive", 702),
+    (3, 3, 2, 2, 1): ("exact", 18, 0, "affine-transitive", 78),
+    (3, 3, 2, 2, 2): ("exact", 15, 0, "affine-transitive", 702),
+    (3, 4, 2, 1, 1): ("exact", 45, 0, "affine-transitive", 360),
+    (3, 4, 3, 2, 1): ("exact", 54, 0, "affine-transitive", 240),
+    (3, 4, 3, 2, 2): ("exact", 48, 0, "affine-transitive", 3240),
+}
+
+
+def test_criterion_11_extended_distances_never_run_the_probe(monkeypatch):
+    # the extended call reads the p-adic criterion; the syndrome probe is
+    # verify's check of it, and here it refuses to run
+    def refuse(field, T):
+        raise AssertionError("the syndrome probe ran on the distance path")
+
+    monkeypatch.setattr(oracle, "_probe_verdict", refuse)
+    assert list(EXTENDED_DISTANCES) == EXACT_DISTANCE_INSTANCES
+    for tup, pinned in EXTENDED_DISTANCES.items():
+        p = CodeParams(*tup)
+        assert dual_min_distance(field_make(p.q, p.m), build_T(p), extended=True) == pinned, tup
+
+
 def test_criterion_11_both_routes_give_one_dual_distribution():
     """Whole weight distributions, not only d: wherever both sides fit the
     budget, the dual's enumerated distribution equals the MacWilliams

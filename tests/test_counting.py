@@ -1,4 +1,4 @@
-from operator import sub
+from operator import add, sub
 
 import pytest
 
@@ -243,6 +243,40 @@ def test_entry_table_hands_out_copies_of_its_memo():
     assert counting._entry_rows(p) is rows
     assert [list(row) for row in rows] == expect
     assert counting.count_matrix_entries(0, 1, p) == expect[1][0]
+
+
+def _horner_reference(rows, op):
+    """The transform with no row trimmed: Horner's Taylor shift one
+    coefficient at a time along every row, then down every column."""
+    rows = [list(row) for row in rows]
+    for row in rows:
+        for i in range(len(row) - 2, -1, -1):
+            for j in range(i, len(row) - 1):
+                row[j] = op(row[j], row[j + 1])
+    for i in range(len(rows) - 2, -1, -1):
+        for s in range(i, len(rows) - 1):
+            for r in range(len(rows[s + 1])):
+                rows[s][r] = op(rows[s][r], rows[s + 1][r])
+    return rows
+
+
+def test_zero_row_skip_is_exact():
+    # with a = b every row s >= 1 of the A table is zero, and the transform
+    # stops at the last nonzero row; its output must be the untrimmed one's
+    points = 0
+    for q in (2, 3):
+        for m in range(1, 21):
+            for t in range(m):
+                for a in range(1, q):
+                    rows = counting._entry_rows(CodeParams(q, m, t, a, a))
+                    assert not any(map(any, rows[1:]))
+                    inverse = counting._binomial_transform(rows, sub)
+                    assert inverse == _horner_reference(rows, sub)
+                    for table in (rows, inverse):
+                        assert (counting._binomial_transform(table, add)
+                                == _horner_reference(table, add))
+                    points += 1
+    assert points == 3 * 210
 
 
 def test_corrupted_inversion_fails_the_round_trip(monkeypatch):

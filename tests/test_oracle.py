@@ -670,6 +670,10 @@ def test_dual_min_distance_rejects_mismatched_field():
             dual_min_distance(F, DefiningSet.from_members(2, 3, [1, 2, 4]), extended)
 
 
+def _refuse_probe(field, T):
+    raise AssertionError("the syndrome probe ran on the distance path")
+
+
 def test_extended_distance_walks_without_the_affine_verdict(monkeypatch):
     # the coset of 1 dropped from T(2,4,2,1,1): the affine group does not act
     # on the extended code, whose dual has d = 4 against the cyclic dual's 6,
@@ -678,6 +682,8 @@ def test_extended_distance_walks_without_the_affine_verdict(monkeypatch):
     F = field_make(2, 4)
     broken = union_cosets([0, 3], 2, 4)
     assert not oracle._probe_verdict(F, broken)
+    # the distance path reads the p-adic criterion and never runs the probe
+    monkeypatch.setattr(oracle, "_probe_verdict", _refuse_probe)
     walks = []
     walk = oracle._dual_walk
     monkeypatch.setattr(oracle, "_dual_walk",
@@ -761,21 +767,27 @@ def test_affine_invariance_probe_on_every_dropped_coset(q):
     # q^m <= 64.  The check must reject each set whose descendant closure
     # breaks (index n, the extension's own position, aside) and accept each
     # one that stays closed, whose code is still affine-invariant: 514
-    # rejected and 131 accepted over the four primes.
+    # rejected and 131 accepted over the four primes.  The p-adic criterion
+    # that the distance path reads gives the same verdict on each.
     verdicts = Counter()
     for F, p, D in _dropped_cosets(q, 64):
         ok = affine_invariance_probe(F, p, defining_set=D)
-        assert ok == _q_adically_closed(D), (p.astuple(), sorted(D))
+        assert ok == _q_adically_closed(D) == oracle._p_adic_verdict(F, D), (
+            p.astuple(), sorted(D))
         verdicts[ok] += 1
     assert (verdicts[False], verdicts[True]) == DROPPED_COSET_SPLIT[q]
 
 
-def _p_adically_closed(D, p):
-    """Whether D minus {n} holds each member less p^i for every nonzero
-    base-p digit i, and so every p-adic descendant of its members."""
-    members = set(D) - {D.n}
+def _closed_under(members, p):
+    """Whether members holds each member less p^i for every nonzero base-p
+    digit i, and so every p-adic descendant of its members."""
     return all(s - p**i in members
                for s in members for i in range(s.bit_length()) if s // p**i % p)
+
+
+def _p_adically_closed(D, p):
+    """The criterion on the set the extended code has: D minus {n} plus {0}."""
+    return _closed_under(set(D) - {D.n} | {0}, p)
 
 
 @pytest.mark.parametrize("q,p,top,traps", [(4, 2, 64, 24), (8, 2, 64, 85), (9, 3, 81, 74)])
@@ -789,8 +801,42 @@ def test_affine_invariance_probe_follows_the_p_adic_criterion(q, p, top, traps):
         closed = _p_adically_closed(D, p)
         assert affine_invariance_probe(F, point, defining_set=D) == closed, (
             point.astuple(), sorted(D))
+        assert oracle._p_adic_verdict(F, D) == closed, (point.astuple(), sorted(D))
         trapped += closed and not _q_adically_closed(D)
     assert trapped == traps
+
+
+def _coset_unions():
+    """(field, D) for every union of at most three nonzero cosets, with and
+    without 0 and n, at five small fields: 676 sets."""
+    for q, m in [(2, 3), (2, 4), (2, 5), (3, 2), (4, 2)]:
+        F, n = field_make(q, m), q**m - 1
+        leaders = sorted({leader(s, q, m) for s in range(1, n)})
+        for size in range(4):
+            for chosen in combinations(leaders, size):
+                for ends in ((), (0,), (n,), (0, n)):
+                    yield F, union_cosets(chosen + ends, q, m)
+
+
+def test_p_adic_verdict_equals_the_probe_on_unions_of_cosets():
+    # the extended code has D minus {n} plus {0}, and the criterion reads
+    # that set in base p; reading base q at q = 4, D without 0 added, or D
+    # with n kept each gives another verdict than the probe somewhere
+    mutants = {
+        "base q": lambda D, p: _closed_under(set(D) - {D.n} | {0}, D.q),
+        "no 0 added": lambda D, p: _closed_under(set(D) - {D.n}, p),
+        "n kept": lambda D, p: _closed_under(set(D) | {0}, p),
+    }
+    missed = Counter()
+    sets = 0
+    for F, D in _coset_unions():
+        probe = oracle._probe_verdict(F, D)
+        assert oracle._p_adic_verdict(F, D) == probe == _p_adically_closed(D, F.p), sorted(D)
+        for name, mutant in mutants.items():
+            missed[name] += mutant(D, F.p) != probe
+        sets += 1
+    assert sets == 676
+    assert missed == {"base q": 16, "no 0 added": 46, "n kept": 54}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
@@ -832,6 +878,8 @@ def test_affine_invariance_probe_never_asks_for_exponent_zero(monkeypatch):
 
 def test_affine_invariance_probe_rejects_mismatched_field():
     F = field_make(2, 4)
+    with pytest.raises(ParameterError, match="disagree"):
+        oracle._p_adic_verdict(F, DefiningSet.from_members(2, 3, [0, 1, 2, 4]))
     with pytest.raises(ParameterError, match="disagree"):
         affine_invariance_probe(F, CodeParams(2, 3, 1, 1, 1))
     with pytest.raises(ParameterError, match="disagree"):
