@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import product
@@ -489,6 +490,37 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _terminal_columns() -> int:
+    """What shutil.get_terminal_size() gives argparse for the width: COLUMNS
+    if positive, else the terminal's width, else 80."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
+    """argparse makes a formatter for every add_argument, and the stock one
+    imports shutil (with fnmatch and the compression modules) to read the
+    terminal width at once; this one reads it only when help is rendered."""
+
+    def __init__(self, prog: str) -> None:
+        super().__init__(prog, width=80)  # replaced in format_help
+
+    def format_help(self) -> str:
+        # as HelpFormatter.__init__ sets them for width=None, with its
+        # default max_help_position of 24
+        self._width = _terminal_columns() - 2
+        self._max_help_position = min(24, max(self._width - 20, self._indent_increment * 2))
+        return super().format_help()
+
+
 def _add_common(sub) -> None:
     sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
     sub.add_argument("--out", help="write the report to this path")
@@ -507,11 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact parameters and dual-distance certificates for a "
                     "family of affine-invariant and BCH codes.",
         epilog=GRID_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=_HelpFormatter,
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
 
-    p = subs.add_parser("dim", help="dimension of the code for (q, m, t, a, b)")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=help, formatter_class=_HelpFormatter)
+
+    p = command("dim", "dimension of the code for (q, m, t, a, b)")
     _add_params(p)
     p.add_argument("--verify", action="store_true",
                    help="cross-check against materialized sets and, for a built-in "
@@ -519,36 +554,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_dim)
 
-    p = subs.add_parser("size-t", help="defining-set size with the class breakdown")
+    p = command("size-t", "defining-set size with the class breakdown")
     _add_params(p)
     _add_common(p)
     p.set_defaults(fn=cmd_size_t)
 
-    p = subs.add_parser("coset", help="cyclotomic coset of s modulo q^m - 1")
+    p = command("coset", "cyclotomic coset of s modulo q^m - 1")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_coset)
 
-    p = subs.add_parser("bound", help="dual-distance lower bound, optionally certified")
+    p = command("bound", "dual-distance lower bound, optionally certified")
     _add_params(p)
     p.add_argument("--certificate", action="store_true",
                    help="build and verify the (v, z, S) certificate")
     _add_common(p)
     p.set_defaults(fn=cmd_bound)
 
-    p = subs.add_parser("audit", help="stated vs certified bounds over a grid")
+    p = command("audit", "stated vs certified bounds over a grid")
     p.add_argument("--grid", required=True, help="see the grid mini-language below")
     _add_common(p)
     p.set_defaults(fn=cmd_audit)
 
-    p = subs.add_parser("table", help="reproduce a bound table preset")
+    p = command("table", "reproduce a bound table preset")
     p.add_argument("--preset", required=True, choices=("table2",))
     _add_common(p)
     p.set_defaults(fn=cmd_table)
 
-    p = subs.add_parser("verify", help="run the oracle cross-check suite")
+    p = command("verify", "run the oracle cross-check suite")
     p.add_argument("--max-n", type=int, required=True,
                    help="check every parameter set with q^m <= this (at least 2); q^m "
                         f"caps: dimension check {VERIFY_DIM_CAP}, affine probe {VERIFY_PROBE_CAP}")
@@ -557,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 
-    p = subs.add_parser("gen-poly", help="generator polynomial of a BCH code")
+    p = command("gen-poly", "generator polynomial of a BCH code")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)

@@ -12,20 +12,31 @@ closed form, and inverting a two-parameter binomial transform.
 
 The relaxed counts A_{r,s} fill one table over the down-set of admissible
 pairs.  Each entry is a power product in a and b times a pattern-word count
-that depends on the shape (m, t) alone, tabled once per shape.  The
-inversion is separable, a Taylor shift by -1 along each row and then along
-each column, so it takes O(P m) additions for P admissible pairs and no
-binomial coefficient; |T| is the table's alternating sum.
+that depends on the shape (m, t) alone.  The inversion is separable, a Taylor
+shift by -1 along each row and then along each column, so it takes O(P m)
+additions for P admissible pairs and no binomial coefficient; |T| is the
+table's alternating sum.
+
+What depends on the shape alone is built once per shape: the pattern-word
+rows, and for class_sizes a plan, the transform compiled to steps over the
+table read row by row, in Horner's order.  A step combines a run of entries
+with another run; one of at most three entries is stored as that many
+one-entry steps, so a small table runs as a few scalar operations and a
+large one as whole slices, and a plan holds O(P + R^2) steps for R rows.
+Row 0's steps come first: with a = b every other row of the table is zero,
+and that prefix is the whole transform.  A table has at most
+PATTERN_TABLE_CAP entries.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, chain
 from math import comb
-from operator import add, ne, sub
+from operator import add, sub
 from typing import NamedTuple
 
-from .errors import ConsistencyError, ParameterError, ZeroCodeError
+from .errors import ConsistencyError, ParameterError, ResourceLimitError, ZeroCodeError
 
 __all__ = [
     "CodeParams",
@@ -200,7 +211,25 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
     internal error.
     """
     _check_admissible(k, ell, m, t)
-    return _pattern_rows(m, t)[ell][k]
+    return _pattern_words(k, ell, m, t)
+
+
+#: Largest counting table of one shape (m, t), in entries with (0, 0)
+#: included: P = sum over s of (m - s(t+2)) // (t+1) + 1.  Inverting it
+#: costs O(P m) big-integer additions; past the cap the counting raises
+#: ResourceLimitError before it builds anything.
+PATTERN_TABLE_CAP = 1 << 16
+
+
+def _row_lengths(m: int, t: int) -> list[int]:
+    """The table's row lengths: row s holds r = 0 .. (m - s(t+2)) // (t+1)."""
+    lengths = [(m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1)]
+    if sum(lengths) > PATTERN_TABLE_CAP:
+        raise ResourceLimitError(
+            f"the counting table of (m, t) = ({m}, {t}) has {sum(lengths)} entries,"
+            f" past the pattern table cap of {PATTERN_TABLE_CAP}"
+        )
+    return lengths
 
 
 @lru_cache(maxsize=None)
@@ -212,11 +241,8 @@ def _pattern_rows(m: int, t: int) -> tuple[tuple[int, ...], ...]:
     shares this table; like galois._build the memo is unbounded, one entry
     per shape used."""
     rows = tuple(
-        tuple(
-            _pattern_words(r, s, m, t)
-            for r in range((m - s * (t + 2)) // (t + 1) + 1)
-        )
-        for s in range(m // (t + 2) + 1)
+        tuple(_pattern_words(r, s, m, t) for r in range(n))
+        for s, n in enumerate(_row_lengths(m, t))
     )
     return ((0,) + rows[0][1:],) + rows[1:]
 
@@ -255,35 +281,76 @@ def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _binomial_transform(rows: list[list[int]], op) -> list[list[int]]:
-    """The table x_{r,s} taken to sum_{(r',s')} (+-1)^{r'+s'-r-s} C(r',r)
-    C(s',s) x_{r',s'}, as a new table of the same shape: with op = sub a
-    Taylor shift by -1 along r in every row, then along s in every column;
-    with op = add the same by +1.
+# A step of at most this many entries is stored as one-entry steps.
+_SCALAR_STEP = 3
 
-    Each shift is Horner's rule, f(x) -> f(x -+ 1) one coefficient at a
-    time; every step combines a coefficient with the old value of the next,
-    so a whole step is one elementwise op.  The table is a down-set, so a
-    column step combines row s with the leading part of row s + 1 and every
-    term of the sum is present.
+# Steps and (k, ell) keys recur from shape to shape; every plan holds the
+# one shared copy of each.
+_interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    Both passes stop at the last row that holds a nonzero entry: a shift
-    takes a zero row to a zero row, and a column step that reads one
-    changes nothing.  With a = b every row s >= 1 of the A table is zero.
-    """
-    rows = [list(row) for row in rows]
-    live = len(rows)
-    while live > 1 and not any(rows[live - 1]):
-        live -= 1
-    for c in rows[:live]:
-        d = len(c) - 1
-        for i in range(d - 1, -1, -1):
-            c[i:d] = map(op, c[i:d], c[i + 1:])
-    d = live - 1
-    for i in range(d - 1, -1, -1):
-        for lo, hi in zip(rows[i:d], rows[i + 1:]):
-            lo[: len(hi)] = map(op, lo, hi)
-    return rows
+
+def _intern(items: list) -> list:
+    return list(map(_interned.setdefault, items, items))
+
+
+def _expand(steps: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """The steps as stored: one of more than _SCALAR_STEP entries as it is,
+    a shorter one as its one-entry steps in ascending order."""
+    out = []
+    for dst, src, n in steps:
+        if n > _SCALAR_STEP:
+            out.append((dst, src, n))
+        else:
+            out += zip(range(dst, dst + n), range(src, src + n), [1] * n)
+    return _intern(out)
+
+
+class _Plan(NamedTuple):
+    """The binomial transform of one shape's table, read row by row."""
+
+    keys: tuple[AdmissiblePair, ...]  # (r, s) of each flat entry, (0, 0) first
+    steps: tuple[tuple[int, int, int], ...]  # (dst, src, n) in Horner's order
+    prefix: int  # how many steps, all first, are row 0's
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int, t: int) -> _Plan:
+    """The transform of class_sizes compiled for the shape (m, t): the
+    Taylor shift of each row, f(x) -> f(x -+ 1) one coefficient at a time,
+    then the same down every column, where a step combines row s with the
+    leading part of row s + 1 (the table is a down-set, so every term is
+    present).  A step (dst, src, n) takes x[dst + i] to op(x[dst + i],
+    x[src + i]) for i < n, all from the values before the step; one-entry
+    steps in ascending order do the same, since a row step reads only
+    entries after the ones it writes.
+
+    Only class_sizes reads a plan, so dimension does not pay for building
+    one with the pattern rows; the memo is unbounded, one entry per shape
+    inverted."""
+    lengths = _row_lengths(m, t)
+    keys = _intern([key for s, n in enumerate(lengths) for key in zip(range(n), [s] * n)])
+    offsets = list(accumulate(lengths, initial=0))
+    row_steps = [(o + i, o + i + 1, n - 1 - i)
+                 for o, n in zip(offsets, lengths) for i in range(n - 2, -1, -1)]
+    steps = _expand(row_steps[:lengths[0] - 1])
+    prefix = len(steps)
+    steps += _expand(row_steps[lengths[0] - 1:])
+    column: list[tuple[int, int, int]] = []
+    for s in range(len(lengths) - 2, -1, -1):
+        # Horner's step s down the columns runs rows s, s + 1, ... in order
+        column = _expand([(offsets[s], offsets[s + 1], lengths[s + 1])]) + column
+        steps += column
+    return _Plan(tuple(keys), tuple(steps), prefix)
+
+
+def _run_plan(x: list[int], steps, op) -> None:
+    """Run transform steps in order on the flat table x, in place."""
+    for dst, src, n in steps:
+        if n == 1:
+            x[dst] = op(x[dst], x[src])
+        else:
+            end = dst + n
+            x[dst:end] = map(op, x[dst:end], x[src:src + n])
 
 
 def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
@@ -293,28 +360,31 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
 
     The transform is separable: a Taylor shift by -1 along r in every row
     of the A table, then along s in every column, in O(P m) additions for
-    P admissible pairs and no binomial coefficient.  The forward identity
-    A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same two shifts by +1, is
-    re-checked after inversion; a failure, or a negative class size, would
-    be an internal error.
+    P admissible pairs and no binomial coefficient.  It runs as the shape's
+    plan on the table read row by row; with a = b only row 0 is nonzero,
+    and only row 0's steps, the plan's prefix, run.  The forward identity
+    A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same steps by +1, is
+    re-checked on the whole table after inversion; a failure, or a negative
+    class size, would be an internal error.  Classes come in the table's
+    order: ell ascending, then k ascending.
     """
     params.require_counting_regime()
-    a_rows = _entry_rows(params)
-    b_rows = _binomial_transform(a_rows, sub)
-    sizes = {
-        (k, ell): size for ell, row in enumerate(b_rows) for k, size in enumerate(row)
-    }
+    a_flat = list(chain.from_iterable(_entry_rows(params)))
+    plan = _plan(params.m, params.t)
+    steps = plan.steps[:plan.prefix] if params.a == params.b else plan.steps
+    x = a_flat.copy()
+    _run_plan(x, steps, sub)
+    sizes = dict(zip(plan.keys, x))
     del sizes[(0, 0)]
-    for (k, ell), size in sizes.items():
-        if size < 0:
-            raise ConsistencyError(
-                f"negative class size B_{{{k},{ell}}} = {size} at {params.astuple()}"
-            )
-    forward = _binomial_transform(b_rows, add)
-    forward[0][0] = a_rows[0][0]  # B_{0,0} is no class size
-    if any(map(ne, map(tuple, forward), a_rows)):
-        r, s = next((r, s) for s, row in enumerate(forward)
-                    for r, x in enumerate(row) if x != a_rows[s][r])
+    if min(sizes.values()) < 0:
+        (k, ell), size = next(item for item in sizes.items() if item[1] < 0)
+        raise ConsistencyError(
+            f"negative class size B_{{{k},{ell}}} = {size} at {params.astuple()}"
+        )
+    _run_plan(x, steps, add)
+    x[0] = a_flat[0]  # B_{0,0} is no class size
+    if x != a_flat:
+        r, s = next(key for key, u, v in zip(plan.keys, x, a_flat) if u != v)
         raise ConsistencyError(
             f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
         )

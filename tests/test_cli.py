@@ -254,6 +254,48 @@ def test_resource_error_exit_code(capsys):
     assert "resource" in err.lower() or "cap" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [["dim"], ["dim", "--verify"], ["size-t"]])
+def test_counting_past_the_pattern_table_cap_exits_3(monkeypatch, capsys, argv):
+    # P = 33,343,334 table entries at (2, 20000, 1): refused before any is built
+    monkeypatch.setattr(cli.counting, "_pattern_words", lambda *args: pytest.fail("built a table"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--q", "2", "--m", "20000", "--t", "1",
+                         "--a", "1", "--b", "1")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: the counting table of (m, t) = (20000, 1) has "
+                   "33343334 entries, past the pattern table cap of 65536\n")
+    assert time.perf_counter() - start < 5
+
+
+def _parsers(parser):
+    """The parser and every subcommand's parser."""
+    return [parser, *parser._subparsers._group_actions[0].choices.values()]
+
+
+@pytest.mark.parametrize("columns", ["44", "100", None])
+def test_help_is_what_the_stock_formatters_render(monkeypatch, columns):
+    # the help formatter reads the terminal width as argparse's own does,
+    # only later; under any COLUMNS the text must be the stock formatter's
+    import argparse
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    ours = _parsers(cli.build_parser())
+    stock = _parsers(cli.build_parser())
+    assert len(ours) == 9
+    for parser in stock:
+        parser.formatter_class = (argparse.RawDescriptionHelpFormatter if parser.epilog
+                                  else argparse.HelpFormatter)
+    for mine, theirs in zip(ours, stock):
+        assert type(mine._get_formatter()) is cli._HelpFormatter
+        assert mine.format_help() == theirs.format_help()
+        assert mine.format_usage() == theirs.format_usage()
+    if columns == "44":  # the width was read: usage wraps at COLUMNS - 2
+        assert len(ours[1].format_usage().splitlines()[0]) <= 42
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run(capsys, "table", "--preset", "table2", "--format", "csv",

@@ -13,7 +13,7 @@ from cyclocode.counting import (
     count_pattern_words,
 )
 from cyclocode.defsets import build_T
-from cyclocode.errors import ConsistencyError, ParameterError
+from cyclocode.errors import ConsistencyError, ParameterError, ResourceLimitError
 from cyclocode.oracle import brute_T, segment_class_sizes
 
 
@@ -260,37 +260,148 @@ def _horner_reference(rows, op):
     return rows
 
 
+def _flat(rows):
+    return [x for row in rows for x in row]
+
+
+def _run(steps, table, op):
+    """The table read row by row, after the plan steps ran on it."""
+    x = _flat(table)
+    counting._run_plan(x, steps, op)
+    return x
+
+
 def test_zero_row_skip_is_exact():
-    # with a = b every row s >= 1 of the A table is zero, and the transform
-    # stops at the last nonzero row; its output must be the untrimmed one's
+    # with a = b every row s >= 1 of the A table is zero, and only row 0's
+    # steps, the plan's prefix, run; the result must be the untrimmed one's
     points = 0
-    for q in (2, 3):
-        for m in range(1, 21):
-            for t in range(m):
+    for m in range(1, 21):
+        for t in range(m):
+            plan = counting._plan(m, t)
+            row0 = plan.steps[:plan.prefix]
+            width = len(counting._pattern_rows(m, t)[0])
+            assert all(max(dst, src) + n <= width for dst, src, n in row0)
+            for q in (2, 3, 4):
                 for a in range(1, q):
                     rows = counting._entry_rows(CodeParams(q, m, t, a, a))
                     assert not any(map(any, rows[1:]))
-                    inverse = counting._binomial_transform(rows, sub)
-                    assert inverse == _horner_reference(rows, sub)
+                    inverse = _horner_reference(rows, sub)
+                    assert _run(row0, rows, sub) == _flat(inverse)
                     for table in (rows, inverse):
-                        assert (counting._binomial_transform(table, add)
-                                == _horner_reference(table, add))
+                        assert _run(row0, table, add) == _flat(_horner_reference(table, add))
                     points += 1
-    assert points == 3 * 210
+    assert points == 6 * 210
+
+
+def test_whole_plan_equals_the_untrimmed_transform():
+    # with a != b every row is live, and the whole plan runs both ways
+    points = 0
+    for m in range(1, 21):
+        for t in range(m):
+            steps = counting._plan(m, t).steps
+            for q in (3, 4):
+                for a in range(2, q):
+                    for b in range(1, a):
+                        rows = counting._entry_rows(CodeParams(q, m, t, a, b))
+                        inverse = _horner_reference(rows, sub)
+                        assert _run(steps, rows, sub) == _flat(inverse)
+                        for table in (rows, inverse):
+                            assert _run(steps, table, add) == _flat(_horner_reference(table, add))
+                        points += 1
+    assert points == 4 * 210
+
+
+def _commute(one, other):
+    """Whether two steps give the same table in either order: each adds to
+    the entries it writes, so they commute unless one writes an entry that
+    the other reads."""
+    def span(start, n):
+        return set(range(start, start + n))
+
+    (d1, s1, n1), (d2, s2, n2) = one, other
+    return not (span(d1, n1) & span(s2, n2) or span(d2, n2) & span(s1, n1))
+
+
+def test_plan_mutations_are_caught_by_the_reference():
+    # the comparisons above must fail for a plan with one step dropped, two
+    # steps that do not commute swapped, or the a = b prefix cut one short
+    m, t = 9, 1
+    plan = counting._plan(m, t)
+    steps = list(plan.steps)
+    rows = counting._entry_rows(CodeParams(4, m, t, 3, 1))
+    expect = _flat(_horner_reference(rows, sub))
+    assert _run(steps, rows, sub) == expect
+    for i in range(len(steps)):
+        assert _run(steps[:i] + steps[i + 1:], rows, sub) != expect, i
+    swaps = 0
+    for i in range(len(steps) - 1):
+        swapped = steps[:i] + [steps[i + 1], steps[i]] + steps[i + 2:]
+        if not _commute(steps[i], steps[i + 1]):
+            assert _run(swapped, rows, sub) != expect, i
+            swaps += 1
+    assert 0 < swaps < len(steps) - 1
+    rows = counting._entry_rows(CodeParams(4, m, t, 3, 3))
+    expect = _flat(_horner_reference(rows, sub))
+    assert _run(steps[:plan.prefix], rows, sub) == expect
+    assert _run(steps[:plan.prefix - 1], rows, sub) != expect
+
+
+def test_plan_holds_o_of_p_plus_rows_squared_steps():
+    # (3, 200, 0, 2, 1): P = 10,201 entries in R = 101 rows; the transform
+    # does over a million entry operations, the plan holds a few per entry
+    m, t = 200, 0
+    rows = counting._pattern_rows(m, t)
+    entries, R = sum(map(len, rows)), len(rows)
+    assert (entries, R) == (10_201, 101)
+    steps = counting._plan(m, t).steps
+    assert len(steps) <= 2 * (entries + R * R)
+    assert sum(n for _, _, n in steps) > 1_000_000
+    assert all(n == 1 or n > counting._SCALAR_STEP for _, _, n in steps)
+    class_sizes(CodeParams(3, m, t, 2, 1))
 
 
 def test_corrupted_inversion_fails_the_round_trip(monkeypatch):
-    transform = counting._binomial_transform
+    run = counting._run_plan
 
-    def corrupted(rows, op):
-        out = transform(rows, op)
+    def corrupted(x, steps, op):
+        run(x, steps, op)
         if op is sub:
-            out[0][1] += 1  # B_{1,0} off by one
-        return out
+            x[1] += 1  # B_{1,0} off by one
 
-    monkeypatch.setattr(counting, "_binomial_transform", corrupted)
+    monkeypatch.setattr(counting, "_run_plan", corrupted)
     with pytest.raises(ConsistencyError, match="round trip failed at \\(r, s\\) = \\(1, 0\\)"):
         class_sizes(CodeParams(3, 4, 1, 2, 1))
+
+
+def _table_entries(m, t):
+    return sum((m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1))
+
+
+def test_pattern_table_cap(monkeypatch):
+    # past the cap every table-building route raises before building, and
+    # a single pattern-word count needs no table
+    p = CodeParams(2, 20000, 1, 1, 1)
+    assert _table_entries(20000, 1) == 33_343_334 > counting.PATTERN_TABLE_CAP
+    before = counting._pattern_rows.cache_info()
+    with monkeypatch.context() as patch:  # a missing cap fails fast, not after hours
+        patch.setattr(counting, "_pattern_words", lambda *args: pytest.fail("built a table"))
+        for ask in (lambda: class_sizes(p), lambda: closed_size_T(p),
+                    lambda: count_matrix_entries(1, 0, p), lambda: count_class(1, 0, p)):
+            with pytest.raises(ResourceLimitError, match="33343334 entries, past the pattern "
+                               "table cap of 65536"):
+                ask()
+    assert counting._pattern_rows.cache_info().currsize == before.currsize
+    assert count_pattern_words(1, 0, 20000, 1) == 20000
+    # the cap counts entries with (0, 0) included, and a table at it is built
+    assert _table_entries(6, 1) == sum(map(len, counting._pattern_rows(6, 1))) == 7
+    monkeypatch.setattr(counting, "PATTERN_TABLE_CAP", 7)
+    assert counting._pattern_rows.__wrapped__(6, 1) == counting._pattern_rows(6, 1)
+    assert counting._plan.__wrapped__(6, 1) == counting._plan(6, 1)
+    for build in (counting._pattern_rows.__wrapped__, counting._plan.__wrapped__):
+        with pytest.raises(ResourceLimitError, match="8 entries, past the pattern table cap of 7"):
+            build(7, 1)
+    # every tier-1 and benchmark shape is far below the cap
+    assert _table_entries(120, 0) == 3_721 and _table_entries(56, 0) == 841
 
 
 def test_class_sizes_match_census_small_grid():

@@ -241,8 +241,10 @@ def test_oracle_reads_no_private_field_state():
 
 
 # The memos documented as unbounded: one entry per field, prime-power
-# question or counting shape, each a small finite set.
-UNBOUNDED_MEMOS = {"counting._is_prime_power", "counting._pattern_rows", "galois._build"}
+# question or counting shape, each a small finite set.  A counting shape has
+# two, since dimension reads the pattern rows and only class_sizes the plan.
+UNBOUNDED_MEMOS = {"counting._is_prime_power", "counting._pattern_rows", "counting._plan",
+                   "galois._build"}
 
 
 def _memos() -> dict[str, int | None]:
@@ -275,10 +277,10 @@ def test_oracle_keeps_exactly_its_two_memos():
     assert oracle == {f"oracle.{name}": 32 for name in ("_generator", "_dual")}
 
 
-# Modules the package must not load at start: dataclasses and inspect are
-# slow to import, and the report formats' modules are loaded by the renderer
-# that needs them.
-NOT_LOADED_AT_START = ("csv", "dataclasses", "datetime", "inspect", "json")
+# Modules the package must not load at start: dataclasses, inspect and
+# shutil (with fnmatch and the compression modules) are slow to import, and
+# the report formats' modules are loaded by the renderer that needs them.
+NOT_LOADED_AT_START = ("csv", "dataclasses", "datetime", "inspect", "json", "shutil")
 
 
 def test_start_up_imports_no_record_or_report_format_module():
@@ -288,6 +290,20 @@ def test_start_up_imports_no_record_or_report_format_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_text_verify_run_loads_none_of_them_either():
+    # the help formatter reads the terminal width only when help is shown
+    code = "\n".join([
+        f"import contextlib, io, sys; sys.path.insert(0, {SRC!r})",
+        "from cyclocode import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify', '--max-n', '4', '--no-timestamp'])",
+        f"print(code, sorted(set(sys.modules) & set({NOT_LOADED_AT_START!r})))",
+    ])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
 
 
 # Every record of the package, with its fields in order.
