@@ -17,6 +17,13 @@ shift by -1 along each row and then along each column, so it takes O(P m)
 additions for P admissible pairs and no binomial coefficient; |T| is the
 table's alternating sum.
 
+Each point has one table, held flat in the plan's key order with the |T|
+that is summed as it is built.  The last few points' tables are memoized,
+so dimension, closed_size_T and class_sizes at one point build it once.
+At t = m-1 the word u = b 0^(m-1) has no a-digit and |T| is a-free, so
+dimension reads it from the raw point; it normalizes only for is_bch,
+delta and its check that n is not in T.
+
 What depends on the shape alone is built once per shape: the pattern-word
 rows, and for class_sizes a plan, the transform compiled to steps over the
 table read row by row, in Horner's order.  A step combines a run of entries
@@ -31,7 +38,7 @@ PATTERN_TABLE_CAP entries.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 from operator import add, sub
 from typing import NamedTuple
@@ -252,33 +259,48 @@ def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
     with b^r (a-b)^s (a+1)^{m - r(t+1) - s(t+2)} digit assignments."""
     params.require_counting_regime()
     _check_admissible(r, s, params.m, params.t)
-    return _entry_rows(params)[s][r]
+    rows = _pattern_rows(params.m, params.t)
+    return _table(params).entries[sum(map(len, rows[:s])) + r]
+
+
+class _Table(NamedTuple):
+    """The A table of one point and the |T| it gives."""
+
+    size: int  # |T| = 1 + sum of (-1)^(r+s+1) A_{r,s}
+    entries: tuple[int, ...]  # A_{r,s} in _plan's key order, A_{0,0} = 0 first
 
 
 @lru_cache(maxsize=8)
-def _entry_rows(p: CodeParams) -> tuple[tuple[int, ...], ...]:
-    """rows[s][r] = A_{r,s} over the down-set r(t+1) + s(t+2) <= m, with
-    A_{0,0} = 0: row s is ragged, holding r = 0 .. (m - s(t+2)) // (t+1).
+def _table(p: CodeParams) -> _Table:
+    """The A table of the point p, flat, row s holding A_{r,s} for r = 0 ..
+    (m - s(t+2)) // (t+1): the pattern-word count W_{r,s} times
+    b^r (a-b)^s (a+1)^{m - r(t+1) - s(t+2)}.
 
-    Built once per point from the shape's pattern-word rows, running
-    powers of b along a row and of a - b down the rows, and one list of
-    the powers of a + 1; the memo holds the last few points."""
+    Each row is built from its last entry, which has the least power of
+    a + 1, moving left by a factor (a+1)^(t+1) and down by b, so only the
+    powers the table uses are made; the row's alternating sum goes into
+    |T| as the row is made.  The memo holds the last few points, so
+    dimension, closed_size_T and class_sizes at one point build one table."""
     m, t, a, b = p.m, p.t, p.a, p.b
-    pow_a1 = [1]
-    for _ in range(m):
-        pow_a1.append(pow_a1[-1] * (a + 1))
-    rows = []
+    step = (a + 1) ** (t + 1)
+    entries: list[int] = []
+    alt = 0  # sum of (-1)^(r+s) A_{r,s}
     lead = 1  # (a - b)^s
     for s, words in enumerate(_pattern_rows(m, t)):
+        r = len(words) - 1
+        power = lead * (a + 1) ** (m - s * (t + 2) - r * (t + 1))
+        weight = b**r  # exact as r falls
         row = []
-        weight, e = lead, m - s * (t + 2)  # b^r (a - b)^s and m - r(t+1) - s(t+2)
-        for w in words:
-            row.append(weight * pow_a1[e] * w)
-            weight *= b
-            e -= t + 1
-        rows.append(tuple(row))
+        for w in reversed(words):
+            row.append(weight * power * w)
+            power *= step
+            weight //= b
+        row.reverse()
+        entries += row
+        alt_s = sum(row[::2]) - sum(row[1::2])
+        alt += -alt_s if s % 2 else alt_s
         lead *= a - b
-    return tuple(rows)
+    return _Table(1 - alt, tuple(entries))
 
 
 # A step of at most this many entries is stored as one-entry steps.
@@ -369,10 +391,10 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     order: ell ascending, then k ascending.
     """
     params.require_counting_regime()
-    a_flat = list(chain.from_iterable(_entry_rows(params)))
+    a_flat = _table(params).entries
     plan = _plan(params.m, params.t)
     steps = plan.steps[:plan.prefix] if params.a == params.b else plan.steps
-    x = a_flat.copy()
+    x = list(a_flat)
     _run_plan(x, steps, sub)
     sizes = dict(zip(plan.keys, x))
     del sizes[(0, 0)]
@@ -383,7 +405,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
         )
     _run_plan(x, steps, add)
     x[0] = a_flat[0]  # B_{0,0} is no class size
-    if x != a_flat:
+    if tuple(x) != a_flat:
         r, s = next(key for key, u, v in zip(plan.keys, x, a_flat) if u != v)
         raise ConsistencyError(
             f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
@@ -403,8 +425,7 @@ def closed_size_T(params: CodeParams) -> int:
 
     The alternating sum of the A table is the sum of all class sizes by
     inclusion-exclusion, so no class size is inverted; the +1 is the zero
-    word.
+    word.  The point's table carries it.
     """
     params.require_counting_regime()
-    alt = [sum(row[::2]) - sum(row[1::2]) for row in _entry_rows(params)]
-    return 1 - sum(alt[::2]) + sum(alt[1::2])
+    return _table(params).size

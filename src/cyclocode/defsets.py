@@ -186,7 +186,9 @@ def dimension(params: CodeParams) -> DimensionReport:
     designed distance (b+1) q^{m-t-1}.
 
     The formula presumes n is not in T, which fails only at the degenerate
-    zero-code point; that point is rejected explicitly.
+    zero-code point; that point is rejected explicitly.  At t = m-1 the
+    report's point, is_bch and delta are the normalized point's (a = b),
+    and |T| is read from the raw point, where it is a-free.
     """
     params.require_counting_regime()
     p = params.normalized()
@@ -198,7 +200,7 @@ def dimension(params: CodeParams) -> DimensionReport:
     k, ell, digits_ok = profile_counts([p.q - 1] * p.m, p.m, p.a, p.b, p.t)
     if digits_ok and (k, ell) != (0, 0):
         raise ConsistencyError(f"n = {p.n} unexpectedly belongs to T at {p.astuple()}")
-    size = closed_size_T(p)
+    size = closed_size_T(params)
     return DimensionReport(
         params=p,
         size_T=size,

@@ -3,8 +3,9 @@ exhaustive code-level verification on instances small enough to enumerate.
 
 Nothing here reuses a closed-form path it is meant to check: the defining
 set is rebuilt from its definition (orbits of u's descendants), the
-occurrence-class sizes are re-counted by scanning every digit word whose
-digits are all <= a, and dimensions come from generator-polynomial degrees.
+occurrence-class sizes are re-counted over every digit word whose digits
+are all <= a, one necklace at a time weighed by its period, and dimensions
+come from generator-polynomial degrees.
 Dual minimum distances come from an exhaustive weight distribution of
 whichever side has fewer codewords when one fits DEFAULT_DISTANCE_BUDGET,
 the one cap on the codewords a distance search generates: the dual, or
@@ -80,21 +81,48 @@ def brute_T(params: CodeParams) -> DefiningSet:
     return union_cosets(map(sum, product(*places)), q, m)
 
 
+def _necklaces(k: int, m: int):
+    """(word, period) for every necklace of length m over {0, .., k-1}: the
+    least word of each rotation class, with its least period p, so that it
+    stands for p words and the periods sum to k^m.
+
+    The iterative FKM algorithm (Fredricksen & Maiorana 1978; Ruskey,
+    Savage & Wang 1992): from each prenecklace in lexicographic order,
+    raise the last digit below k - 1 at position p, copy the first p digits
+    periodically over the rest, and keep the word when p divides m.  The
+    word yielded is the one list, changed in place afterwards."""
+    word = [0] * m
+    yield word, 1
+    while True:
+        p = m
+        while p and word[p - 1] == k - 1:
+            p -= 1
+        if not p:
+            return
+        word[p - 1] += 1
+        for j in range(p, m):
+            word[j] = word[j - p]
+        if m % p == 0:
+            yield word, p
+
+
 def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
     """Count every value of [0, n] whose digits are all <= a by its exact
     occurrence profile (k, ell), keeping only (k, ell) != (0, 0).  Values
     with a larger digit have no profile, so only the (a+1)^m digit words
-    with every digit <= a are scanned."""
+    with every digit <= a are counted.  A word's profile does not change
+    when it is rotated, so each necklace over {0, .., a} is profiled once
+    and weighs its period, the number of words it stands for."""
     params.require_counting_regime()
     p = params.normalized()
     q, m, t, a, b = p.astuple()
     _check_cap(q, m)
     census: dict[tuple[int, int], int] = {}
-    for digits in product(range(a + 1), repeat=m):
+    for digits, period in _necklaces(a + 1, m):
         k, ell, _ = profile_counts(digits, m, a, b, t)
         if k or ell:
             key = (k, ell)
-            census[key] = census.get(key, 0) + 1
+            census[key] = census.get(key, 0) + period
     return census
 
 

@@ -1,8 +1,9 @@
+from itertools import islice
 from operator import add, sub
 
 import pytest
 
-from cyclocode import counting
+from cyclocode import counting, defsets
 from cyclocode.counting import (
     CodeParams,
     admissible_pairs,
@@ -162,7 +163,7 @@ def test_pattern_rows_are_shared_by_every_q_a_and_b(monkeypatch):
     monkeypatch.setattr(counting, "_pattern_rows", recording)
     # the same shape (6, 1): q differs, then a and b differ
     for p in (CodeParams(3, 6, 1, 2, 1), CodeParams(5, 6, 1, 2, 1), CodeParams(5, 6, 1, 4, 3)):
-        counting._entry_rows.__wrapped__(p)  # past the per-point memo
+        counting._table.__wrapped__(p)  # past the per-point memo
     first = handed_out[0]
     assert len(handed_out) == 3 and all(rows is first for rows in handed_out)
     assert rows_of(6, 2) is not first
@@ -220,29 +221,70 @@ def test_forward_identity_round_trip():
 def test_corrupted_entry_table_raises(monkeypatch):
     # with a = b every A_{r,s} with s >= 1 is zero, so taking one from
     # A_{0,1} leaves B_{0,1} = -1
-    build = counting._entry_rows
+    build = counting._table
 
     def corrupted(p):
-        rows = [list(row) for row in build(p)]
-        rows[1][0] -= 1
-        return tuple(map(tuple, rows))
+        table = build(p)
+        entries = list(table.entries)
+        entries[len(counting._pattern_rows(p.m, p.t)[0])] -= 1  # A_{0,1}
+        return table._replace(entries=tuple(entries))
 
-    monkeypatch.setattr(counting, "_entry_rows", corrupted)
+    monkeypatch.setattr(counting, "_table", corrupted)
     with pytest.raises(ConsistencyError, match="negative class size"):
         class_sizes(CodeParams(2, 6, 1, 1, 1))
 
 
 def test_entry_table_hands_out_copies_of_its_memo():
-    # class_sizes reads the memo's rows as they are: they are tuples, so
-    # the transforms cannot change them, and they are the same afterwards
+    # class_sizes reads the memo's table as it is: a tuple, so the
+    # transforms cannot change it, and it is the same afterwards
     p = CodeParams(2, 6, 1, 1, 1)
-    rows = counting._entry_rows(p)
-    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
-    expect = [list(row) for row in rows]
+    table = counting._table(p)
+    assert type(table.entries) is tuple
+    expect = list(table.entries)
     class_sizes(p)  # a poisoned memo would leave B_{0,1} = -1 and raise
-    assert counting._entry_rows(p) is rows
-    assert [list(row) for row in rows] == expect
-    assert counting.count_matrix_entries(0, 1, p) == expect[1][0]
+    assert counting._table(p) is table
+    assert list(table.entries) == expect
+    assert counting.count_matrix_entries(0, 1, p) == expect[4]
+
+
+def _rows_of(p):
+    """The point's flat A table cut into its rows."""
+    entries = iter(counting._table(p).entries)
+    return [list(islice(entries, len(words))) for words in counting._pattern_rows(p.m, p.t)]
+
+
+def test_table_is_the_a_table_and_its_size():
+    # every entry by its formula, A_{0,0} = 0 first, and |T| the
+    # alternating sum, equal to the mask kernel's |T|
+    for q in (2, 3, 4, 5):
+        for m in range(1, 8):
+            for t in range(m):
+                keys = counting._plan(m, t).keys
+                for a in range(1, q):
+                    for b in range(1, a + 1):
+                        p = CodeParams(q, m, t, a, b)
+                        table = counting._table(p)
+                        expect = [0] + [
+                            b**r * (a - b) ** s * (a + 1) ** (m - r * (t + 1) - s * (t + 2))
+                            * count_pattern_words(r, s, m, t) for r, s in keys[1:]]
+                        assert list(table.entries) == expect, p
+                        alternating = sum((-1) ** (r + s + 1) * x
+                                          for (r, s), x in zip(keys, expect))
+                        assert table.size == 1 + alternating == len(build_T(p)), p
+
+
+@pytest.mark.parametrize("point", [(3, 4, 1, 2, 1), (5, 3, 2, 4, 2), (4, 6, 5, 3, 1),
+                                   (2, 9, 3, 1, 1), (5, 6, 1, 3, 3)])
+def test_one_table_per_point(point):
+    # dimension, closed_size_T and class_sizes at one point build its table
+    # once; at t = m - 1 with a != b dimension reads the raw point's table
+    p = CodeParams(*point)
+    counting._table.cache_clear()
+    report = defsets.dimension(p)
+    sizes = class_sizes(p)
+    assert closed_size_T(p) == report.size_T == 1 + sum(sizes.values())
+    assert counting._table.cache_info().misses == 1
+    assert report.params == p.normalized()
 
 
 def _horner_reference(rows, op):
@@ -283,7 +325,7 @@ def test_zero_row_skip_is_exact():
             assert all(max(dst, src) + n <= width for dst, src, n in row0)
             for q in (2, 3, 4):
                 for a in range(1, q):
-                    rows = counting._entry_rows(CodeParams(q, m, t, a, a))
+                    rows = _rows_of(CodeParams(q, m, t, a, a))
                     assert not any(map(any, rows[1:]))
                     inverse = _horner_reference(rows, sub)
                     assert _run(row0, rows, sub) == _flat(inverse)
@@ -302,7 +344,7 @@ def test_whole_plan_equals_the_untrimmed_transform():
             for q in (3, 4):
                 for a in range(2, q):
                     for b in range(1, a):
-                        rows = counting._entry_rows(CodeParams(q, m, t, a, b))
+                        rows = _rows_of(CodeParams(q, m, t, a, b))
                         inverse = _horner_reference(rows, sub)
                         assert _run(steps, rows, sub) == _flat(inverse)
                         for table in (rows, inverse):
@@ -328,7 +370,7 @@ def test_plan_mutations_are_caught_by_the_reference():
     m, t = 9, 1
     plan = counting._plan(m, t)
     steps = list(plan.steps)
-    rows = counting._entry_rows(CodeParams(4, m, t, 3, 1))
+    rows = _rows_of(CodeParams(4, m, t, 3, 1))
     expect = _flat(_horner_reference(rows, sub))
     assert _run(steps, rows, sub) == expect
     for i in range(len(steps)):
@@ -340,7 +382,7 @@ def test_plan_mutations_are_caught_by_the_reference():
             assert _run(swapped, rows, sub) != expect, i
             swaps += 1
     assert 0 < swaps < len(steps) - 1
-    rows = counting._entry_rows(CodeParams(4, m, t, 3, 3))
+    rows = _rows_of(CodeParams(4, m, t, 3, 3))
     expect = _flat(_horner_reference(rows, sub))
     assert _run(steps[:plan.prefix], rows, sub) == expect
     assert _run(steps[:plan.prefix - 1], rows, sub) != expect

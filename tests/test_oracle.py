@@ -85,6 +85,42 @@ def test_census_matches_class_sizes():
     assert closed_size_T(p) == sum(sizes.values()) + 1
 
 
+def test_necklace_periods_sum_to_every_word():
+    # each necklace is the least rotation of its class, with its least
+    # period, and the classes it stands for cover all k^n words once
+    for k in range(2, 6):
+        for n in range(1, 9):
+            if k**n > 5000:
+                continue
+            necklaces = [(tuple(word), p) for word, p in oracle._necklaces(k, n)]
+            assert sum(p for _, p in necklaces) == k**n, (k, n)
+            assert len(set(necklaces)) == len(necklaces)
+            for word, p in necklaces:
+                rotations = {word[i:] + word[:i] for i in range(n)}
+                assert word == min(rotations) and len(rotations) == p, (k, n, word)
+
+
+def _product_census(params):
+    """The census over every word by itertools.product, one word at a time."""
+    p = params.normalized()
+    q, m, t, a, b = p.astuple()
+    census = {}
+    for digits in product(range(a + 1), repeat=m):
+        k, ell, _ = oracle.profile_counts(digits, m, a, b, t)
+        if k or ell:
+            census[(k, ell)] = census.get((k, ell), 0) + 1
+    return census
+
+
+def test_census_equals_the_product_reference():
+    points = [CodeParams(q, m, t, a, b) for q in (2, 3, 4, 5)
+              for m in range(1, 13) if q**m <= 5000
+              for t in range(m) for a in range(1, q) for b in range(1, a + 1)]
+    assert len(points) == 438
+    for p in points:
+        assert brute_class_census(p) == _product_census(p), p
+
+
 def test_segment_class_sizes_match_census_small_grid():
     for q, mmax in [(2, 7), (3, 5), (4, 4), (5, 3)]:
         for m in range(1, mmax + 1):

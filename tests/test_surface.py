@@ -267,6 +267,7 @@ def test_every_memo_is_bounded_but_the_documented_ones():
     memos = _memos()
     assert {name for name, size in memos.items() if size is None} == UNBOUNDED_MEMOS
     assert memos["galois.small_tables"] == 32
+    assert memos["counting._table"] == 8  # one counting table per recent point
     assert memos["galois.minimal_polynomial"] == 256
 
 
