@@ -84,7 +84,7 @@ def _geom_sum(q: int, terms: int) -> int:
 def max_zero_prefix(params: CodeParams) -> int:
     """The unique v with [0, v) inside the dual defining set and v outside it."""
     params.require_bound_regime()
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     if m == t + 1:
         return q ** (t + 1) - b * q**t - 1
     if a == q - 1 and b == q - 1:
@@ -101,7 +101,7 @@ def max_zero_prefix(params: CodeParams) -> int:
 def classify_case(params: CodeParams) -> str:
     """The unique construction case for these parameters."""
     params.require_bound_regime()
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     top = q - 1
     if a == top and b == top:
         # t = 0 is the degenerate zero code, rejected above
@@ -133,7 +133,7 @@ def _case_axes(params: CodeParams, case_id: str) -> tuple[int, list[tuple[int, i
     Axis strides and digit ranges never interact (each coordinate occupies
     its own digit span), so distinct coordinate tuples give distinct values.
     """
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     if case_id == "case1":
         return q ** (t + 2), [(q ** (t + 1), q - 1), (1, q ** (t + 1) - 1 - b)]
     if case_id == "case2":
@@ -241,7 +241,7 @@ def _excluded_successor(params: CodeParams) -> Callable[[int], int]:
     no digit has ruled out yet, and the answer comes from the boxes ruled
     out last.  The set-up and each query take O(m) steps.
     """
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     powers = [q**d for d in range(m + 1)]
     # Box r's least member is box 0's rotated up r digits.  Digit d reads offset
     # (d - r) mod m of box r: at digit 0 the t top offsets are boxes 1..t, y is
@@ -369,7 +369,7 @@ def verify_certificate(
 def stated_bound(params: CodeParams) -> int:
     """The closed-form lower bound of the classified case."""
     case_id = classify_case(params)
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     if case_id == "case1":
         return q ** (t + 2) - q * b - q
     if case_id == "case2":

@@ -392,7 +392,7 @@ def _verify_code(params: CodeParams) -> tuple[dict[str, str], DefiningSet]:
     in report order: name -> "" on a pass, else the mismatch without the
     point; and the dual set they built, which the prefix scan reads.  At
     t = m - 1 a point of the code has a = q - 1, so the BCH check runs."""
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     out: dict[str, str] = {}
 
     def check(name: str, ok: bool, detail: Callable[[], str]) -> None:
@@ -451,7 +451,7 @@ def cmd_verify(args) -> int:
     passes: dict[str, int] = {}
     failures: list[str] = []
     for params in points:
-        q, m, t, a, b = params.astuple()
+        q, m, t, a, b = params
         if b <= a:
             key = params.normalized()
             if key not in codes:
@@ -471,7 +471,7 @@ def cmd_verify(args) -> int:
                              "" if res.passed else str([c for c in res.conditions if not c[1]])))
         for name, text in outcomes:
             if text:
-                failures.append(f"{name}: {params.astuple()}: {text}")
+                failures.append(f"{name}: {tuple(params)}: {text}")
             else:
                 passes[name] = passes.get(name, 0) + 1
     meta = {"command": "verify", "max_n": args.max_n, "seed": args.seed,

@@ -21,8 +21,8 @@ Each point has one table, held flat in the plan's key order with the |T|
 that is summed as it is built.  The last few points' tables are memoized,
 so dimension, closed_size_T and class_sizes at one point build it once.
 At t = m-1 the word u = b 0^(m-1) has no a-digit and |T| is a-free, so
-dimension reads it from the raw point; it normalizes only for is_bch,
-delta and its check that n is not in T.
+dimension reads it from the raw point; it normalizes only for is_bch and
+delta, and its check that n is not in T reads the same |T|.
 
 What depends on the shape alone is built once per shape: the pattern-word
 rows, and for class_sizes a plan, the transform compiled to steps over the
@@ -158,32 +158,21 @@ class CodeParams(_CodeParamsFields):
             return CodeParams(self.q, self.m, self.t, self.b, self.b)
         return self
 
-    def astuple(self) -> tuple[int, int, int, int, int]:
-        return tuple(self)
-
 
 #: An admissible occurrence-count pair (k, ell).
 AdmissiblePair = tuple[int, int]
 
 
 def admissible_pairs(m: int, t: int) -> list[AdmissiblePair]:
-    """All pairs (k, ell) != (0, 0) with k(t+1) + ell(t+2) <= m.
+    """All pairs (k, ell) != (0, 0) with k(t+1) + ell(t+2) <= m: the counting
+    table's keys but (0, 0), so PATTERN_TABLE_CAP applies.
 
     Enumerated with ell ascending and k ascending within each ell, matching
     the order the occurrence classes are reported in.
     """
     if m < 1 or not 0 <= t <= m - 1:
         raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
-    pairs: list[AdmissiblePair] = []
-    ell = 0
-    while ell * (t + 2) <= m:
-        k = 0
-        while k * (t + 1) + ell * (t + 2) <= m:
-            if (k, ell) != (0, 0):
-                pairs.append((k, ell))
-            k += 1
-        ell += 1
-    return pairs
+    return [(k, ell) for ell, n in enumerate(_row_lengths(m, t)) for k in range(n)][1:]
 
 
 def _check_admissible(k: int, ell: int, m: int, t: int) -> None:
@@ -401,7 +390,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     if min(sizes.values()) < 0:
         (k, ell), size = next(item for item in sizes.items() if item[1] < 0)
         raise ConsistencyError(
-            f"negative class size B_{{{k},{ell}}} = {size} at {params.astuple()}"
+            f"negative class size B_{{{k},{ell}}} = {size} at {tuple(params)}"
         )
     _run_plan(x, steps, add)
     x[0] = a_flat[0]  # B_{0,0} is no class size

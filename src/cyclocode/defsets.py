@@ -12,7 +12,8 @@ T and its dual are built by two deliberately independent routes:
   values in certificate intervals from them without building a mask;
 - the per-value oracles.  The oracle module rebuilds T straight from the
   definition (descendants of rotations), and qadic's profile_counts and
-  matches_dual_exclusion test the same patterns one value at a time.
+  matches_dual_exclusion test the same patterns one value at a time.  This
+  module imports neither, so the two routes check each other.
 
 dual_set reflects and complements an arbitrary set, while dual_set_pattern
 builds the dual defining set directly from its own pattern characterization,
@@ -26,7 +27,6 @@ from typing import NamedTuple
 from .cosets import DefiningSet, _check_cap, union_cosets
 from .counting import CodeParams, closed_size_T
 from .errors import ConsistencyError, ParameterError, ZeroCodeError
-from .qadic import profile_counts
 
 __all__ = [
     "DimensionReport",
@@ -72,7 +72,7 @@ def build_T(params: CodeParams) -> DefiningSet:
     are needed, so only a few q^m-bit masks are alive at any time.
     """
     params.require_counting_regime()
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     _check_cap(q, m)
 
     def occurrences(i: int, lo: int, hi: int, zeros: int) -> int:
@@ -123,7 +123,7 @@ def _dual_floors(params: CodeParams) -> list[int]:
     (r + o) mod m of s is >= floors[o] for every o.  a and b are independent
     here (no b <= a requirement).
     """
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     return [q - 1 - a] * (m - t - 1) + [q - 1 - b] + [q - 1] * t
 
 
@@ -185,10 +185,13 @@ def dimension(params: CodeParams) -> DimensionReport:
     """dim = q^m - |T|, by the closed form; flags the BCH case a = q-1 with
     designed distance (b+1) q^{m-t-1}.
 
-    The formula presumes n is not in T, which fails only at the degenerate
-    zero-code point; that point is rejected explicitly.  At t = m-1 the
-    report's point, is_bch and delta are the normalized point's (a = b),
-    and |T| is read from the raw point, where it is a-free.
+    The formula presumes n is not in T.  T is closed under digitwise
+    descendants and n's word, all digits q-1, is above every other word, so
+    n is in T exactly when |T| = q^m.  That happens only at the degenerate
+    zero-code point, which is rejected explicitly; anywhere else |T| = q^m
+    is an internal error.  At t = m-1 the report's point, is_bch and delta
+    are the normalized point's (a = b), and |T| is read from the raw point,
+    where it is a-free.
     """
     params.require_counting_regime()
     p = params.normalized()
@@ -196,11 +199,9 @@ def dimension(params: CodeParams) -> DimensionReport:
         raise ZeroCodeError(
             "a = b = q-1 with t = 0 makes T the whole index range (zero code)"
         )
-    # n has the all-(q-1) word; it must sit outside T here.
-    k, ell, digits_ok = profile_counts([p.q - 1] * p.m, p.m, p.a, p.b, p.t)
-    if digits_ok and (k, ell) != (0, 0):
-        raise ConsistencyError(f"n = {p.n} unexpectedly belongs to T at {p.astuple()}")
     size = closed_size_T(params)
+    if size == p.index_size:
+        raise ConsistencyError(f"n = {p.n} unexpectedly belongs to T at {tuple(p)}")
     return DimensionReport(
         params=p,
         size_T=size,

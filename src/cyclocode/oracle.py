@@ -74,7 +74,7 @@ def brute_T(params: CodeParams) -> DefiningSet:
     cosets.union_cosets takes the orbits.
     """
     params.require_counting_regime()
-    q, m, t, a, b = params.astuple()
+    q, m, t, a, b = params
     _check_cap(q, m)
     u_digits = [a] * (m - t - 1) + [b] + [0] * t
     places = [range(0, (d + 1) * q**i, q**i) for i, d in enumerate(u_digits)]
@@ -115,11 +115,11 @@ def brute_class_census(params: CodeParams) -> dict[tuple[int, int], int]:
     and weighs its period, the number of words it stands for."""
     params.require_counting_regime()
     p = params.normalized()
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     _check_cap(q, m)
     census: dict[tuple[int, int], int] = {}
     for digits, period in _necklaces(a + 1, m):
-        k, ell, _ = profile_counts(digits, m, a, b, t)
+        k, ell = profile_counts(digits, m, a, b, t)
         if k or ell:
             key = (k, ell)
             census[key] = census.get(key, 0) + period

@@ -27,31 +27,28 @@ def _cyclic_run_lengths(flags: list[bool], m: int) -> list[int]:
     return [min(x, m) for x in run[:m]]
 
 
-def profile_counts(digits, m: int, a: int, b: int, t: int) -> tuple[int, int, bool]:
-    """(k, ell, digits_ok) of a length-m digit sequence, lowest power first.
+def profile_counts(digits, m: int, a: int, b: int, t: int) -> tuple[int, int]:
+    """(k, ell) of a length-m digit sequence, lowest power first.
 
     k counts positions whose digit lies in [1, b] followed cyclically by t
     zeros; ell counts positions whose digit lies in [b+1, a] followed
-    cyclically by t+1 zeros; digits_ok is true iff every digit is <= a.
-    Counting is per starting position of the head digit.  The arguments are
-    not validated: callers pass parameters of the counting regime.
+    cyclically by t+1 zeros.  Counting is per starting position of the head
+    digit.  The arguments are not validated: callers pass parameters of the
+    counting regime.
     """
     zrun = _cyclic_run_lengths([d == 0 for d in digits], m)
     k = ell = 0
-    ok = True
     for i in range(m):
         h = digits[i]
         if h == 0:
             continue
-        if h > a:
-            ok = False
         following = zrun[i + 1] if i + 1 < m else zrun[0]
         if h <= b:
             if following >= t:
                 k += 1
         elif h <= a and following >= t + 1:
             ell += 1
-    return k, ell, ok
+    return k, ell
 
 
 def matches_dual_exclusion(s: int, q: int, m: int, a: int, b: int, t: int) -> bool:

@@ -139,7 +139,7 @@ def counting_sweep() -> list[SweepRow]:
             zero = DefiningSet.from_members(p.q, p.m, [0])
             bch_ok = T.difference(zero) == bch_set(p.q, p.m, p.designed_distance)
         closure_ok = None
-        if p.index_size <= CLOSURE_LIMIT or p.astuple() in spots:
+        if p.index_size <= CLOSURE_LIMIT or p in spots:
             closure_ok = descendant_closure(T) == T
         v_formula = v_brute = None
         if p.m >= 2 and not p.is_degenerate:
@@ -216,7 +216,7 @@ def test_criterion_02_table2_reproduction(capsys):
 
 def test_criterion_03_counting_oracle_equivalence(counting_sweep):
     bad = [
-        r.params.astuple()
+        tuple(r.params)
         for r in counting_sweep
         if not (
             r.built_equals_brute
@@ -263,7 +263,7 @@ def test_criterion_04_dimension_oracle():
 
 def test_criterion_05_bch_identity(counting_sweep):
     rows = [r for r in counting_sweep if r.bch_ok is not None]
-    bad = [r.params.astuple() for r in rows if not r.bch_ok]
+    bad = [tuple(r.params) for r in rows if not r.bch_ok]
     assert not bad, f"BCH identity fails at {bad}"
     assert len(rows) >= 150
 
@@ -274,7 +274,7 @@ def test_criterion_05_bch_identity(counting_sweep):
 
 
 def test_criterion_06_dual_set_equivalence(counting_sweep):
-    bad = [r.params.astuple() for r in counting_sweep if not r.dual_ok]
+    bad = [tuple(r.params) for r in counting_sweep if not r.dual_ok]
     assert not bad, f"dual-set mismatches at {bad[:10]} ({len(bad)} total)"
 
 
@@ -284,7 +284,7 @@ def test_criterion_06_dual_set_equivalence(counting_sweep):
 
 
 def _v_case(p: CodeParams) -> str:
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     if m == t + 1:
         return "m=t+1"
     if a == q - 1 and b == q - 1:
@@ -302,11 +302,11 @@ def test_criterion_07_prefix_value(counting_sweep, prefix_rows_b_above_a):
             continue
         cases.add(_v_case(r.params))
         if r.v_formula != r.v_brute:
-            bad.append((r.params.astuple(), r.v_formula, r.v_brute))
+            bad.append((tuple(r.params), r.v_formula, r.v_brute))
     for p, vf, vb in prefix_rows_b_above_a:
         cases.add(_v_case(p))
         if vf != vb:
-            bad.append((p.astuple(), vf, vb))
+            bad.append((tuple(p), vf, vb))
     assert not bad, f"prefix mismatches: {bad[:10]} ({len(bad)} total)"
     assert cases == {"m=t+1", "a=b=q-1", "a=q-1,b<q-1", "a<q-1,b>=a", "a<q-1,b<a"}
 
@@ -340,12 +340,12 @@ def test_criterion_08_certificate_soundness_sweep():
                 continue
             result = verify_certificate(cert, p)
             assert result.mode == "full"
-            assert result.passed, (case, p.astuple(), result.conditions)
+            assert result.passed, (case, tuple(p), result.conditions)
             assert result.certified_bound == cert.v + cert.s_size + 1
             row = audit(p)
             if row.mismatch:
                 mismatch_cases.add(case)
-                assert row.mismatch == 1, (case, p.astuple(), row)
+                assert row.mismatch == 1, (case, tuple(p), row)
             verified += 1
             if verified == 3:
                 break
@@ -495,9 +495,9 @@ def test_criterion_09_brouwer_zimmermann_matches_exhaustive_routes(exact_dual_di
 
 def test_criterion_10_affine_invariance(counting_sweep):
     rows = [r for r in counting_sweep if r.closure_ok is not None]
-    bad = [r.params.astuple() for r in rows if not r.closure_ok]
+    bad = [tuple(r.params) for r in rows if not r.closure_ok]
     assert not bad, f"descendant closure fails at {bad}"
-    spot_tuples = {r.params.astuple() for r in rows}
+    spot_tuples = {tuple(r.params) for r in rows}
     assert all(s in spot_tuples for s in CLOSURE_SPOTS)
 
     probe_instances = [

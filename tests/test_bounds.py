@@ -77,7 +77,7 @@ def test_classify_examples():
 def test_classify_total_and_exclusive():
     # raw case predicates evaluated independently: exactly one must hold
     def predicates(p):
-        q, m, t, a, b = p.astuple()
+        q, m, t, a, b = p
         top = q - 1
         first = a == top and b != top
         second = a == top and b == top
@@ -296,7 +296,7 @@ def test_every_case_has_small_fully_verified_instances():
 def _reference_verify(cert, p):
     """(passed, certified_bound, conditions) of a certificate, testing one
     value at a time through the per-value exclusion pattern."""
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     n, v = p.n, cert.v
 
     def member(value):
@@ -362,7 +362,7 @@ def test_value_before_the_top_is_always_excluded():
     # q^m - 2 has the word (q-2, q-1, ..., q-1), which every (a, b, t)
     # excludes, so no translate that wraps at n can pass on real parameters.
     for p in _bound_grid((2, 3, 4, 5), 3000):
-        q, m, t, a, b = p.astuple()
+        q, m, t, a, b = p
         assert matches_dual_exclusion(p.n - 1, q, m, a, b, t), p
 
 
@@ -426,7 +426,7 @@ def test_successor_is_the_least_excluded_value_at_every_small_point():
     # test gives the least excluded value >= v for every v in [0, n].
     points = values = 0
     for p in _bound_grid(SUPPORTED_Q, 128):
-        q, m, t, a, b = p.astuple()
+        q, m, t, a, b = p
         successor = bounds._excluded_successor(p)
         least = None  # n is always excluded, so the scan sets it first
         for v in range(p.n, -1, -1):
@@ -466,7 +466,7 @@ def _intervals(draw):
 @given(_intervals())
 def test_box_successor_equals_per_value_scan(drawn):
     p, lo, hi, wrapping = drawn
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     found = bounds._excluded_successor(p)(lo)
     assert lo <= found <= p.n and matches_dual_exclusion(found, q, m, a, b, t)
     scan = next((s for s in range(lo, hi) if matches_dual_exclusion(s, q, m, a, b, t)), None)

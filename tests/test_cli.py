@@ -347,7 +347,7 @@ def test_parse_grid():
     assert {p.q for p in parse_grid("q=2..10;m=2")} == {2, 3, 4, 5, 7, 8, 9}
     # points come out in ascending order, whatever the order of the values
     points = parse_grid("q=3,2;m=3,2;t=1,0;a=*;b=1")
-    assert [p.astuple() for p in points] == sorted(p.astuple() for p in points)
+    assert points == sorted(points)
     assert len(points) == 2 * 2 * 1 + 2 * 2 * 2  # (m, t, a) per q = 2, 3
     # a repeated value adds no point
     assert parse_grid("q=3,2,3;m=3,2..3;t=1,0,1;a=*;b=1,1") == points

@@ -179,16 +179,28 @@ def test_dimension_report_checks_dim_against_size_T():
 
 
 def test_dimension_rejects_n_in_T(monkeypatch):
-    words = []
+    points = []
 
-    def n_in_T(digits, m, a, b, t):
-        words.append(list(digits))
-        return 1, 0, True
+    def whole_range(params):
+        points.append(params)
+        return params.index_size
 
-    monkeypatch.setattr(defsets, "profile_counts", n_in_T)
+    monkeypatch.setattr(defsets, "closed_size_T", whole_range)
     with pytest.raises(ConsistencyError, match="n = 80 unexpectedly belongs to T"):
         dimension(CodeParams(3, 4, 1, 2, 1))
-    assert words == [[2, 2, 2, 2]]  # the word of n, all digits q-1
+    assert points == [(3, 4, 1, 2, 1)]
+
+
+def test_n_is_in_T_exactly_when_T_is_the_whole_range():
+    # T is descendant-closed and n's word tops the digitwise order, so the
+    # check dimension reads from |T| agrees with the definition everywhere
+    points = [CodeParams(q, m, t, a, b) for q in (2, 3, 4, 5, 7, 8, 9)
+              for m in range(1, 11) if q**m <= 1000
+              for t in range(m) for a in range(1, q) for b in range(1, a + 1)]
+    assert len(points) == 778
+    for p in points:
+        assert (p.n in brute_T(p)) == p.is_degenerate == (closed_size_T(p) == p.q**p.m), p
+    assert sum(p.is_degenerate for p in points) == 32  # one per (q, m)
 
 
 def test_dimension_matches_materialized_sets():
@@ -233,7 +245,7 @@ def test_build_T_equals_definition(p):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(code_params(b_le_a=False))
 def test_dual_set_pattern_equals_per_value_exclusion(p):
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     expected = [
         s for s in range(q**m)
         if not matches_dual_exclusion(s, q, m, a, b, t)

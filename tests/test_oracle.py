@@ -103,10 +103,10 @@ def test_necklace_periods_sum_to_every_word():
 def _product_census(params):
     """The census over every word by itertools.product, one word at a time."""
     p = params.normalized()
-    q, m, t, a, b = p.astuple()
+    q, m, t, a, b = p
     census = {}
     for digits in product(range(a + 1), repeat=m):
-        k, ell, _ = oracle.profile_counts(digits, m, a, b, t)
+        k, ell = oracle.profile_counts(digits, m, a, b, t)
         if k or ell:
             census[(k, ell)] = census.get((k, ell), 0) + 1
     return census
@@ -809,7 +809,7 @@ def test_affine_invariance_probe_on_every_dropped_coset(q):
     for F, p, D in _dropped_cosets(q, 64):
         ok = affine_invariance_probe(F, p, defining_set=D)
         assert ok == _q_adically_closed(D) == oracle._p_adic_verdict(F, D), (
-            p.astuple(), sorted(D))
+            tuple(p), sorted(D))
         verdicts[ok] += 1
     assert (verdicts[False], verdicts[True]) == DROPPED_COSET_SPLIT[q]
 
@@ -836,8 +836,8 @@ def test_affine_invariance_probe_follows_the_p_adic_criterion(q, p, top, traps):
     for F, point, D in _dropped_cosets(q, top):
         closed = _p_adically_closed(D, p)
         assert affine_invariance_probe(F, point, defining_set=D) == closed, (
-            point.astuple(), sorted(D))
-        assert oracle._p_adic_verdict(F, D) == closed, (point.astuple(), sorted(D))
+            tuple(point), sorted(D))
+        assert oracle._p_adic_verdict(F, D) == closed, (tuple(point), sorted(D))
         trapped += closed and not _q_adically_closed(D)
     assert trapped == traps
 

@@ -207,6 +207,22 @@ def test_oracles_do_not_import_the_fast_kernel():
     assert {"oracle", "qadic", "cosets", "galois"} <= seen
 
 
+def test_the_fast_kernel_imports_no_oracle():
+    # the other direction: the fast modules, and every package module they
+    # load, reach neither per-value route, so each route checks the other
+    seen, todo = set(), ["cosets", "counting", "defsets", "bounds"]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        for target, _ in _runtime_imports(module):
+            assert target not in {"qadic", "oracle"}, (module, target)
+            if Path(cyclocode.__file__).with_name(f"{target}.py").exists():
+                todo.append(target)
+    assert {"cosets", "counting", "defsets", "bounds", "errors"} <= seen
+
+
 def _private_reads(source: str) -> list[str]:
     """Every private attribute (one leading underscore, not a dunder) that
     source reads off an object other than self, as an attribute or through
