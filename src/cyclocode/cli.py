@@ -14,6 +14,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import product
+from math import log10
 from typing import Callable
 
 from . import bounds, counting, defsets, galois, oracle
@@ -302,6 +303,14 @@ def cmd_size_t(args) -> int:
 def cmd_coset(args) -> int:
     if not counting._is_prime_power(args.q):
         raise ParameterError(f"q must be a prime power >= 2, got {args.q}")
+    limit = sys.get_int_max_str_digits()
+    # q^m - 1 has floor(m log10 q) + 1 digits; a negative s is left to
+    # coset_of's range check, which rejects it without forming q^m
+    if limit and args.m >= limit / log10(args.q) and args.s >= 0:
+        raise ResourceLimitError(
+            f"the elements modulo {args.q}^{args.m} - 1 can have more than {limit} digits"
+            " (the interpreter's int-to-str limit)"
+        )
     c = coset_of(args.s, args.q, args.m)
     meta = {"command": "coset", "q": args.q, "m": args.m, "s": args.s,
             "leader": c.leader, "size": c.size}
@@ -561,7 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("coset", "cyclotomic coset of s modulo q^m - 1")
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=int, required=True,
+                   help="exit 3 when q^m - 1 has more digits than the interpreter's "
+                        "int-to-str limit, before q^m is formed")
     p.add_argument("--s", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_coset)

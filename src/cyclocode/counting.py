@@ -17,27 +17,36 @@ shift by -1 along each row and then along each column, so it takes O(P m)
 additions for P admissible pairs and no binomial coefficient; |T| is the
 table's alternating sum.
 
-Each point has one table, held flat in the plan's key order with the |T|
-that is summed as it is built.  The last few points' tables are memoized,
-so dimension, closed_size_T and class_sizes at one point build it once.
-At t = m-1 the word u = b 0^(m-1) has no a-digit and |T| is a-free, so
+Each point has one table, held flat row by row with the |T| that is
+summed as it is built.  The last few points' tables are memoized, so
+dimension, closed_size_T and class_sizes at one point build it once.  At
+t = m-1 the word u = b 0^(m-1) has no a-digit and |T| is a-free, so
 dimension reads it from the raw point; it normalizes only for is_bch and
 delta, and its check that n is not in T reads the same |T|.
 
-What depends on the shape alone is built once per shape: the pattern-word
-rows, and for class_sizes a plan, the transform compiled to steps over the
-table read row by row, in Horner's order.  A step combines a run of entries
-with another run; one of at most three entries is stored as that many
-one-entry steps, so a small table runs as a few scalar operations and a
-large one as whole slices, and a plan holds O(P + R^2) steps for R rows.
-Row 0's steps come first: with a = b every other row of the table is zero,
-and that prefix is the whole transform.  A table has at most
-PATTERN_TABLE_CAP entries.
+With a = b every row s >= 1 carries (a-b)^s = 0, so the answer lives in
+row 0: the table is row 0 padded with zeros, and the inversion is row 0's
+Taylor shift alone.  That is every q = 2 point and the BCH points with
+a = b = q-1.
+
+What depends on the shape alone is built once per shape: its row lengths,
+row 0 of the pattern-word counts and, for class_sizes, the (r, s) key of
+each entry; the other rows of pattern-word counts only once a point with
+a != b asks for them.  The inversion runs as steps compiled once, read
+row by row in Horner's order: for a != b the shape's plan, the whole
+two-dimensional transform; for a = b the Taylor shift of one row, whose
+steps depend on the row's length alone and are shared by every shape
+with that length.  A step combines a run of entries with another run;
+one of at most three entries is stored as that many one-entry steps, so a
+small table runs as a few scalar operations and a large one as whole
+slices, and a plan holds O(P + R^2) steps for R rows.  A table has at
+most PATTERN_TABLE_CAP entries, and the check reads its size in closed
+form before anything is built.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from operator import add, sub
@@ -95,20 +104,16 @@ class CodeParams(_CodeParamsFields):
     __slots__ = ()
 
     def __new__(cls, q: int, m: int, t: int, a: int, b: int) -> "CodeParams":
-        self = tuple.__new__(cls, (q, m, t, a, b))
-        if not _is_prime_power(self.q):
-            raise ParameterError(f"q must be a prime power >= 2, got {self.q}")
-        if self.m < 1:
-            raise ParameterError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.t <= self.m - 1:
-            raise ParameterError(f"need 0 <= t <= m-1, got t={self.t}, m={self.m}")
-        for name in ("a", "b"):
-            v = getattr(self, name)
-            if not 1 <= v <= self.q - 1:
-                raise ParameterError(
-                    f"need 1 <= {name} <= q-1, got {name}={v}, q={self.q}"
-                )
-        return self
+        if not _is_prime_power(q):
+            raise ParameterError(f"q must be a prime power >= 2, got {q}")
+        if m < 1:
+            raise ParameterError(f"m must be >= 1, got {m}")
+        if not 0 <= t <= m - 1:
+            raise ParameterError(f"need 0 <= t <= m-1, got t={t}, m={m}")
+        for name, v in (("a", a), ("b", b)):
+            if not 1 <= v <= q - 1:
+                raise ParameterError(f"need 1 <= {name} <= q-1, got {name}={v}, q={q}")
+        return tuple.__new__(cls, (q, m, t, a, b))
 
     @property
     def n(self) -> int:
@@ -141,9 +146,10 @@ class CodeParams(_CodeParamsFields):
             )
 
     def require_bound_regime(self) -> None:
-        if self.m < 2:
-            raise ParameterError(f"dual-distance bounds need m >= 2, got m={self.m}")
-        if self.is_degenerate:
+        q, m, t, a, b = self
+        if m < 2:
+            raise ParameterError(f"dual-distance bounds need m >= 2, got m={m}")
+        if a == b == q - 1 and t == 0:  # is_degenerate
             raise ZeroCodeError(
                 "a = b = q-1 with t = 0 gives the zero code; no dual bound exists"
             )
@@ -217,15 +223,55 @@ def count_pattern_words(k: int, ell: int, m: int, t: int) -> int:
 PATTERN_TABLE_CAP = 1 << 16
 
 
+def _table_size(m: int, t: int) -> int:
+    """P, the table's entry count, in closed form: (m - s(t+2)) // (t+1) is
+    (m - s) // (t+1) - s, and the floors j // c over j = 0 .. n sum to
+    c k(k-1)/2 + k(n + 1 - kc) with k = n // c, which is 0 at n = -1."""
+    c, rows = t + 1, m // (t + 2) + 1
+
+    def floors(n: int) -> int:
+        k = n // c
+        return c * k * (k - 1) // 2 + k * (n + 1 - k * c)
+
+    return floors(m) - floors(m - rows) - rows * (rows - 1) // 2 + rows
+
+
 def _row_lengths(m: int, t: int) -> list[int]:
-    """The table's row lengths: row s holds r = 0 .. (m - s(t+2)) // (t+1)."""
-    lengths = [(m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1)]
-    if sum(lengths) > PATTERN_TABLE_CAP:
+    """The table's row lengths: row s holds r = 0 .. (m - s(t+2)) // (t+1).
+    The cap is checked on the closed-form size first, so a refused shape
+    costs a few operations at any m."""
+    size = _table_size(m, t)
+    if size > PATTERN_TABLE_CAP:
         raise ResourceLimitError(
-            f"the counting table of (m, t) = ({m}, {t}) has {sum(lengths)} entries,"
+            f"the counting table of (m, t) = ({m}, {t}) has {size} entries,"
             f" past the pattern table cap of {PATTERN_TABLE_CAP}"
         )
-    return lengths
+    return [(m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1)]
+
+
+class _Shape:
+    """What every point of the shape (m, t) reads: the table's row lengths
+    and entry count, and row 0 of the pattern-word counts W_{r,0}, with
+    W_{0,0} = 0; class_sizes also reads the (r, s) key of each entry, made
+    on its first call."""
+
+    def __init__(self, m: int, t: int) -> None:
+        self.lengths = _row_lengths(m, t)
+        self.size = sum(self.lengths)
+        self.row0 = (0, *(_pattern_words(r, 0, m, t) for r in range(1, self.lengths[0])))
+
+    @cached_property
+    def keys(self) -> tuple[AdmissiblePair, ...]:
+        """(r, s) of each flat entry, row by row, (0, 0) first."""
+        return tuple(_intern([key for s, n in enumerate(self.lengths)
+                              for key in zip(range(n), [s] * n)]))
+
+
+@lru_cache(maxsize=None)
+def _shape(m: int, t: int) -> _Shape:
+    """The shape's record; like galois._build the memo is unbounded, one
+    entry per shape used."""
+    return _Shape(m, t)
 
 
 @lru_cache(maxsize=None)
@@ -234,13 +280,14 @@ def _pattern_rows(m: int, t: int) -> tuple[tuple[int, ...], ...]:
     r(t+1) + s(t+2) <= m, with W_{0,0} = 0: the shape of the A table.
 
     W depends on the shape (m, t) alone, so every q, a and b of one shape
-    shares this table; like galois._build the memo is unbounded, one entry
-    per shape used."""
-    rows = tuple(
+    shares this table.  Row 0 is the shape record's own; the other rows
+    are made here, which only a point with a != b asks for.  The memo is
+    unbounded, one entry per such shape."""
+    lengths = _row_lengths(m, t)
+    return (_shape(m, t).row0,) + tuple(
         tuple(_pattern_words(r, s, m, t) for r in range(n))
-        for s, n in enumerate(_row_lengths(m, t))
+        for s, n in enumerate(lengths[1:], 1)
     )
-    return ((0,) + rows[0][1:],) + rows[1:]
 
 
 def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
@@ -248,15 +295,15 @@ def count_matrix_entries(r: int, s: int, params: CodeParams) -> int:
     with b^r (a-b)^s (a+1)^{m - r(t+1) - s(t+2)} digit assignments."""
     params.require_counting_regime()
     _check_admissible(r, s, params.m, params.t)
-    rows = _pattern_rows(params.m, params.t)
-    return _table(params).entries[sum(map(len, rows[:s])) + r]
+    entries = _table(params).entries
+    return entries[sum(_shape(params.m, params.t).lengths[:s]) + r]
 
 
 class _Table(NamedTuple):
     """The A table of one point and the |T| it gives."""
 
     size: int  # |T| = 1 + sum of (-1)^(r+s+1) A_{r,s}
-    entries: tuple[int, ...]  # A_{r,s} in _plan's key order, A_{0,0} = 0 first
+    entries: tuple[int, ...]  # A_{r,s} in the shape's key order, A_{0,0} = 0 first
 
 
 @lru_cache(maxsize=8)
@@ -268,14 +315,17 @@ def _table(p: CodeParams) -> _Table:
     Each row is built from its last entry, which has the least power of
     a + 1, moving left by a factor (a+1)^(t+1) and down by b, so only the
     powers the table uses are made; the row's alternating sum goes into
-    |T| as the row is made.  The memo holds the last few points, so
-    dimension, closed_size_T and class_sizes at one point build one table."""
+    |T| as the row is made.  With a = b only row 0 is made, from the
+    shape's W_{r,0}, and zeros fill the rest.  The memo holds the last few
+    points, so dimension, closed_size_T and class_sizes at one point build
+    one table."""
     m, t, a, b = p.m, p.t, p.a, p.b
+    shape = _shape(m, t)
     step = (a + 1) ** (t + 1)
     entries: list[int] = []
     alt = 0  # sum of (-1)^(r+s) A_{r,s}
     lead = 1  # (a - b)^s
-    for s, words in enumerate(_pattern_rows(m, t)):
+    for s, words in enumerate((shape.row0,) if a == b else _pattern_rows(m, t)):
         r = len(words) - 1
         power = lead * (a + 1) ** (m - s * (t + 2) - r * (t + 1))
         weight = b**r  # exact as r falls
@@ -289,14 +339,15 @@ def _table(p: CodeParams) -> _Table:
         alt_s = sum(row[::2]) - sum(row[1::2])
         alt += -alt_s if s % 2 else alt_s
         lead *= a - b
+    entries += [0] * (shape.size - len(entries))  # rows s >= 1 at a = b
     return _Table(1 - alt, tuple(entries))
 
 
 # A step of at most this many entries is stored as one-entry steps.
 _SCALAR_STEP = 3
 
-# Steps and (k, ell) keys recur from shape to shape; every plan holds the
-# one shared copy of each.
+# Steps and (k, ell) keys recur from shape to shape; every plan, row shift
+# and shape record holds the one shared copy of each.
 _interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -316,42 +367,41 @@ def _expand(steps: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
     return _intern(out)
 
 
-class _Plan(NamedTuple):
-    """The binomial transform of one shape's table, read row by row."""
-
-    keys: tuple[AdmissiblePair, ...]  # (r, s) of each flat entry, (0, 0) first
-    steps: tuple[tuple[int, int, int], ...]  # (dst, src, n) in Horner's order
-    prefix: int  # how many steps, all first, are row 0's
+def _shift_steps(offset: int, n: int) -> list[tuple[int, int, int]]:
+    """The Taylor shift f(x) -> f(x -+ 1) of the row of n entries at offset,
+    one coefficient at a time: a step (dst, src, k) takes x[dst + i] to
+    op(x[dst + i], x[src + i]) for i < k, all from the values before the
+    step.  One-entry steps in ascending order do the same, since a row step
+    reads only entries after the ones it writes."""
+    return [(offset + i, offset + i + 1, n - 1 - i) for i in range(n - 2, -1, -1)]
 
 
 @lru_cache(maxsize=None)
-def _plan(m: int, t: int) -> _Plan:
-    """The transform of class_sizes compiled for the shape (m, t): the
-    Taylor shift of each row, f(x) -> f(x -+ 1) one coefficient at a time,
-    then the same down every column, where a step combines row s with the
-    leading part of row s + 1 (the table is a down-set, so every term is
-    present).  A step (dst, src, n) takes x[dst + i] to op(x[dst + i],
-    x[src + i]) for i < n, all from the values before the step; one-entry
-    steps in ascending order do the same, since a row step reads only
-    entries after the ones it writes.
+def _row_shift(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The transform of class_sizes at a = b: the Taylor shift of row 0, of
+    n entries.  It depends on n alone, so every shape with that row length
+    shares it; the memo is unbounded, one entry per row length used."""
+    return tuple(_expand(_shift_steps(0, n)))
+
+
+@lru_cache(maxsize=None)
+def _plan(m: int, t: int) -> tuple[tuple[int, int, int], ...]:
+    """The transform of class_sizes at a != b compiled for the shape (m, t),
+    as steps in Horner's order: the Taylor shift of each row, then the same
+    down every column, where a step combines row s with the leading part of
+    row s + 1 (the table is a down-set, so every term is present).
 
     Only class_sizes reads a plan, so dimension does not pay for building
-    one with the pattern rows; the memo is unbounded, one entry per shape
-    inverted."""
+    one; the memo is unbounded, one entry per shape inverted with a != b."""
     lengths = _row_lengths(m, t)
-    keys = _intern([key for s, n in enumerate(lengths) for key in zip(range(n), [s] * n)])
     offsets = list(accumulate(lengths, initial=0))
-    row_steps = [(o + i, o + i + 1, n - 1 - i)
-                 for o, n in zip(offsets, lengths) for i in range(n - 2, -1, -1)]
-    steps = _expand(row_steps[:lengths[0] - 1])
-    prefix = len(steps)
-    steps += _expand(row_steps[lengths[0] - 1:])
+    steps = _expand([step for o, n in zip(offsets, lengths) for step in _shift_steps(o, n)])
     column: list[tuple[int, int, int]] = []
     for s in range(len(lengths) - 2, -1, -1):
         # Horner's step s down the columns runs rows s, s + 1, ... in order
         column = _expand([(offsets[s], offsets[s + 1], lengths[s + 1])]) + column
         steps += column
-    return _Plan(tuple(keys), tuple(steps), prefix)
+    return tuple(steps)
 
 
 def _run_plan(x: list[int], steps, op) -> None:
@@ -371,9 +421,10 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
 
     The transform is separable: a Taylor shift by -1 along r in every row
     of the A table, then along s in every column, in O(P m) additions for
-    P admissible pairs and no binomial coefficient.  It runs as the shape's
-    plan on the table read row by row; with a = b only row 0 is nonzero,
-    and only row 0's steps, the plan's prefix, run.  The forward identity
+    P admissible pairs and no binomial coefficient.  With a != b it runs as
+    the shape's plan on the table read row by row.  With a = b only row 0
+    is nonzero, and its Taylor shift alone is the transform: the steps for
+    a row of its length, with no plan compiled.  The forward identity
     A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same steps by +1, is
     re-checked on the whole table after inversion; a failure, or a negative
     class size, would be an internal error.  Classes come in the table's
@@ -381,11 +432,14 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     """
     params.require_counting_regime()
     a_flat = _table(params).entries
-    plan = _plan(params.m, params.t)
-    steps = plan.steps[:plan.prefix] if params.a == params.b else plan.steps
+    shape = _shape(params.m, params.t)
+    if params.a == params.b:
+        steps = _row_shift(shape.lengths[0])
+    else:
+        steps = _plan(params.m, params.t)
     x = list(a_flat)
     _run_plan(x, steps, sub)
-    sizes = dict(zip(plan.keys, x))
+    sizes = dict(zip(shape.keys, x))
     del sizes[(0, 0)]
     if min(sizes.values()) < 0:
         (k, ell), size = next(item for item in sizes.items() if item[1] < 0)
@@ -395,7 +449,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     _run_plan(x, steps, add)
     x[0] = a_flat[0]  # B_{0,0} is no class size
     if tuple(x) != a_flat:
-        r, s = next(key for key, u, v in zip(plan.keys, x, a_flat) if u != v)
+        r, s = next(key for key, u, v in zip(shape.keys, x, a_flat) if u != v)
         raise ConsistencyError(
             f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
         )

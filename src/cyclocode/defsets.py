@@ -200,12 +200,13 @@ def dimension(params: CodeParams) -> DimensionReport:
             "a = b = q-1 with t = 0 makes T the whole index range (zero code)"
         )
     size = closed_size_T(params)
-    if size == p.index_size:
-        raise ConsistencyError(f"n = {p.n} unexpectedly belongs to T at {tuple(p)}")
+    whole = p.index_size
+    if size == whole:
+        raise ConsistencyError(f"n = {whole - 1} unexpectedly belongs to T at {tuple(p)}")
     return DimensionReport(
         params=p,
         size_T=size,
-        dim=p.index_size - size,
+        dim=whole - size,
         is_bch=p.is_bch,
         delta=p.designed_distance if p.is_bch else None,
     )

@@ -267,6 +267,49 @@ def test_counting_past_the_pattern_table_cap_exits_3(monkeypatch, capsys, argv):
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("m", [10**9, 10**20])
+@pytest.mark.parametrize("command", ["dim", "size-t"])
+def test_counting_at_a_huge_m_exits_3_at_once(capsys, command, m):
+    # the table's entry count is read in closed form, not summed row by row
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--q", "2", "--m", str(m), "--t", "1",
+                         "--a", "1", "--b", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"resource limit: the counting table of (m, t) = ({m}, 1) has ")
+    assert err.endswith(f" entries, past the pattern table cap of {cli.counting.PATTERN_TABLE_CAP}\n")
+    assert len(err.splitlines()) == 1
+    assert time.perf_counter() - start < 1
+
+
+def test_coset_past_the_int_str_limit_exits_3_before_forming_q_to_the_m(capsys):
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coset", "--q", "2", "--m", str(10**20), "--s", "3")
+    assert (code, out) == (3, "")
+    assert err == (f"resource limit: the elements modulo 2^{10**20} - 1 can have more than"
+                   f" {limit} digits (the interpreter's int-to-str limit)\n")
+    # a negative s is still a parameter error, found without forming q^m
+    code, out, err = run(capsys, "coset", "--q", "2", "--m", str(10**20), "--s", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: value -1 out of range")
+    assert time.perf_counter() - start < 1
+
+
+def test_coset_refuses_exactly_where_q_to_the_m_outgrows_the_limit(capsys):
+    # under a limit of 640 digits 2^2126 - 1 has 640 and 2^2127 - 1 has 641:
+    # the largest element is printed at m = 2126 and refused at m = 2127
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = 2**2126 - 1
+        code, out, _ = run(capsys, "coset", "--q", "2", "--m", "2126", "--s", str(n))
+        assert code == 0 and str(n) in out
+        code, out, err = run(capsys, "coset", "--q", "2", "--m", "2127", "--s", "0")
+        assert (code, out) == (3, "") and "more than 640 digits" in err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _parsers(parser):
     """The parser and every subcommand's parser."""
     return [parser, *parser._subparsers._group_actions[0].choices.values()]

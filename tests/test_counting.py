@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 from operator import add, sub
 
@@ -250,7 +251,7 @@ def test_entry_table_hands_out_copies_of_its_memo():
 def _rows_of(p):
     """The point's flat A table cut into its rows."""
     entries = iter(counting._table(p).entries)
-    return [list(islice(entries, len(words))) for words in counting._pattern_rows(p.m, p.t)]
+    return [list(islice(entries, n)) for n in counting._shape(p.m, p.t).lengths]
 
 
 def test_table_is_the_a_table_and_its_size():
@@ -259,7 +260,7 @@ def test_table_is_the_a_table_and_its_size():
     for q in (2, 3, 4, 5):
         for m in range(1, 8):
             for t in range(m):
-                keys = counting._plan(m, t).keys
+                keys = counting._shape(m, t).keys
                 for a in range(1, q):
                     for b in range(1, a + 1):
                         p = CodeParams(q, m, t, a, b)
@@ -313,21 +314,38 @@ def _run(steps, table, op):
     return x
 
 
+def _untrimmed(p):
+    """The A table with every row made from the formula, zero rows too, and
+    the class sizes, the untrimmed transform of it."""
+    q, m, t, a, b = p
+    rows = [[b**r * (a - b) ** s * (a + 1) ** (m - r * (t + 1) - s * (t + 2)) * w
+             for r, w in enumerate(words)]
+            for s, words in enumerate(counting._pattern_rows(m, t))]
+    return rows, _horner_reference(rows, sub)
+
+
 def test_zero_row_skip_is_exact():
-    # with a = b every row s >= 1 of the A table is zero, and only row 0's
-    # steps, the plan's prefix, run; the result must be the untrimmed one's
+    # with a = b every row s >= 1 of the A table is zero: the table built
+    # from row 0, its |T| and the class sizes from row 0's shift must be the
+    # untrimmed route's, and the shift must touch row 0 only
     points = 0
     for m in range(1, 21):
         for t in range(m):
-            plan = counting._plan(m, t)
-            row0 = plan.steps[:plan.prefix]
-            width = len(counting._pattern_rows(m, t)[0])
+            keys = counting._shape(m, t).keys
+            width = counting._shape(m, t).lengths[0]
+            row0 = counting._row_shift(width)
             assert all(max(dst, src) + n <= width for dst, src, n in row0)
+            assert counting._plan(m, t)[:len(row0)] == row0
             for q in (2, 3, 4):
                 for a in range(1, q):
-                    rows = _rows_of(CodeParams(q, m, t, a, a))
+                    p = CodeParams(q, m, t, a, a)
+                    rows, inverse = _untrimmed(p)
                     assert not any(map(any, rows[1:]))
-                    inverse = _horner_reference(rows, sub)
+                    built = counting._table(p)
+                    assert list(built.entries) == _flat(rows), p
+                    assert built.size == 1 + sum((-1) ** (r + s + 1) * x
+                                                 for (r, s), x in zip(keys, _flat(rows))), p
+                    assert class_sizes(p) == dict(zip(keys[1:], _flat(inverse)[1:])), p
                     assert _run(row0, rows, sub) == _flat(inverse)
                     for table in (rows, inverse):
                         assert _run(row0, table, add) == _flat(_horner_reference(table, add))
@@ -335,12 +353,69 @@ def test_zero_row_skip_is_exact():
     assert points == 6 * 210
 
 
+def test_a_equal_b_builds_no_row_past_row_0(monkeypatch):
+    # at a = b, dimension and class_sizes make no W_{r,s} with s >= 1 and
+    # compile no plan: a guard fails any such call, on the m <= 20 grid and
+    # on q = 2 shapes that no point with a != b uses
+    words = counting._pattern_words
+
+    def guarded(k, ell, m, t):
+        if ell:
+            pytest.fail(f"W_{{{k},{ell}}} of ({m}, {t}) built at a = b")
+        return words(k, ell, m, t)
+
+    def refuse(*args):
+        pytest.fail(f"a = b read the rows past row 0 or a plan: {args}")
+
+    monkeypatch.setattr(counting, "_pattern_words", guarded)
+    monkeypatch.setattr(counting, "_pattern_rows", refuse)
+    monkeypatch.setattr(counting, "_plan", refuse)
+    counting._table.cache_clear()
+    points = [CodeParams(q, m, t, a, a) for q in (2, 3, 4) for m in range(1, 21)
+              for t in range(m) for a in range(1, q)]
+    points += [CodeParams(2, 240, 1, 1, 1), CodeParams(2, 360, 2, 1, 1),
+               CodeParams(4, 240, 1, 3, 3)]
+    for p in points:
+        if not p.is_degenerate:
+            defsets.dimension(p)
+        sizes = class_sizes(p)
+        assert closed_size_T(p) == 1 + sum(sizes.values()), p
+    counting._table.cache_clear()
+
+
+def test_count_matrix_entries_past_row_0_are_zero_at_a_equal_b():
+    for q in (2, 3, 5):
+        for m in range(1, 13):
+            for t in range(m):
+                for a in range(1, q):
+                    p = CodeParams(q, m, t, a, a)
+                    for r, s in admissible_pairs(m, t):
+                        if s:
+                            assert count_matrix_entries(r, s, p) == 0, (p, r, s)
+
+
+def test_row_0_is_one_copy_and_its_shift_is_shared_by_length():
+    # the shape's W_{r,0} is the row the full pattern rows hold, and shapes
+    # with one row-0 length share one compiled shift
+    for m, t in [(6, 1), (9, 3), (20, 0)]:
+        assert counting._pattern_rows(m, t)[0] is counting._shape(m, t).row0
+    assert counting._shape(6, 1).lengths[0] == counting._shape(7, 1).lengths[0] == 4
+    seen = []
+    run = counting._run_plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_run_plan", lambda x, steps, op: (seen.append(steps),
+                                                                     run(x, steps, op)))
+        class_sizes(CodeParams(2, 6, 1, 1, 1))
+        class_sizes(CodeParams(3, 7, 1, 2, 2))
+    assert len(seen) == 4 and all(steps is seen[0] for steps in seen)
+
+
 def test_whole_plan_equals_the_untrimmed_transform():
     # with a != b every row is live, and the whole plan runs both ways
     points = 0
     for m in range(1, 21):
         for t in range(m):
-            steps = counting._plan(m, t).steps
+            steps = counting._plan(m, t)
             for q in (3, 4):
                 for a in range(2, q):
                     for b in range(1, a):
@@ -366,10 +441,9 @@ def _commute(one, other):
 
 def test_plan_mutations_are_caught_by_the_reference():
     # the comparisons above must fail for a plan with one step dropped, two
-    # steps that do not commute swapped, or the a = b prefix cut one short
+    # steps that do not commute swapped, or the a = b row shift cut one short
     m, t = 9, 1
-    plan = counting._plan(m, t)
-    steps = list(plan.steps)
+    steps = list(counting._plan(m, t))
     rows = _rows_of(CodeParams(4, m, t, 3, 1))
     expect = _flat(_horner_reference(rows, sub))
     assert _run(steps, rows, sub) == expect
@@ -384,8 +458,9 @@ def test_plan_mutations_are_caught_by_the_reference():
     assert 0 < swaps < len(steps) - 1
     rows = _rows_of(CodeParams(4, m, t, 3, 3))
     expect = _flat(_horner_reference(rows, sub))
-    assert _run(steps[:plan.prefix], rows, sub) == expect
-    assert _run(steps[:plan.prefix - 1], rows, sub) != expect
+    row0 = list(counting._row_shift(len(rows[0])))
+    assert _run(row0, rows, sub) == expect
+    assert _run(row0[:-1], rows, sub) != expect
 
 
 def test_plan_holds_o_of_p_plus_rows_squared_steps():
@@ -395,7 +470,7 @@ def test_plan_holds_o_of_p_plus_rows_squared_steps():
     rows = counting._pattern_rows(m, t)
     entries, R = sum(map(len, rows)), len(rows)
     assert (entries, R) == (10_201, 101)
-    steps = counting._plan(m, t).steps
+    steps = counting._plan(m, t)
     assert len(steps) <= 2 * (entries + R * R)
     assert sum(n for _, _, n in steps) > 1_000_000
     assert all(n == 1 or n > counting._SCALAR_STEP for _, _, n in steps)
@@ -424,7 +499,7 @@ def test_pattern_table_cap(monkeypatch):
     # a single pattern-word count needs no table
     p = CodeParams(2, 20000, 1, 1, 1)
     assert _table_entries(20000, 1) == 33_343_334 > counting.PATTERN_TABLE_CAP
-    before = counting._pattern_rows.cache_info()
+    before = counting._pattern_rows.cache_info(), counting._shape.cache_info()
     with monkeypatch.context() as patch:  # a missing cap fails fast, not after hours
         patch.setattr(counting, "_pattern_words", lambda *args: pytest.fail("built a table"))
         for ask in (lambda: class_sizes(p), lambda: closed_size_T(p),
@@ -432,7 +507,8 @@ def test_pattern_table_cap(monkeypatch):
             with pytest.raises(ResourceLimitError, match="33343334 entries, past the pattern "
                                "table cap of 65536"):
                 ask()
-    assert counting._pattern_rows.cache_info().currsize == before.currsize
+    assert counting._pattern_rows.cache_info().currsize == before[0].currsize
+    assert counting._shape.cache_info().currsize == before[1].currsize
     assert count_pattern_words(1, 0, 20000, 1) == 20000
     # the cap counts entries with (0, 0) included, and a table at it is built
     assert _table_entries(6, 1) == sum(map(len, counting._pattern_rows(6, 1))) == 7
@@ -444,6 +520,30 @@ def test_pattern_table_cap(monkeypatch):
             build(7, 1)
     # every tier-1 and benchmark shape is far below the cap
     assert _table_entries(120, 0) == 3_721 and _table_entries(56, 0) == 841
+
+
+def test_table_size_is_the_row_sum_in_closed_form():
+    for m in range(1, 121):
+        for t in range(m):
+            assert counting._table_size(m, t) == _table_entries(m, t), (m, t)
+    for m, t in [(10**6, 0), (10**6, 1), (999_999, 7), (10**6 + 3, 998)]:
+        assert counting._table_size(m, t) == _table_entries(m, t), (m, t)
+
+
+@pytest.mark.parametrize("m", [10**9, 10**20])
+def test_pattern_table_cap_is_checked_in_closed_form(monkeypatch, m):
+    # the refusal costs a few operations at any m, with the exact count
+    monkeypatch.setattr(counting, "_pattern_words", lambda *args: pytest.fail("built a table"))
+    start = time.perf_counter()
+    for ask in (class_sizes, closed_size_T, defsets.dimension):
+        with pytest.raises(ResourceLimitError) as info:
+            ask(CodeParams(2, m, 1, 1, 1))
+        assert str(info.value) == (
+            f"the counting table of (m, t) = ({m}, 1) has {counting._table_size(m, 1)}"
+            f" entries, past the pattern table cap of {counting.PATTERN_TABLE_CAP}")
+    assert time.perf_counter() - start < 1
+    # rows s = 0 .. m/3 of (m - 3s) // 2 + 1 entries, (m - 3s) odd for odd s
+    assert counting._table_size(10**9, 1) == 83_333_333_833_333_334
 
 
 def test_class_sizes_match_census_small_grid():
