@@ -14,7 +14,7 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from itertools import product
-from math import log10
+from math import floor, log10
 from typing import Callable
 
 from . import bounds, counting, defsets, galois, oracle
@@ -32,6 +32,10 @@ GRID_POINT_CAP = 100_000
 DIM_GENERATOR_CAP = 1 << 16  # largest q^m of dim --verify's generator degree
 VERIFY_DIM_CAP = 512  # largest q^m of verify's dimension check
 VERIFY_PROBE_CAP = 128  # largest q^m of verify's affine probe
+VERIFY_MAX_N_CAP = 65536  # largest --max-n of verify: 14,562 points, about 34 s
+# Largest coset report, in digits: m elements of up to the digit count of
+# q^m - 1 each.
+COSET_REPORT_DIGITS = 1 << 24
 
 GRID_VARS = ("q", "m", "t", "a", "b")
 
@@ -60,8 +64,9 @@ Example: 'q=2..5;m=2..8;t=*;a=*;b<=a'
 Exit status:
   0  success
   2  parameter error: bad parameters, grid or arguments
-  3  resource limit: a materialization cap, enumeration budget or grid cap,
-     or a report value longer than the interpreter's int-to-str digit limit
+  3  resource limit: a materialization cap, enumeration budget, grid cap,
+     verify's --max-n cap or coset's report cap, or a report value longer
+     than the interpreter's int-to-str digit limit
   4  oracle verification mismatch (details on stderr)
   5  internal consistency error: an identity that must hold failed
 """
@@ -311,6 +316,15 @@ def cmd_coset(args) -> int:
             f"the elements modulo {args.q}^{args.m} - 1 can have more than {limit} digits"
             " (the interpreter's int-to-str limit)"
         )
+    # a coset has at most m elements; m past the cap is refused unread, so
+    # the digit count is formed only for an m that a float holds
+    if args.s >= 0 and args.m > 0 and (
+            args.m > COSET_REPORT_DIGITS
+            or args.m * (floor(args.m * log10(args.q)) + 1) > COSET_REPORT_DIGITS):
+        raise ResourceLimitError(
+            f"the coset modulo {args.q}^{args.m} - 1 can list {args.m} elements of as many"
+            f" digits as q^m - 1, past the coset report cap of {COSET_REPORT_DIGITS} digits"
+        )
     c = coset_of(args.s, args.q, args.m)
     meta = {"command": "coset", "q": args.q, "m": args.m, "s": args.s,
             "leader": c.leader, "size": c.size}
@@ -446,6 +460,9 @@ def cmd_verify(args) -> int:
     certificate checks, which read the raw a."""
     if args.max_n < 2:
         raise ParameterError(f"--max-n {args.max_n} < 2 admits no point to check")
+    if args.max_n > VERIFY_MAX_N_CAP:
+        raise ResourceLimitError(
+            f"--max-n {args.max_n} is past the verify cap of {VERIFY_MAX_N_CAP}")
     points: list[CodeParams] = []
     for q in SUPPORTED_Q:
         m = 1
@@ -572,7 +589,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True,
                    help="exit 3 when q^m - 1 has more digits than the interpreter's "
-                        "int-to-str limit, before q^m is formed")
+                        "int-to-str limit, or m times that digit count exceeds the "
+                        f"coset report cap of {COSET_REPORT_DIGITS} digits, before q^m "
+                        "is formed")
     p.add_argument("--s", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_coset)
@@ -596,8 +615,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("verify", "run the oracle cross-check suite")
     p.add_argument("--max-n", type=int, required=True,
-                   help="check every parameter set with q^m <= this (at least 2); q^m "
-                        f"caps: dimension check {VERIFY_DIM_CAP}, affine probe {VERIFY_PROBE_CAP}")
+                   help="check every parameter set with q^m <= this, from 2 to the "
+                        f"verify cap of {VERIFY_MAX_N_CAP}; q^m caps: dimension check "
+                        f"{VERIFY_DIM_CAP}, affine probe {VERIFY_PROBE_CAP}")
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and reported in meta; no check uses it (default 0)")
     _add_common(p)

@@ -30,18 +30,20 @@ Taylor shift alone.  That is every q = 2 point and the BCH points with
 a = b = q-1.
 
 What depends on the shape alone is built once per shape: its row lengths,
-row 0 of the pattern-word counts and, for class_sizes, the (r, s) key of
-each entry; the other rows of pattern-word counts only once a point with
-a != b asks for them.  The inversion runs as steps compiled once, read
-row by row in Horner's order: for a != b the shape's plan, the whole
-two-dimensional transform; for a = b the Taylor shift of one row, whose
-steps depend on the row's length alone and are shared by every shape
-with that length.  A step combines a run of entries with another run;
-one of at most three entries is stored as that many one-entry steps, so a
-small table runs as a few scalar operations and a large one as whole
-slices, and a plan holds O(P + R^2) steps for R rows.  A table has at
-most PATTERN_TABLE_CAP entries, and the check reads its size in closed
-form before anything is built.
+row 0 of the pattern-word counts, and its layout record; the other rows
+of pattern-word counts only once a point with a != b asks for them.  The
+(r, s) keys and the compiled inversion depend on the row lengths alone,
+so they live in one record per row layout, shared by every shape with
+that layout and made on first read.  The inversion runs as steps
+compiled once, read row by row in Horner's order: for a != b the plan of
+the shape's layout, the whole two-dimensional transform; for a = b the
+plan of the one-row layout of row 0, its Taylor shift alone.  A step
+combines a run of entries with another run; one of at most three entries
+is stored as that many one-entry steps, so a small table runs as a few
+scalar operations and a large one as whole slices, and a plan holds
+O(P + R^2) steps for R rows.  A table has at most PATTERN_TABLE_CAP
+entries, and the check reads its size in closed form before anything is
+built.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _table_size(m: int, t: int) -> int:
     return floors(m) - floors(m - rows) - rows * (rows - 1) // 2 + rows
 
 
-def _row_lengths(m: int, t: int) -> list[int]:
+def _row_lengths(m: int, t: int) -> tuple[int, ...]:
     """The table's row lengths: row s holds r = 0 .. (m - s(t+2)) // (t+1).
     The cap is checked on the closed-form size first, so a refused shape
     costs a few operations at any m."""
@@ -246,25 +248,25 @@ def _row_lengths(m: int, t: int) -> list[int]:
             f"the counting table of (m, t) = ({m}, {t}) has {size} entries,"
             f" past the pattern table cap of {PATTERN_TABLE_CAP}"
         )
-    return [(m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1)]
+    return tuple((m - s * (t + 2)) // (t + 1) + 1 for s in range(m // (t + 2) + 1))
 
 
 class _Shape:
     """What every point of the shape (m, t) reads: the table's row lengths
-    and entry count, and row 0 of the pattern-word counts W_{r,0}, with
-    W_{0,0} = 0; class_sizes also reads the (r, s) key of each entry, made
-    on its first call."""
+    and entry count, row 0 of the pattern-word counts W_{r,0}, with
+    W_{0,0} = 0, and the layout records of its rows and of row 0 alone."""
 
     def __init__(self, m: int, t: int) -> None:
         self.lengths = _row_lengths(m, t)
         self.size = sum(self.lengths)
         self.row0 = (0, *(_pattern_words(r, 0, m, t) for r in range(1, self.lengths[0])))
+        self.layout = _layout(self.lengths)
+        self.row0_layout = _layout(self.lengths[:1])
 
-    @cached_property
+    @property
     def keys(self) -> tuple[AdmissiblePair, ...]:
         """(r, s) of each flat entry, row by row, (0, 0) first."""
-        return tuple(_intern([key for s, n in enumerate(self.lengths)
-                              for key in zip(range(n), [s] * n)]))
+        return self.layout.keys
 
 
 @lru_cache(maxsize=None)
@@ -283,10 +285,10 @@ def _pattern_rows(m: int, t: int) -> tuple[tuple[int, ...], ...]:
     shares this table.  Row 0 is the shape record's own; the other rows
     are made here, which only a point with a != b asks for.  The memo is
     unbounded, one entry per such shape."""
-    lengths = _row_lengths(m, t)
-    return (_shape(m, t).row0,) + tuple(
+    shape = _shape(m, t)
+    return (shape.row0,) + tuple(
         tuple(_pattern_words(r, s, m, t) for r in range(n))
-        for s, n in enumerate(lengths[1:], 1)
+        for s, n in enumerate(shape.lengths[1:], 1)
     )
 
 
@@ -346,8 +348,8 @@ def _table(p: CodeParams) -> _Table:
 # A step of at most this many entries is stored as one-entry steps.
 _SCALAR_STEP = 3
 
-# Steps and (k, ell) keys recur from shape to shape; every plan, row shift
-# and shape record holds the one shared copy of each.
+# Steps and (k, ell) keys recur from layout to layout; every layout record
+# holds the one shared copy of each.
 _interned: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -376,24 +378,12 @@ def _shift_steps(offset: int, n: int) -> list[tuple[int, int, int]]:
     return [(offset + i, offset + i + 1, n - 1 - i) for i in range(n - 2, -1, -1)]
 
 
-@lru_cache(maxsize=None)
-def _row_shift(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The transform of class_sizes at a = b: the Taylor shift of row 0, of
-    n entries.  It depends on n alone, so every shape with that row length
-    shares it; the memo is unbounded, one entry per row length used."""
-    return tuple(_expand(_shift_steps(0, n)))
-
-
-@lru_cache(maxsize=None)
-def _plan(m: int, t: int) -> tuple[tuple[int, int, int], ...]:
-    """The transform of class_sizes at a != b compiled for the shape (m, t),
-    as steps in Horner's order: the Taylor shift of each row, then the same
-    down every column, where a step combines row s with the leading part of
-    row s + 1 (the table is a down-set, so every term is present).
-
-    Only class_sizes reads a plan, so dimension does not pay for building
-    one; the memo is unbounded, one entry per shape inverted with a != b."""
-    lengths = _row_lengths(m, t)
+def _compile(lengths: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """The transform of the table with these row lengths, as steps in
+    Horner's order: the Taylor shift of each row, then the same down every
+    column, where a step combines row s with the leading part of row s + 1
+    (the table is a down-set, so every term is present).  With one row it
+    is that row's Taylor shift alone."""
     offsets = list(accumulate(lengths, initial=0))
     steps = _expand([step for o, n in zip(offsets, lengths) for step in _shift_steps(o, n)])
     column: list[tuple[int, int, int]] = []
@@ -402,6 +392,33 @@ def _plan(m: int, t: int) -> tuple[tuple[int, int, int], ...]:
         column = _expand([(offsets[s], offsets[s + 1], lengths[s + 1])]) + column
         steps += column
     return tuple(steps)
+
+
+class _Layout:
+    """What class_sizes reads of a table with the given row lengths, made
+    on first read: the (r, s) key of each flat entry and the compiled
+    transform.  Many shapes share one layout, and the one-row layout of a
+    row-0 length serves every point with a = b whose row 0 has it."""
+
+    def __init__(self, lengths: tuple[int, ...]) -> None:
+        self.lengths = lengths
+
+    @cached_property
+    def keys(self) -> tuple[AdmissiblePair, ...]:
+        """(r, s) of each flat entry, row by row, (0, 0) first."""
+        return tuple(_intern([key for s, n in enumerate(self.lengths)
+                              for key in zip(range(n), [s] * n)]))
+
+    @cached_property
+    def plan(self) -> tuple[tuple[int, int, int], ...]:
+        return _compile(self.lengths)
+
+
+@lru_cache(maxsize=None)
+def _layout(lengths: tuple[int, ...]) -> _Layout:
+    """The layout's record; the memo is unbounded, one entry per row
+    layout used, and shapes already hold theirs."""
+    return _Layout(lengths)
 
 
 def _run_plan(x: list[int], steps, op) -> None:
@@ -422,24 +439,23 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     The transform is separable: a Taylor shift by -1 along r in every row
     of the A table, then along s in every column, in O(P m) additions for
     P admissible pairs and no binomial coefficient.  With a != b it runs as
-    the shape's plan on the table read row by row.  With a = b only row 0
-    is nonzero, and its Taylor shift alone is the transform: the steps for
-    a row of its length, with no plan compiled.  The forward identity
-    A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same steps by +1, is
-    re-checked on the whole table after inversion; a failure, or a negative
-    class size, would be an internal error.  Classes come in the table's
-    order: ell ascending, then k ascending.
+    the plan of the shape's row layout, compiled once for every shape with
+    that layout, on the table read row by row.  With a = b only row 0 is
+    nonzero, and its Taylor shift alone is the transform: the plan of the
+    one-row layout of row 0, with no plan of more rows compiled.  The
+    forward identity A_{r,s} = sum C(k,r) C(ell,s) B_{k,ell}, the same
+    steps by +1, is re-checked on the whole table after inversion; a
+    failure, or a negative class size, would be an internal error.
+    Classes come in the table's order: ell ascending, then k ascending.
     """
     params.require_counting_regime()
     a_flat = _table(params).entries
     shape = _shape(params.m, params.t)
-    if params.a == params.b:
-        steps = _row_shift(shape.lengths[0])
-    else:
-        steps = _plan(params.m, params.t)
+    layout = shape.layout
+    steps = (shape.row0_layout if params.a == params.b else layout).plan
     x = list(a_flat)
     _run_plan(x, steps, sub)
-    sizes = dict(zip(shape.keys, x))
+    sizes = dict(zip(layout.keys, x))
     del sizes[(0, 0)]
     if min(sizes.values()) < 0:
         (k, ell), size = next(item for item in sizes.items() if item[1] < 0)
@@ -449,7 +465,7 @@ def class_sizes(params: CodeParams) -> dict[AdmissiblePair, int]:
     _run_plan(x, steps, add)
     x[0] = a_flat[0]  # B_{0,0} is no class size
     if tuple(x) != a_flat:
-        r, s = next(key for key, u, v in zip(shape.keys, x, a_flat) if u != v)
+        r, s = next(key for key, u, v in zip(layout.keys, x, a_flat) if u != v)
         raise ConsistencyError(
             f"binomial inversion round trip failed at (r, s) = ({r}, {s})"
         )

@@ -175,10 +175,9 @@ class DimensionReport(_DimensionReportFields):
 
     def __new__(cls, params: CodeParams, size_T: int, dim: int, is_bch: bool,
                 delta: int | None) -> "DimensionReport":
-        self = tuple.__new__(cls, (params, size_T, dim, is_bch, delta))
-        if self.dim != self.params.q**self.params.m - self.size_T:
+        if dim != params.q**params.m - size_T:
             raise ConsistencyError("dimension must equal q^m - |T|")
-        return self
+        return tuple.__new__(cls, (params, size_T, dim, is_bch, delta))
 
 
 def dimension(params: CodeParams) -> DimensionReport:
@@ -193,20 +192,20 @@ def dimension(params: CodeParams) -> DimensionReport:
     are the normalized point's (a = b), and |T| is read from the raw point,
     where it is a-free.
     """
-    params.require_counting_regime()
-    p = params.normalized()
-    if p.is_degenerate:
+    q, m, t, a, b = params
+    if b > a:
+        params.require_counting_regime()
+    p = params
+    if t == m - 1 and a != b:
+        p, a = params.normalized(), b
+    if a == b == q - 1 and t == 0:  # p.is_degenerate
         raise ZeroCodeError(
             "a = b = q-1 with t = 0 makes T the whole index range (zero code)"
         )
     size = closed_size_T(params)
-    whole = p.index_size
+    whole = q**m
     if size == whole:
         raise ConsistencyError(f"n = {whole - 1} unexpectedly belongs to T at {tuple(p)}")
-    return DimensionReport(
-        params=p,
-        size_T=size,
-        dim=whole - size,
-        is_bch=p.is_bch,
-        delta=p.designed_distance if p.is_bch else None,
-    )
+    is_bch = a == q - 1  # p.is_bch
+    return DimensionReport(p, size, whole - size, is_bch,
+                           (b + 1) * q ** (m - t - 1) if is_bch else None)

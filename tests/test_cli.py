@@ -310,6 +310,54 @@ def test_coset_refuses_exactly_where_q_to_the_m_outgrows_the_limit(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_coset_past_the_report_cap_exits_3_at_once(capsys):
+    # 2^14284 - 1 has 4,300 digits, inside the int-to-str limit, but a
+    # report of 14,284 such elements is past the coset report cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coset", "--q", "2", "--m", "14284", "--s", "3")
+    assert (code, out) == (3, "")
+    assert err == ("resource limit: the coset modulo 2^14284 - 1 can list 14284 elements of"
+                   " as many digits as q^m - 1, past the coset report cap of 16777216 digits\n")
+    assert time.perf_counter() - start < 1
+
+
+def test_coset_refuses_exactly_past_the_report_cap(monkeypatch, capsys):
+    # under a cap of 40 digits: 2^10 - 1 has 4 digits, 10 * 4 = 40 is kept,
+    # and 11 * 4 = 44 is refused; a negative s is still a parameter error
+    monkeypatch.setattr(cli, "COSET_REPORT_DIGITS", 40)
+    code, out, _ = run(capsys, "coset", "--q", "2", "--m", "10", "--s", "1023")
+    assert code == 0 and "1023" in out
+    code, out, err = run(capsys, "coset", "--q", "2", "--m", "11", "--s", "3")
+    assert (code, out) == (3, "") and "past the coset report cap of 40 digits" in err
+    code, out, err = run(capsys, "coset", "--q", "2", "--m", "11", "--s", "-1")
+    assert (code, out) == (2, "") and err.startswith("parameter error: value -1 out of range")
+
+
+def test_verify_past_the_max_n_cap_exits_3_at_once(monkeypatch, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--max-n", str(10**23))
+    assert (code, out) == (3, "")
+    assert err == (f"resource limit: --max-n {10**23} is past the verify cap of 65536\n")
+    assert time.perf_counter() - start < 1
+    # under a cap of 16, --max-n 16 runs and 17 is refused before any
+    # point is enumerated
+    monkeypatch.setattr(cli, "VERIFY_MAX_N_CAP", 16)
+    assert run(capsys, "verify", "--max-n", "16")[0] == 0
+    monkeypatch.setattr(cli, "CodeParams", lambda *args: pytest.fail("enumerated a point"))
+    code, out, err = run(capsys, "verify", "--max-n", "17")
+    assert (code, out) == (3, "") and "past the verify cap of 16" in err
+
+
+def test_help_states_the_coset_and_verify_caps(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    parsers = {p.prog.split()[-1]: p for p in _parsers(cli.build_parser())}
+    coset = " ".join(parsers["coset"].format_help().split())
+    verify = " ".join(parsers["verify"].format_help().split())
+    assert f"coset report cap of {cli.COSET_REPORT_DIGITS} digits" in coset
+    assert (f"verify cap of {cli.VERIFY_MAX_N_CAP}; q^m caps: dimension check "
+            f"{cli.VERIFY_DIM_CAP}, affine probe {cli.VERIFY_PROBE_CAP}") in verify
+
+
 def _parsers(parser):
     """The parser and every subcommand's parser."""
     return [parser, *parser._subparsers._group_actions[0].choices.values()]

@@ -1,5 +1,6 @@
+import random
 import time
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add, sub
 
 import pytest
@@ -331,11 +332,12 @@ def test_zero_row_skip_is_exact():
     points = 0
     for m in range(1, 21):
         for t in range(m):
-            keys = counting._shape(m, t).keys
-            width = counting._shape(m, t).lengths[0]
-            row0 = counting._row_shift(width)
+            shape = counting._shape(m, t)
+            keys, width = shape.keys, shape.lengths[0]
+            row0 = counting._layout((width,)).plan
+            assert shape.row0_layout.plan is row0
             assert all(max(dst, src) + n <= width for dst, src, n in row0)
-            assert counting._plan(m, t)[:len(row0)] == row0
+            assert shape.layout.plan[:len(row0)] == row0
             for q in (2, 3, 4):
                 for a in range(1, q):
                     p = CodeParams(q, m, t, a, a)
@@ -354,10 +356,12 @@ def test_zero_row_skip_is_exact():
 
 
 def test_a_equal_b_builds_no_row_past_row_0(monkeypatch):
-    # at a = b, dimension and class_sizes make no W_{r,s} with s >= 1 and
-    # compile no plan: a guard fails any such call, on the m <= 20 grid and
-    # on q = 2 shapes that no point with a != b uses
+    # at a = b, dimension and class_sizes make no W_{r,s} with s >= 1,
+    # compile no plan of more than one row and run only the one-row plan of
+    # row 0: guards fail any other call, on the m <= 20 grid and on q = 2
+    # shapes that no point with a != b uses
     words = counting._pattern_words
+    compile_plan, run = counting._compile, counting._run_plan
 
     def guarded(k, ell, m, t):
         if ell:
@@ -365,11 +369,19 @@ def test_a_equal_b_builds_no_row_past_row_0(monkeypatch):
         return words(k, ell, m, t)
 
     def refuse(*args):
-        pytest.fail(f"a = b read the rows past row 0 or a plan: {args}")
+        pytest.fail(f"a = b read the rows past row 0: {args}")
 
+    def one_row(lengths):
+        if len(lengths) > 1:
+            pytest.fail(f"a = b compiled the plan of the layout {lengths}")
+        return compile_plan(lengths)
+
+    ran = []
     monkeypatch.setattr(counting, "_pattern_words", guarded)
     monkeypatch.setattr(counting, "_pattern_rows", refuse)
-    monkeypatch.setattr(counting, "_plan", refuse)
+    monkeypatch.setattr(counting, "_compile", one_row)
+    monkeypatch.setattr(counting, "_run_plan", lambda x, steps, op: (ran.append(steps),
+                                                                     run(x, steps, op)))
     counting._table.cache_clear()
     points = [CodeParams(q, m, t, a, a) for q in (2, 3, 4) for m in range(1, 21)
               for t in range(m) for a in range(1, q)]
@@ -380,6 +392,9 @@ def test_a_equal_b_builds_no_row_past_row_0(monkeypatch):
             defsets.dimension(p)
         sizes = class_sizes(p)
         assert closed_size_T(p) == 1 + sum(sizes.values()), p
+        row0 = counting._layout(counting._shape(p.m, p.t).lengths[:1]).plan
+        assert len(ran) == 2 and all(steps is row0 for steps in ran), p
+        ran.clear()
     counting._table.cache_clear()
 
 
@@ -415,7 +430,7 @@ def test_whole_plan_equals_the_untrimmed_transform():
     points = 0
     for m in range(1, 21):
         for t in range(m):
-            steps = counting._plan(m, t)
+            steps = counting._shape(m, t).layout.plan
             for q in (3, 4):
                 for a in range(2, q):
                     for b in range(1, a):
@@ -426,6 +441,64 @@ def test_whole_plan_equals_the_untrimmed_transform():
                             assert _run(steps, table, add) == _flat(_horner_reference(table, add))
                         points += 1
     assert points == 4 * 210
+
+
+def _shape_plan(m, t):
+    """The transform compiled from the shape (m, t) itself, not from a
+    shared layout: each row's Taylor shift, then Horner's steps down the
+    columns."""
+    lengths = counting._row_lengths(m, t)
+    offsets = list(accumulate(lengths, initial=0))
+    steps = counting._expand([step for o, n in zip(offsets, lengths)
+                              for step in counting._shift_steps(o, n)])
+    column = []
+    for s in range(len(lengths) - 2, -1, -1):
+        column = counting._expand([(offsets[s], offsets[s + 1], lengths[s + 1])]) + column
+        steps += column
+    return tuple(steps)
+
+
+def test_layout_plan_is_the_per_shape_plan():
+    # on the m <= 20 grid the plan of each shape's layout is the plan
+    # compiled from the shape itself, the one-row plan of row 0 is the
+    # row's own Taylor shift, and both match the reference both ways
+    rng = random.Random(37)
+    layouts = set()
+    for m in range(1, 21):
+        for t in range(m):
+            shape = counting._shape(m, t)
+            assert shape.layout is counting._layout(shape.lengths)
+            assert shape.layout.plan == _shape_plan(m, t), (m, t)
+            width = shape.lengths[0]
+            assert shape.row0_layout.plan == tuple(counting._expand(
+                counting._shift_steps(0, width))), (m, t)
+            if shape.lengths in layouts:
+                continue
+            layouts.add(shape.lengths)
+            rows = [[rng.randrange(-99, 100) for _ in range(n)] for n in shape.lengths]
+            for op in (sub, add):
+                expect = _flat(_horner_reference(rows, op))
+                assert _run(shape.layout.plan, rows, op) == expect, (m, t)
+                assert (_run(shape.row0_layout.plan, rows[:1], op)
+                        == _flat(_horner_reference(rows[:1], op)))
+    assert len(layouts) < 210
+
+
+def test_shapes_with_one_layout_share_its_plan_and_keys():
+    # (5, 1) and (7, 2) both have rows of 3 and 2 entries: one record, one
+    # plan and one keys tuple, run by class_sizes at both
+    one, other = counting._shape(5, 1), counting._shape(7, 2)
+    assert one.lengths == other.lengths == (3, 2)
+    assert one.layout is other.layout
+    assert one.layout.plan is other.layout.plan and one.keys is other.keys
+    seen = []
+    run = counting._run_plan
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_run_plan", lambda x, steps, op: (seen.append(steps),
+                                                                     run(x, steps, op)))
+        class_sizes(CodeParams(3, 5, 1, 2, 1))
+        class_sizes(CodeParams(4, 7, 2, 3, 2))
+    assert len(seen) == 4 and all(steps is one.layout.plan for steps in seen)
 
 
 def _commute(one, other):
@@ -443,7 +516,7 @@ def test_plan_mutations_are_caught_by_the_reference():
     # the comparisons above must fail for a plan with one step dropped, two
     # steps that do not commute swapped, or the a = b row shift cut one short
     m, t = 9, 1
-    steps = list(counting._plan(m, t))
+    steps = list(counting._shape(m, t).layout.plan)
     rows = _rows_of(CodeParams(4, m, t, 3, 1))
     expect = _flat(_horner_reference(rows, sub))
     assert _run(steps, rows, sub) == expect
@@ -458,7 +531,7 @@ def test_plan_mutations_are_caught_by_the_reference():
     assert 0 < swaps < len(steps) - 1
     rows = _rows_of(CodeParams(4, m, t, 3, 3))
     expect = _flat(_horner_reference(rows, sub))
-    row0 = list(counting._row_shift(len(rows[0])))
+    row0 = list(counting._layout((len(rows[0]),)).plan)
     assert _run(row0, rows, sub) == expect
     assert _run(row0[:-1], rows, sub) != expect
 
@@ -470,7 +543,7 @@ def test_plan_holds_o_of_p_plus_rows_squared_steps():
     rows = counting._pattern_rows(m, t)
     entries, R = sum(map(len, rows)), len(rows)
     assert (entries, R) == (10_201, 101)
-    steps = counting._plan(m, t)
+    steps = counting._shape(m, t).layout.plan
     assert len(steps) <= 2 * (entries + R * R)
     assert sum(n for _, _, n in steps) > 1_000_000
     assert all(n == 1 or n > counting._SCALAR_STEP for _, _, n in steps)
@@ -513,9 +586,11 @@ def test_pattern_table_cap(monkeypatch):
     # the cap counts entries with (0, 0) included, and a table at it is built
     assert _table_entries(6, 1) == sum(map(len, counting._pattern_rows(6, 1))) == 7
     monkeypatch.setattr(counting, "PATTERN_TABLE_CAP", 7)
+    assert counting._Shape(6, 1).lengths == counting._shape(6, 1).lengths
+    # the pattern rows read the shape record, which checks the cap when made
+    monkeypatch.setattr(counting, "_shape", counting._Shape)
     assert counting._pattern_rows.__wrapped__(6, 1) == counting._pattern_rows(6, 1)
-    assert counting._plan.__wrapped__(6, 1) == counting._plan(6, 1)
-    for build in (counting._pattern_rows.__wrapped__, counting._plan.__wrapped__):
+    for build in (counting._pattern_rows.__wrapped__, counting._Shape):
         with pytest.raises(ResourceLimitError, match="8 entries, past the pattern table cap of 7"):
             build(7, 1)
     # every tier-1 and benchmark shape is far below the cap

@@ -167,8 +167,11 @@ def test_dimension_examples():
 
 
 def test_dimension_rejects_zero_code():
-    with pytest.raises(ZeroCodeError):
-        dimension(CodeParams(3, 3, 0, 2, 2))
+    for point in [(3, 3, 0, 2, 2), (2, 1, 0, 1, 1)]:
+        with pytest.raises(ZeroCodeError) as info:
+            dimension(CodeParams(*point))
+        assert str(info.value) == ("a = b = q-1 with t = 0 makes T the whole index range"
+                                   " (zero code)")
 
 
 def test_dimension_report_checks_dim_against_size_T():
@@ -189,6 +192,54 @@ def test_dimension_rejects_n_in_T(monkeypatch):
     with pytest.raises(ConsistencyError, match="n = 80 unexpectedly belongs to T"):
         dimension(CodeParams(3, 4, 1, 2, 1))
     assert points == [(3, 4, 1, 2, 1)]
+
+
+def test_dimension_rejects_n_in_T_at_the_normalized_point(monkeypatch):
+    # at t = m - 1 with a != b the message names the normalized point, and
+    # |T| is still read at the raw one
+    points = []
+    monkeypatch.setattr(defsets, "closed_size_T",
+                        lambda params: points.append(params) or params.index_size)
+    with pytest.raises(ConsistencyError) as info:
+        dimension(CodeParams(3, 3, 2, 2, 1))
+    assert str(info.value) == "n = 26 unexpectedly belongs to T at (3, 3, 2, 1, 1)"
+    assert points == [(3, 3, 2, 2, 1)]
+
+
+def _query_points():
+    """The benchmark's queries points: every 4th point of its grid (m from
+    2 to a limit per q, every t and b <= a, the zero-code point left out),
+    then the worked example if it is not among them."""
+    limits = {2: 56, 3: 32, 4: 20, 5: 20, 7: 8, 8: 8, 9: 8, 16: 8, 27: 8}
+    grid = [(q, m, t, a, b) for q, m_max in limits.items() for m in range(2, m_max + 1)
+            for t in range(m) for a in range(1, q) for b in range(1, a + 1)
+            if not (a == b == q - 1 and t == 0)]
+    points = grid[::4]
+    return points + [p for p in [(3, 4, 1, 2, 1), (2, 4, 2, 1, 1)] if p not in points]
+
+
+def test_dimension_report_is_read_from_the_normalized_point():
+    # at every queries point the report is the one built from the
+    # normalized point's properties, a t = m - 1 point with a != b too
+    points = [CodeParams(*p) for p in _query_points()]
+    assert len(points) == 6456
+    normalized = 0
+    for params in points:
+        p = params.normalized()
+        normalized += p != params
+        size = closed_size_T(params)
+        expect = (p, size, p.index_size - size, p.is_bch,
+                  p.designed_distance if p.is_bch else None)
+        report = dimension(params)
+        assert report == expect and type(report.params) is CodeParams, params
+    assert normalized > 0
+
+
+def test_dimension_rejects_b_above_a_at_any_t():
+    for point in [(3, 3, 2, 1, 2), (3, 3, 1, 1, 2)]:
+        with pytest.raises(ParameterError) as info:
+            dimension(CodeParams(*point))
+        assert str(info.value) == "counting and dimension formulas need b <= a, got a=1, b=2"
 
 
 def test_n_is_in_T_exactly_when_T_is_the_whole_range():

@@ -257,12 +257,12 @@ def test_oracle_reads_no_private_field_state():
 
 
 # The memos documented as unbounded: one entry per field, prime-power
-# question, counting shape or row-0 length, each a small finite set.  A
-# counting shape has three: every point reads its record, only points with
-# a != b the pattern rows past row 0 and, in class_sizes, the plan; points
-# with a = b share the row shift of their row-0 length.
+# question, counting shape or row layout, each a small finite set.  A
+# counting shape has two: every point reads its record, only points with
+# a != b the pattern rows past row 0.  The keys and plans of class_sizes
+# live in one record per row layout, shared by the shapes with that layout.
 UNBOUNDED_MEMOS = {"counting._is_prime_power", "counting._shape", "counting._pattern_rows",
-                   "counting._plan", "counting._row_shift", "galois._build"}
+                   "counting._layout", "galois._build"}
 
 
 def _memos() -> dict[str, int | None]:
